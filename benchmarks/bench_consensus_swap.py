@@ -75,7 +75,7 @@ def build_and_run(n=5, seed=14, duration=DURATION, load=100.0, swap_at=DURATION 
             )
         )
     sys_.sim.schedule_at(
-        swap_at, repls[0].call, WellKnown.R_CONSENSUS, "change_protocol", "consensus-ct"
+        swap_at, repls[0].call, (WellKnown.R_CONSENSUS, "change_protocol", "consensus-ct")
     )
     sys_.run(until=duration + 3.0)
     return sys_, repls, log

@@ -61,9 +61,6 @@ CAMPAIGN_NAME = "smoke"
 #: shape the warm-pool executor is built for.
 WIDE_SPECS = q(16, 4)
 WIDE_SEEDS = q(4, 2)
-#: Messages per send_many batch in the burst-delivery microbench (the
-#: fan-out degree of an ABcast-style broadcast on a mid-size group).
-BURST_SIZE = 16
 #: Default trajectory file.  Unlike the regenerable artefacts under
 #: ``benchmarks/out/`` (gitignored), the trajectory is **committed**: one
 #: record per invocation, so the perf curve across PRs stays visible.
@@ -96,20 +93,19 @@ def bench_event_loop(n_events: Optional[int] = None) -> Dict[str, float]:
     The same shape as ``bench_kernel.test_event_loop_throughput`` — one
     timed pass over the full schedule→fire life of every event, which is
     where the handle-allocation and double-heap-inspection savings show.
-    Uses the fire-and-forget path when the core has one (the ~90% case:
-    network deliveries, CPU completions); falls back to ``schedule`` on
-    pre-overhaul cores so records stay comparable across commits.
+    Calls ``schedule_at``, the primitive the hot paths call (network
+    deliveries, timers), handle-free like ~90% of real events.
     """
     if n_events is None:
         n_events = N_EVENTS
     best: Optional[Dict[str, float]] = None
     for _ in range(REPEATS):
         sim = Simulator(seed=1)
-        sched = getattr(sim, "schedule_fast", sim.schedule)
+        schedule_at = sim.schedule_at
         nop = _nop
         t0 = time.perf_counter()
         for i in range(n_events):
-            sched(i * 1e-6, nop)
+            schedule_at(i * 1e-6, nop)
         sim.run()
         seconds = time.perf_counter() - t0
         rate = sim.events_processed / seconds
@@ -128,26 +124,26 @@ def _nop() -> None:
 
 
 def bench_event_loop_steady(
-    n_events: Optional[int] = None, chains: int = 64, fast: bool = True
+    n_events: Optional[int] = None, chains: int = 64, cancellable: bool = False
 ) -> Dict[str, float]:
     """Self-rescheduling timer chains: the engine's steady-state loop.
 
     A small constant heap (64 chains) with every event rescheduling
     itself — dominated by per-event loop/dispatch cost rather than
-    allocation.  ``fast=False`` measures the cancellable-handle path.
+    allocation.  ``cancellable=True`` measures the handle-allocating path.
     """
     if n_events is None:
         n_events = N_EVENTS
     best: Optional[Dict[str, float]] = None
     for _ in range(REPEATS):
         sim = Simulator(seed=1)
-        sched = getattr(sim, "schedule_fast", sim.schedule) if fast else sim.schedule
+        schedule_at = sim.schedule_at
         remaining = [n_events]
 
         def tick() -> None:
             if remaining[0] > 0:
                 remaining[0] -= 1
-                sched(1e-6, tick)
+                schedule_at(sim.now + 1e-6, tick, cancellable=cancellable)
 
         for _ in range(chains):
             sim.schedule(0.0, tick)
@@ -181,14 +177,14 @@ def bench_datagram_path(n_datagrams: Optional[int] = None) -> Dict[str, float]:
                 m.machine_id,
                 lambda msg, t: delivered.__setitem__(0, delivered[0] + 1),
             )
-        sched = getattr(sim, "schedule_fast", sim.schedule)
+        schedule_at = sim.schedule_at
         sent = [0]
 
         def pump() -> None:
             if sent[0] < n_datagrams:
                 sent[0] += 1
                 net.send(NetMessage(sent[0] % 4, (sent[0] + 1) % 4, "x", 256))
-                sched(1e-6, pump)
+                schedule_at(sim.now + 1e-6, pump)
 
         sim.schedule(0.0, pump)
         t0 = time.perf_counter()
@@ -361,55 +357,6 @@ def bench_campaign_wide(
     return record
 
 
-def bench_datagram_burst(n_datagrams: Optional[int] = None) -> Dict[str, float]:
-    """Datagrams/sec through the vectorised ``send_many`` fan-out path.
-
-    Same substrate as :func:`bench_datagram_path`, but each pump tick
-    sends one :data:`BURST_SIZE`-message batch — one latency block and
-    one heap burst instead of per-message draws and pushes.  The ratio
-    to the scalar bench is the fan-out batching win."""
-    if n_datagrams is None:
-        n_datagrams = N_DATAGRAMS
-    best: Optional[Dict[str, float]] = None
-    for _ in range(REPEATS):
-        sim = Simulator(seed=2)
-        machines = [Machine(sim, i) for i in range(4)]
-        net = SimNetwork(sim, machines, SwitchedLan(latency=lan_latency()))
-        delivered = [0]
-        for m in machines:
-            net.attach(
-                m.machine_id,
-                lambda msg, t: delivered.__setitem__(0, delivered[0] + 1),
-            )
-        sched = sim.schedule_fast
-        sent = [0]
-
-        def pump() -> None:
-            if sent[0] < n_datagrams:
-                base = sent[0]
-                batch = [
-                    NetMessage((base + j) % 4, (base + j + 1) % 4, "x", 256)
-                    for j in range(min(BURST_SIZE, n_datagrams - base))
-                ]
-                sent[0] = base + len(batch)
-                net.send_many(batch)
-                sched(1e-6, pump)
-
-        sim.schedule(0.0, pump)
-        t0 = time.perf_counter()
-        sim.run()
-        seconds = time.perf_counter() - t0
-        rate = delivered[0] / seconds
-        if best is None or rate > best["datagrams_per_sec"]:
-            best = {
-                "datagrams": delivered[0],
-                "seconds": seconds,
-                "datagrams_per_sec": rate,
-            }
-    assert best is not None
-    return best
-
-
 def run_all(quick: bool, campaign_jobs: int = 4) -> Dict[str, Any]:
     """One full measurement record (the shape appended to the trajectory)."""
     pyops = calibrate_pyops()
@@ -426,9 +373,8 @@ def run_all(quick: bool, campaign_jobs: int = 4) -> Dict[str, Any]:
         "pyops_per_sec": pyops,
         "event_loop": event_loop,
         "event_loop_steady": bench_event_loop_steady(),
-        "event_loop_cancellable": bench_event_loop_steady(fast=False),
+        "event_loop_cancellable": bench_event_loop_steady(cancellable=True),
         "datagram_path": bench_datagram_path(),
-        "datagram_burst": bench_datagram_burst(),
         "kernel_dispatch": kernel_dispatch,
         "query_path": bench_query_path(),
         "campaign": bench_campaign(jobs=campaign_jobs),
@@ -596,8 +542,7 @@ def main(argv: Optional[list] = None) -> int:
     print(
         f"wide matrix ({wide['cells']} cells): warmup {wide['warmup_seconds']:.2f}s  "
         f"jobs=1: {wide['jobs1_seconds']:.2f}s  jobs={wide['jobs']}: "
-        f"{wide['jobsN_seconds']:.2f}s  speedup {wide['speedup']:.2f}x  "
-        f"burst datagrams/sec: {record['datagram_burst']['datagrams_per_sec']:,.0f}"
+        f"{wide['jobsN_seconds']:.2f}s  speedup {wide['speedup']:.2f}x"
     )
 
     if not args.no_out:
@@ -653,12 +598,6 @@ def test_core_campaign_wide_identity():
     record = bench_campaign_wide(jobs=2)
     assert record["byte_identical"] is True
     assert record["cells"] == WIDE_SPECS * WIDE_SEEDS
-
-
-@pytest.mark.benchmark(group="core")
-def test_core_datagram_burst(benchmark):
-    result = benchmark(bench_datagram_burst)
-    assert result["datagrams"] > 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ METRICS: Dict[str, Any] = {
     "campaign_wide_speedup": lambda r: _dig(r, "campaign_wide", "speedup"),
     "warm_pool_warmup_seconds": lambda r: _dig(r, "campaign_wide", "warmup_seconds"),
     "parallel_score": lambda r: r.get("parallel_score"),
-    "datagrams_burst_per_sec": lambda r: _dig(r, "datagram_burst", "datagrams_per_sec"),
 }
 
 #: Eight-level bar glyphs (a "sparkline"): lowest value → thinnest bar.

@@ -49,8 +49,8 @@ def main() -> None:
     # Membership activity right around the first switch: expel machine 4
     # at t=4.05 (mid-replacement!), re-admit it at t=6.
     gm0 = gm_of(gcs, 0)
-    gcs.system.sim.schedule_at(4.05, gm0.call, WellKnown.GM, "propose_expel", 4)
-    gcs.system.sim.schedule_at(6.0, gm0.call, WellKnown.GM, "propose_join", 4)
+    gcs.system.sim.schedule_at(4.05, gm0.call, (WellKnown.GM, "propose_expel", 4))
+    gcs.system.sim.schedule_at(6.0, gm0.call, (WellKnown.GM, "propose_join", 4))
 
     gcs.run(until=12.0)
     gcs.run_to_quiescence()

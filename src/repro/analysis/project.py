@@ -41,8 +41,8 @@ class ClassInfo:
     base_names: Tuple[str, ...]
     #: Names of methods/attributes defined directly in the class body.
     defined: Set[str] = field(default_factory=set)
-    #: Whether a ``self.set_timer`` / ``self.set_timer_fast`` reference
-    #: appears anywhere inside the class body.
+    #: Whether a ``self.set_timer`` reference appears anywhere inside
+    #: the class body.
     uses_timers: bool = False
 
     @property
@@ -203,7 +203,7 @@ class Project:
                 for sub in ast.walk(node):
                     if (
                         isinstance(sub, ast.Attribute)
-                        and sub.attr in ("set_timer", "set_timer_fast")
+                        and sub.attr == "set_timer"
                         and isinstance(sub.value, ast.Name)
                         and sub.value.id == "self"
                     ):

@@ -12,7 +12,7 @@ not:
   RNG streams) or ``stack.backend``;
 * import ``repro.sim`` **engine internals** (``engine``, ``process``,
   ``events``, ``faults``) at runtime.  The sim's *value* modules —
-  ``clock`` (time units), ``monitors`` (counters/logs), ``random``
+  ``clock`` (time units), ``monitors`` (counters), ``random``
   (seeded streams), ``latency`` (distribution models) — are shared
   vocabulary and stay importable; typing-only imports under
   ``if TYPE_CHECKING:`` are always fine.

@@ -72,7 +72,9 @@ _SEEDED_CTORS = frozenset(
      "np.random.SeedSequence", "numpy.random.SeedSequence")
 )
 
-#: Attribute calls in a loop body that make iteration order observable.
+#: Attribute calls in a loop body that make iteration order observable:
+#: every operation of the runtime seam (``runtime/api.py`` and the trace
+#: recorder — one spelling each) plus the kernel/protocol send verbs.
 SEND_ATTRS = frozenset(
     (
         "call",
@@ -86,10 +88,9 @@ SEND_ATTRS = frozenset(
         "abcast",
         "schedule",
         "schedule_at",
-        "schedule_fast",
-        "schedule_at_fast",
+        "call_soon",
         "set_timer",
-        "set_timer_fast",
+        "execute",
         "record",
         "deliver",
     )

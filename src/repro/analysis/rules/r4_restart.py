@@ -2,7 +2,7 @@
 
 Timers armed before a crash belong to the dead incarnation and never
 fire (see ``Module.on_restart``).  A ``Module`` subclass that arms
-timers (``self.set_timer`` / ``self.set_timer_fast``) but never defines
+timers (``self.set_timer``) but never defines
 ``on_restart`` — in its own body or anywhere in its project ancestry
 below the kernel ``Module`` — silently loses its wheel on the first
 crash/recover: the passive-zombie bug class PR 3 spent a whole release
@@ -26,8 +26,8 @@ RULE = RuleInfo(
     name="restart-safety",
     scope="every kernel Module subclass in the project",
     summary=(
-        "A Module subclass that arms set_timer/set_timer_fast must define "
-        "on_restart (itself or via a project ancestor)"
+        "A Module subclass that arms set_timer must define on_restart "
+        "(itself or via a project ancestor)"
     ),
 )
 

@@ -119,7 +119,7 @@ def _run_solution(
             )
         trigger = switch_modules[0]
         sim.schedule_at(
-            switch_at, trigger.call, WellKnown.R_ABCAST, "change_protocol", PROTOCOL_CT
+            switch_at, trigger.call, (WellKnown.R_ABCAST, "change_protocol", PROTOCOL_CT)
         )
 
     gcs.run(until=duration)

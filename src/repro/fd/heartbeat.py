@@ -140,8 +140,7 @@ class HeartbeatFd(FdModuleBase):
             last = self._last_heard.setdefault(p, now)
             if now - last > self._timeout.setdefault(p, self.initial_timeout):
                 self._mark_suspected(p)
-        # The wheel re-arms itself and is never cancelled: fast path.
-        self.set_timer_fast(self.period, self._tick)
+        self.set_timer(self.period, self._tick)
 
     # ------------------------------------------------------------------ #
     # Heartbeat receipt

@@ -66,5 +66,4 @@ class PerfectFd(FdModuleBase):
                 # The machine recovered (crash-recovery runs): the oracle
                 # sees it immediately and lifts the suspicion.
                 self._mark_restored(rank)
-        # The wheel re-arms itself and is never cancelled: fast path.
-        self.set_timer_fast(self.poll_period, self._poll)
+        self.set_timer(self.poll_period, self._poll)

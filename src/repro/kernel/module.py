@@ -177,29 +177,25 @@ class Module:
         """Synchronously query the module bound to *service*."""
         return self.stack.query(service, query, *args)
 
-    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Optional[Any]:
+    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any,
+                  cancellable: bool = False) -> Optional[Any]:
         """Arm a timer on this stack's node (dies with the node).
 
         Routed through the stack's runtime backend (the
         :class:`~repro.runtime.api.NodeBackend` seam), so the same
         module runs unchanged on the simulator and on wall-clock
-        backends.  Returns a handle for :meth:`cancel_timer`, or
-        ``None`` when the node is already down.
+        backends.  Self-re-arming wheels and one-shot flushes never
+        cancel, so no handle is allocated unless *cancellable*; then the
+        result is a handle for :meth:`cancel_timer` (``None`` when the
+        node is already down).
         """
-        return self.stack.backend.set_timer(delay, fn, *args)
-
-    def set_timer_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Arm a never-cancelled one-shot timer (no handle allocated).
-
-        Use for self-re-arming wheels (periodic ticks, batched flushes);
-        anything that might be cancelled needs :meth:`set_timer`.
-        """
-        self.stack.backend.set_timer_fast(delay, fn, *args)
+        return self.stack.backend.set_timer(delay, fn, args, cancellable)
 
     def cancel_timer(self, handle: Any) -> None:
-        """Cancel a timer handle returned by :meth:`set_timer`.
+        """Cancel a handle from ``set_timer(..., cancellable=True)``.
 
-        No-op once the timer fired.  This is the only sanctioned way for
+        No-op once the timer fired; anything that is not such a handle
+        raises.  This is the only sanctioned way for
         module code to disarm a timer — going to the engine directly
         (``self.sim.cancel``) would weld the module to the simulation
         backend.

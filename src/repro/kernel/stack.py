@@ -275,8 +275,7 @@ class Stack:
             self.stack_id,
             module=module.name,
             protocol=module.protocol,
-            provides=module.provides,
-            requires=module.requires,
+            detail={"provides": module.provides, "requires": module.requires},
         )
         module.started = True
         module.on_start()
@@ -293,7 +292,7 @@ class Stack:
             self.unbind(service)
         del self.modules[name]
         self._response_cache.clear()
-        self.trace.record_fast(
+        self.trace.record(
             self._sim.now,
             TraceKind.MODULE_REMOVED,
             self.stack_id,
@@ -316,7 +315,7 @@ class Stack:
         self.bindings.bind(service, module)
         self._dispatch_cache.clear()
         self._query_cache.clear()
-        self.trace.record_fast(
+        self.trace.record(
             self._sim.now,
             TraceKind.BIND,
             self.stack_id,
@@ -331,7 +330,7 @@ class Stack:
         module = self.bindings.unbind(service)
         self._dispatch_cache.clear()
         self._query_cache.clear()
-        self.trace.record_fast(
+        self.trace.record(
             self._sim.now,
             TraceKind.UNBIND,
             self.stack_id,
@@ -384,7 +383,7 @@ class Stack:
         self._call_seq = seq
         trace = self.trace
         if self._trace_call and trace.enabled:
-            trace.record_fast(
+            trace.record(
                 self._sim.now,
                 TraceKind.CALL,
                 self.stack_id,
@@ -393,7 +392,7 @@ class Stack:
                 method=method,
                 call_id=f"{self.stack_id}:{seq}",
             )
-        machine.execute_packed(
+        machine.execute(
             self.call_cost if cost is None else cost,
             self._dispatch_call, (seq, caller, service, method, args),
         )
@@ -413,7 +412,7 @@ class Stack:
                 trace = self.trace
                 if self._trace_dispatch and trace.enabled:
                     provider = entry[0]
-                    trace.record_fast(
+                    trace.record(
                         self._sim.now,
                         TraceKind.CALL_DISPATCHED,
                         self.stack_id,
@@ -438,7 +437,7 @@ class Stack:
             self._blocked_since[seq] = self._sim.now
             trace = self.trace
             if self._trace_blocked and trace.enabled:
-                trace.record_fast(
+                trace.record(
                     self._sim.now,
                     TraceKind.CALL_BLOCKED,
                     self.stack_id,
@@ -472,7 +471,7 @@ class Stack:
             self._dispatch_cache[key] = (provider, handler)
         trace = self.trace
         if self._trace_dispatch and trace.enabled:
-            trace.record_fast(
+            trace.record(
                 self._sim.now,
                 TraceKind.CALL_DISPATCHED,
                 self.stack_id,
@@ -494,7 +493,7 @@ class Stack:
         """
         if self._blocked_calls.get(service) and not self._draining.get(service):
             self._draining[service] = True
-            self.machine.execute(0.0, self._drain_blocked, service)
+            self.machine.execute(0.0, self._drain_blocked, (service,))
 
     def _drain_blocked(self, service: str) -> None:
         """One drain task: release queued calls of *service* in FIFO order.
@@ -524,7 +523,7 @@ class Stack:
             if blocked_at is not None:
                 self._blocked_time_total += sim.now - blocked_at
             if self._trace_unblocked and trace.enabled:
-                trace.record_fast(
+                trace.record(
                     sim.now,
                     TraceKind.CALL_UNBLOCKED,
                     self.stack_id,
@@ -542,7 +541,7 @@ class Stack:
                     # invoking — the exact unbatched schedule — so the
                     # rest of the backlog keeps its place and its timing.
                     self._draining[service] = True
-                    machine.execute(0.0, self._drain_blocked, service)
+                    machine.execute(0.0, self._drain_blocked, (service,))
                     self._invoke_provider(provider, seq, service, method, args)
                     return
             self._invoke_provider(provider, seq, service, method, args)
@@ -636,7 +635,7 @@ class Stack:
         self._responses_issued += 1
         trace = self.trace
         if self._trace_response and trace.enabled:
-            trace.record_fast(
+            trace.record(
                 self._sim.now,
                 TraceKind.RESPONSE,
                 self.stack_id,
@@ -645,7 +644,7 @@ class Stack:
                 protocol=provider.protocol,
                 event=event,
             )
-        machine.execute_packed(
+        machine.execute(
             self.response_cost if cost is None else cost,
             self._deliver_response,
             (service, event, args, provider.name, provider.protocol),
@@ -693,7 +692,7 @@ class Stack:
             queue.append((event, args, provider_name, provider_protocol))
             trace = self.trace
             if self._trace_response_buffered and trace.enabled:
-                trace.record_fast(
+                trace.record(
                     self._sim.now,
                     TraceKind.RESPONSE_BUFFERED,
                     self.stack_id,
@@ -720,8 +719,8 @@ class Stack:
             self._buffered_responses[service] = remaining
             for event, args, provider_name, provider_protocol in deliverable:
                 self.machine.execute(
-                    0.0, self._deliver_response, service, event, args,
-                    provider_name, provider_protocol,
+                    0.0, self._deliver_response,
+                    (service, event, args, provider_name, provider_protocol),
                 )
 
     def buffered_response_count(self, service: Optional[str] = None) -> int:
@@ -738,12 +737,12 @@ class Stack:
         # Pending drain tasks died with the CPU (epoch guard); clear the
         # flags so a post-recovery bind can restart the drains.
         self._draining.clear()
-        self.trace.record_fast(time, TraceKind.CRASH, self.stack_id)
+        self.trace.record(time, TraceKind.CRASH, self.stack_id)
 
     def _on_machine_recover(self, time: float) -> None:
         """Machine recovery hook: record, then run the restart protocol."""
         self.trace.record(
-            time, TraceKind.RECOVER, self.stack_id, epoch=self.machine.epoch
+            time, TraceKind.RECOVER, self.stack_id, detail={"epoch": self.machine.epoch}
         )
         self.restart()
 
@@ -774,7 +773,7 @@ class Stack:
             self._sim.now,
             TraceKind.RESTART_COMPLETE,
             self.stack_id,
-            epoch=self.machine.epoch,
+            detail={"epoch": self.machine.epoch},
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

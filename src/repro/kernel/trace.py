@@ -21,10 +21,8 @@ time (the analysis phase), and cached until the next append.
 Hot-path contract with :class:`~repro.kernel.stack.Stack`: the stack
 caches per-kind "wants" flags (see :meth:`TraceRecorder.wants`) at
 construction and re-checks only the cheap :attr:`enabled` attribute per
-call; trace sites whose fields all land in named slots call
-:meth:`record_fast`, which takes no ``**kwargs`` (CPython builds the
-kwargs dict for ``**detail`` even when empty).  The :attr:`keep` filter
-is fixed at construction; toggle :attr:`enabled` freely.
+call.  The :attr:`keep` filter is fixed at construction; toggle
+:attr:`enabled` freely.
 """
 
 from __future__ import annotations
@@ -116,52 +114,6 @@ class TraceRecorder:
         """
         return self.keep is None or kind in self.keep
 
-    def record_fast(
-        self,
-        time: Time,
-        kind: TraceKind,
-        stack_id: int,
-        service: Optional[str] = None,
-        module: Optional[str] = None,
-        protocol: Optional[str] = None,
-        method: Optional[str] = None,
-        call_id: Optional[str] = None,
-        event: Optional[str] = None,
-    ) -> None:
-        """Hot-path :meth:`record`: named slots only, no ``**detail``.
-
-        Semantically identical to :meth:`record` with no extra keyword
-        arguments, but the signature has no ``**kwargs`` so CPython never
-        allocates a kwargs dict.  The structural kinds the kernel records
-        per dispatch all route through here; only the rare detail-bearing
-        kinds (``module_added``, ``recover``, ...) pay for :meth:`record`.
-        """
-        if not self.enabled:
-            return
-        keep = self.keep
-        if keep is not None and kind not in keep:
-            return
-        row = len(self._times)
-        self._times.append(time)
-        self._kinds.append(kind)
-        self._stacks.append(stack_id)
-        self._services.append(service)
-        self._modules.append(module)
-        self._protocols.append(protocol)
-        self._methods.append(method)
-        self._call_ids.append(call_id)
-        self._event_names.append(event)
-        self._details.append(None)
-        rows = self._kind_rows.get(kind)
-        if rows is None:
-            rows = self._kind_rows[kind] = []
-        rows.append(row)
-        self._records = None
-        if self.subscribers:
-            record = self._row(row)
-            for sub in self.subscribers:
-                sub(record)
-
     def record(
         self,
         time: Time,
@@ -173,13 +125,15 @@ class TraceRecorder:
         method: Optional[str] = None,
         call_id: Optional[str] = None,
         event: Optional[str] = None,
-        **detail: Any,
+        detail: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Record one event (a no-op when disabled or filtered out).
 
-        ``method``/``call_id``/``event`` land in the record's slots; any
-        remaining keyword arguments go to its :attr:`~TraceRecord.detail`
-        mapping (rare kinds only, so hot records allocate no dict).
+        Every field lands in its named slot; *detail* is the record's
+        :attr:`~TraceRecord.detail` mapping, passed as a dict by the few
+        kinds that carry one (``module_added``, ``recover``, ...).  The
+        signature deliberately has no ``**kwargs``: the kernel records
+        per dispatch, and CPython would build a kwargs dict per call.
         """
         if not self.enabled:
             return

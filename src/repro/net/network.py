@@ -37,9 +37,7 @@ doorway.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (
-    Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -335,78 +333,14 @@ class SimNetwork(Transport):
 
         arrival = done + self._one_way_delay(link)
         # Deliveries are never cancelled (crashed receivers are filtered
-        # at delivery time), so they take the fire-and-forget path.
-        self.sim.schedule_at_fast(arrival, self._deliver, message)
+        # at delivery time).
+        self.sim.schedule_at(arrival, self._deliver, (message,))
         if duplicate > 0.0 and self._impair_draws.random() < duplicate:
             # The duplicate crosses the same impaired link, so it pays the
             # same extra latency / reorder hold as the original copy.
             dup_arrival = done + self._one_way_delay(link)
-            self.sim.schedule_at_fast(dup_arrival, self._deliver, message)
+            self.sim.schedule_at(dup_arrival, self._deliver, (message,))
             self._c_duplicated += 1
-
-    def send_many(self, messages: Sequence[NetMessage]) -> None:
-        """Batch :meth:`send`: one latency block + one delivery burst.
-
-        When nothing can branch per message — no partitions, per-link
-        impairments, loss, duplication or corruption armed — the whole
-        fan-out pays **one** vectorised
-        :meth:`~repro.sim.latency.LatencyModel.sample_buffered_block`
-        draw and **one** :meth:`~repro.runtime.api.Scheduler.schedule_burst_fast`
-        push instead of per-destination Python loops through the scalar
-        path.  Counters, NIC serialisation chaining, draw order and heap
-        ordering are all **bit-identical** to sequential :meth:`send`
-        calls (crashed senders are skipped without consuming a draw,
-        exactly as the scalar path does), so same-seed runs cannot tell
-        the two apart; any armed impairment falls back to the scalar
-        loop.
-        """
-        if len(messages) <= 1:
-            for message in messages:
-                self.send(message)
-            return
-        lan = self.lan
-        if (
-            self._partitions
-            or self._oneway
-            or self._links
-            or self.corrupt_rate > 0.0
-            or lan.loss_rate > 0.0
-            or lan.duplicate_rate > 0.0
-        ):
-            for message in messages:
-                self.send(message)
-            return
-        machines = self._machines
-        live: List[NetMessage] = []
-        for message in messages:
-            sender = machines.get(message.src)
-            if sender is None:
-                raise UnknownDestinationError(f"no machine with id {message.src}")
-            if message.dst not in machines:
-                raise UnknownDestinationError(f"no machine with id {message.dst}")
-            if not sender.crashed:
-                live.append(message)
-        if not live:
-            return
-        delays = lan.latency.sample_buffered_block(self._latency_draws, len(live))
-        now = self.sim.now
-        busy = self._nic_busy_until
-        extra = self.extra_latency
-        transmission_time = lan.transmission_time
-        times: List[Time] = []
-        bytes_sent = 0
-        for message, delay in zip(live, delays):
-            size = message.size_bytes
-            bytes_sent += size
-            start = busy[message.src]
-            if start < now:
-                start = now
-            done = start + transmission_time(size)
-            busy[message.src] = done
-            times.append(done + delay + extra)
-        self._c_sent += len(live)
-        self._c_bytes_sent += bytes_sent
-        self.sim.schedule_burst_fast(times, self._deliver, live)
 
     def _one_way_delay(self, link: Optional[LinkImpairment]) -> Duration:
         """One propagation delay draw, including impairments."""
@@ -426,7 +360,8 @@ class SimNetwork(Transport):
         if message.src != message.dst:
             raise NetworkError("send_local requires src == dst")
         self._c_loopback += 1
-        self.sim.schedule_fast(loopback_delay, self._deliver, message)
+        sim = self.sim
+        sim.schedule_at(sim.now + loopback_delay, self._deliver, (message,))
 
     # ------------------------------------------------------------------ #
     # Delivery

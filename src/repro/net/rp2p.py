@@ -126,7 +126,7 @@ class Rp2pModule(Module):
         if dst in self._retx_timer:
             return
         self._cur_rto.setdefault(dst, self.rto)
-        handle = self.set_timer(self._cur_rto[dst], self._on_timeout, dst)
+        handle = self.set_timer(self._cur_rto[dst], self._on_timeout, dst, cancellable=True)
         if handle is not None:
             self._retx_timer[dst] = handle
 
@@ -200,9 +200,7 @@ class Rp2pModule(Module):
         self._ack_pending.add(src)
         if not self._ack_timer_armed:
             self._ack_timer_armed = True
-            # The flush timer is one-shot and never cancelled: fast path
-            # (one fires per 1 ms ack window under load).
-            self.set_timer_fast(self.ack_delay, self._flush_acks)
+            self.set_timer(self.ack_delay, self._flush_acks)
 
     def _flush_acks(self) -> None:
         self._ack_timer_armed = False

@@ -78,7 +78,7 @@ class UdpModule(Module):
             return
         # The send-side CPU cost was already charged by the kernel call
         # dispatch; the explicit extra below models the syscall + copy.
-        self.stack.backend.execute(self.send_cost, self.network.send, message)
+        self.stack.backend.execute(self.send_cost, self.network.send, (message,))
 
     # ------------------------------------------------------------------ #
     # Inbound

@@ -26,11 +26,14 @@ since PR 2 recorded ``--jobs`` *losing* to serial.
   ``tests/integration/test_warm_pool.py``).
 
 Failure contract: a cell that raises in a worker fails the campaign with
-a :class:`~repro.errors.ScenarioError` naming the poisoned ``(spec,
-seed)`` — after the other in-flight chunks drained, so the pool stays
-reusable.  A worker that *dies* (killed, OOM) surfaces the same way —
-its pipe EOF wakes the dispatcher, so the pool never hangs — and is
-replaced before the error propagates.
+a :class:`~repro.errors.ScenarioError` whose first line names the
+poisoned ``(spec, seed)`` — after the other in-flight chunks were
+collected, so the pool stays reusable.  When several cells are poisoned
+the error is always the one of the **lowest chunk index** (i.e. the
+first poisoned cell in cell order), whatever the worker scheduling;
+worker name and exit code follow on later lines.  A worker that *dies*
+(killed, OOM) surfaces the same way — its pipe EOF wakes the dispatcher,
+so the pool never hangs — and is replaced before the error propagates.
 
 Workers run with the cyclic garbage collector frozen/disabled during a
 chunk (each cell's simulator is an isolated object graph dropped whole
@@ -276,7 +279,8 @@ class WarmPool:
         chunks = [list(cells[i : i + chunk_size]) for i in range(0, len(cells), chunk_size)]
 
         fragments: dict[int, List[str]] = {}
-        failure: Optional[str] = None
+        #: chunk index -> error text of every chunk that failed.
+        failures: dict[int, str] = {}
         busy: dict[Connection, Tuple[_Worker, int]] = {}
         idle: List[_Worker] = list(workers)
         next_chunk = 0
@@ -297,12 +301,15 @@ class WarmPool:
                 "keep dying at dispatch)"
             )
 
-        while len(fragments) < len(chunks) and failure is None:
-            while idle and next_chunk < len(chunks):
+        # One loop dispatches and collects, and never discards a reply:
+        # after the first failure no new chunk goes out, but every chunk
+        # in flight is still collected — which leaves the pipes clean for
+        # the next campaign and makes the verdict scheduling-independent.
+        while True:
+            while idle and next_chunk < len(chunks) and not failures:
                 dispatch(idle.pop(), next_chunk)
                 next_chunk += 1
-            if not busy:  # pragma: no cover - defensive
-                failure = "warm pool: no workers available"
+            if not busy:
                 break
             for conn in _connection_wait(list(busy)):
                 worker, chunk_id = busy.pop(conn)  # type: ignore[index]
@@ -312,40 +319,32 @@ class WarmPool:
                     spec, seed, _trace = chunks[chunk_id][0]
                     exitcode = worker.process.exitcode
                     idle.append(self._replace(worker))
-                    failure = (
-                        f"worker {worker.process.name} died (exit code "
-                        f"{exitcode}) while running chunk {chunk_id} "
-                        f"(first cell: scenario {spec.name!r} seed {seed})"
+                    failures[chunk_id] = (
+                        f"a pool worker died while running chunk {chunk_id} "
+                        f"(first cell: scenario {spec.name!r} seed {seed})\n"
+                        f"[worker {worker.process.name}, exit code {exitcode}]"
                     )
-                    break
+                    continue
+                idle.append(worker)
                 if reply[0] == "ok":
-                    fragments[reply[1]] = reply[2]
-                    idle.append(worker)
+                    fragments[chunk_id] = reply[2]
                 elif reply[0] == "err":
                     _tag, _cid, name, seed, tb = reply
-                    idle.append(worker)
-                    failure = (
-                        f"scenario {name!r} seed {seed} raised in worker "
-                        f"{worker.process.name}:\n{tb}"
+                    failures[chunk_id] = (
+                        f"scenario {name!r} seed {seed} raised in a pool worker:\n"
+                        f"{tb}[worker {worker.process.name}]"
                     )
-                    break
                 else:  # pragma: no cover - protocol guard
-                    idle.append(worker)
-                    failure = f"warm pool: unexpected worker reply {reply[0]!r}"
-                    break
+                    failures[chunk_id] = f"warm pool: unexpected worker reply {reply[0]!r}"
 
-        # Drain in-flight chunks before returning/raising, so the pool's
-        # pipes are clean for the next campaign.
-        while busy:
-            for conn in _connection_wait(list(busy)):
-                worker, _chunk_id = busy.pop(conn)  # type: ignore[index]
-                try:
-                    conn.recv()  # type: ignore[attr-defined]
-                except (EOFError, OSError):
-                    self._replace(worker)
-
-        if failure is not None:
-            raise ScenarioError(failure)
+        if failures:
+            # Chunks go out in index order, so when a chunk failed every
+            # lower-indexed one was already in flight or done and has been
+            # collected above: the lowest failed index is the same on every
+            # run, whichever worker happened to reply first.
+            raise ScenarioError(failures[min(failures)])
+        if len(fragments) < len(chunks):
+            raise ScenarioError("warm pool: no workers available")
         return [fragment for i in range(len(chunks)) for fragment in fragments[i]]
 
 

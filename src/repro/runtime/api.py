@@ -8,18 +8,21 @@ whole stack to the discrete-event world: the paper's claim is about a
 *running system*, and a runnable system needs the same modules on real
 sockets and wall-clock timers.
 
-This module names the seam.  Three narrow contracts cover everything a
-module (or the kernel on its behalf) actually uses:
+This module names the seam, with one spelling per operation.  Three
+narrow contracts cover everything a module (or the kernel on its
+behalf) actually uses:
 
-* :class:`Scheduler` — ``now``, the ``schedule*`` family, ``cancel``,
-  ``peek_time``, seeded rng streams.  Implemented natively by
-  :class:`~repro.sim.engine.Simulator` and by
+* :class:`Scheduler` — ``now``, one scheduling primitive
+  (``schedule_at``) with the ``schedule`` / ``call_soon`` conveniences
+  on top, ``cancel``, ``peek_time``, seeded rng streams.  Implemented
+  by :class:`~repro.sim.engine.Simulator` and by
   :class:`~repro.runtime.realtime.RealtimeScheduler` (asyncio
   wall-clock timers).
-* :class:`NodeBackend` — the per-node surface: epoch-guarded timers,
-  CPU execution, crash/recover state and hooks.  Implemented by
-  :class:`~repro.sim.process.Machine` and
-  :class:`~repro.runtime.realtime.RealtimeNode`.
+* :class:`NodeBackend` — the per-node surface: epoch-guarded timers
+  (``set_timer``), CPU execution (``execute``), crash/recover state and
+  hooks.  The incarnation state machine is implemented here;
+  :class:`~repro.sim.process.Machine` adds the serial CPU and
+  :class:`~repro.runtime.realtime.RealtimeNode` the loop hop.
 * :class:`Transport` — datagram I/O between nodes: ``attach`` /
   ``detach`` delivery hooks, ``send`` / ``send_local``, counters.
   Implemented by :class:`~repro.net.network.SimNetwork` and
@@ -32,10 +35,9 @@ implementations (the deterministic twin and the deployable one).
 
 Design constraints
 ------------------
-* Every ABC is ``__slots__ = ()`` and import-cycle-free, so the hot
-  simulation classes can inherit them without growing a ``__dict__``
-  or paying any per-call cost — the seam is a *naming* of the existing
-  surface, not an indirection layer.
+* Every ABC is slotted and import-cycle-free (nothing from ``sim``,
+  ``net`` or ``kernel``), so the hot simulation classes inherit them
+  without growing a ``__dict__`` or paying any per-call cost.
 * The kernel's dispatch fast path reads two node internals directly
   (``_crashed_at`` and ``_busy_until``); they are part of this contract
   (see :class:`NodeBackend`), not private details of ``Machine``.
@@ -44,7 +46,9 @@ Design constraints
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
+
+from ..errors import ScheduleInPastError
 
 __all__ = ["Scheduler", "NodeBackend", "Transport", "Backend"]
 
@@ -52,7 +56,10 @@ __all__ = ["Scheduler", "NodeBackend", "Transport", "Backend"]
 class Scheduler(ABC):
     """Time and timers: the engine-level half of the runtime seam.
 
-    Implementations must also expose two non-method members:
+    One abstract scheduling primitive — :meth:`schedule_at` — plus two
+    concrete conveniences built on it (:meth:`schedule`,
+    :meth:`call_soon`).  Implementations must also expose two
+    non-method members:
 
     * ``rng`` — a :class:`~repro.sim.random.RngRegistry`; modules draw
       named, seeded streams from it (``sim.rng.stream("workload.3")``),
@@ -77,51 +84,33 @@ class Scheduler(ABC):
         """Total callbacks fired so far (budget checks, soak metrics)."""
 
     @abstractmethod
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
-                 priority: int = 0) -> Any:
-        """Fire ``callback(*args)`` after *delay* seconds; returns a
-        cancellable handle (pass it to :meth:`cancel`)."""
+    def schedule_at(self, time: float, callback: Callable[..., Any], args: tuple = (),
+                    priority: int = 0, cancellable: bool = False) -> Optional[Any]:
+        """Fire ``callback(*args)`` at absolute instant *time*.
 
-    @abstractmethod
-    def schedule_fast(self, delay: float, callback: Callable[..., Any], *args: Any,
-                      priority: int = 0) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, never cancelled."""
-
-    @abstractmethod
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
-                    priority: int = 0) -> Any:
-        """Fire ``callback(*args)`` at absolute instant *time*."""
-
-    @abstractmethod
-    def schedule_at_fast(self, time: float, callback: Callable[..., Any], *args: Any,
-                         priority: int = 0) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
-
-    def schedule_burst_fast(self, times: Sequence[float],
-                            callback: Callable[..., Any], items: Sequence[Any],
-                            priority: int = 0) -> None:
-        """Fire-and-forget burst: ``callback(items[i])`` at ``times[i]``.
-
-        Semantically identical to ``schedule_at_fast(times[i], callback,
-        items[i])`` in sequence — same relative ordering at equal
-        deadlines — but implementations may push the whole burst in one
-        pass (the simulator does; see
-        :meth:`repro.sim.engine.Simulator.schedule_burst_fast`).  This is
-        the delivery half of the network's vectorised fan-out path.
+        *priority* breaks ties at one instant (lower fires first; wall-
+        clock backends ignore it).  Returns ``None`` unless *cancellable*,
+        in which case the result is a handle for :meth:`cancel` — most
+        events are never cancelled, so only the caller that will cancel
+        pays for a handle.
         """
-        for time, item in zip(times, items):
-            self.schedule_at_fast(time, callback, item, priority=priority)
 
-    @abstractmethod
-    def call_soon(self, callback: Callable[..., Any], *args: Any,
-                  priority: int = 0) -> Any:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Fire ``callback(*args)`` after *delay* seconds."""
+        if delay < 0:
+            raise ScheduleInPastError(f"negative delay {delay!r}")
+        self.schedule_at(self.now + delay, callback, args)
+
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
         """Fire ``callback(*args)`` as soon as possible, after anything
         already queued for the current instant."""
+        self.schedule_at(self.now, callback, args)
 
     @abstractmethod
     def cancel(self, handle: Any) -> None:
-        """Cancel a handle returned by the non-fast scheduling calls
-        (no-op once it fired)."""
+        """Cancel a handle from ``schedule_at(..., cancellable=True)``
+        (no-op once it fired).  Anything that is not such a handle —
+        ``None`` included — raises :class:`~repro.errors.SimulationError`."""
 
     @abstractmethod
     def peek_time(self) -> Optional[float]:
@@ -136,82 +125,196 @@ class Scheduler(ABC):
 class NodeBackend(ABC):
     """One node's runtime surface: timers, execution, crash state.
 
-    Beyond the abstract methods, implementations expose:
+    The incarnation state machine — crash/recover, the epoch that guards
+    timers and executed work across them, the hook lists — lives here,
+    once; a backend adds only how work reaches its CPU (:meth:`execute`).
 
-    * ``sim`` — the node's :class:`Scheduler`,
-    * ``machine_id`` / ``name`` — rank (doubles as the transport
-      address) and human-readable name,
-    * ``on_crash`` / ``on_recover`` — hook lists invoked with the
-      crash/recovery instant (the kernel's restart protocol hangs off
-      ``on_recover``),
-    * ``_crashed_at`` / ``_busy_until`` — the two internals the kernel
-      dispatch fast path reads directly: crash instant (``None`` while
-      up) and the CPU-drain instant (any value ``<= sim.now`` means
-      idle; backends without a modelled CPU keep it at ``0.0``).
+    Attributes
+    ----------
+    sim:
+        The node's :class:`Scheduler`.
+    machine_id / name:
+        Rank (doubles as the transport address) and human-readable name
+        (defaults to ``"m<id>"``).
+    on_crash / on_recover:
+        Hook lists invoked with the crash/recovery instant (the kernel's
+        restart protocol hangs off ``on_recover``).
+    _crashed_at / _busy_until:
+        The two internals the kernel dispatch fast path reads directly:
+        crash instant (``None`` while up) and the CPU-drain instant (any
+        value ``<= sim.now`` means idle; backends without a modelled CPU
+        never move it past ``sim.now``).
 
     Timers and executed work are **epoch-guarded**: work scheduled
-    before a crash must never fire in a later incarnation.
+    before a crash never fires in a later incarnation.
     """
 
-    __slots__ = ()
+    __slots__ = (
+        "sim",
+        "machine_id",
+        "name",
+        "_crashed_at",
+        "_busy_until",
+        "_tasks_executed",
+        "_epoch",
+        "_crash_count",
+        "_recovered_at",
+        "on_crash",
+        "on_recover",
+    )
 
+    def __init__(self, sim: Scheduler, machine_id: int, name: Optional[str] = None) -> None:
+        self.sim = sim
+        self.machine_id = int(machine_id)
+        self.name = name if name is not None else f"m{machine_id}"
+        self._crashed_at: Optional[float] = None
+        self._busy_until: float = 0.0
+        self._tasks_executed = 0
+        self._epoch = 0
+        self._crash_count = 0
+        self._recovered_at: Optional[float] = None
+        self.on_crash: List[Callable[[float], None]] = []
+        self.on_recover: List[Callable[[float], None]] = []
+
+    # ------------------------------------------------------------------ #
+    # Failure model
+    # ------------------------------------------------------------------ #
     @property
-    @abstractmethod
     def crashed(self) -> bool:
         """Whether the node is currently down."""
+        return self._crashed_at is not None
 
     @property
-    @abstractmethod
-    def ever_crashed(self) -> bool:
-        """Whether the node has crashed at least once (even if back up)."""
+    def crashed_at(self) -> Optional[float]:
+        """The crash instant, or ``None`` while the node is up."""
+        return self._crashed_at
 
     @property
-    @abstractmethod
     def crash_count(self) -> int:
         """How many times the node has crashed so far."""
+        return self._crash_count
 
     @property
-    @abstractmethod
+    def ever_crashed(self) -> bool:
+        """Whether the node has crashed at least once (even if back up);
+        the conservative notion the property checkers quantify over."""
+        return self._crash_count > 0
+
+    @property
     def epoch(self) -> int:
-        """Current incarnation epoch (increments at every crash)."""
+        """Current incarnation epoch (increments at every crash).
 
-    @abstractmethod
-    def execute(self, cost: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` after the node's CPU spent *cost* seconds
-        on it (backends without a modelled CPU may ignore *cost* but
-        must still defer the invocation — callers rely on not being
-        re-entered synchronously)."""
+        Work scheduled under an older epoch never fires; protocol
+        payloads that must outlive in-flight traffic from a dead
+        incarnation (heartbeats, re-join handshakes) carry this value.
+        """
+        return self._epoch
 
-    @abstractmethod
-    def execute_packed(self, cost: float, fn: Callable[..., Any], args: tuple) -> None:
-        """Hot-path :meth:`execute`: pre-packed args, preconditions
-        (non-negative cost, node up) already checked by the caller."""
+    @property
+    def last_recovered_at(self) -> Optional[float]:
+        """Instant of the most recent recovery (``None`` if never)."""
+        return self._recovered_at
 
-    @abstractmethod
-    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Optional[Any]:
-        """Fire ``fn(*args)`` after *delay* seconds unless the node
-        crashes first; returns a cancellable handle (``None`` when the
-        node is already down)."""
-
-    @abstractmethod
-    def set_timer_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`set_timer` (periodic wheels that
-        re-arm themselves and are never cancelled)."""
-
-    @abstractmethod
-    def cancel(self, handle: Any) -> None:
-        """Cancel a handle returned by :meth:`set_timer`."""
-
-    @abstractmethod
     def crash(self) -> None:
-        """Take the node down now (idempotent); pending timers and work
-        die with the incarnation."""
+        """Take the node down now (idempotent).
 
-    @abstractmethod
+        Queued work, pending timers and in-flight deliveries targeting
+        this node are suppressed: their wrappers check the crash state
+        and the incarnation epoch when they fire.
+        """
+        if self._crashed_at is not None:
+            return
+        now = self.sim.now
+        self._crashed_at = now
+        self._crash_count += 1
+        self._epoch += 1
+        for hook in list(self.on_crash):
+            hook(now)
+
     def recover(self) -> None:
         """Bring a crashed node back up as a new incarnation (no-op
-        while up); the ``on_recover`` hooks then run the restart
-        protocol."""
+        while up).
+
+        The new incarnation starts with an idle CPU; every task and
+        timer scheduled before the crash stays dead (previous epoch),
+        but module state survives.  The ``on_recover`` hooks then run
+        the restart protocol (the kernel re-arms each module's timers
+        in the new epoch).
+        """
+        if self._crashed_at is None:
+            return
+        now = self.sim.now
+        self._crashed_at = None
+        self._busy_until = now
+        self._recovered_at = now
+        for hook in list(self.on_recover):
+            hook(now)
+
+    # ------------------------------------------------------------------ #
+    # Execution
+    # ------------------------------------------------------------------ #
+    @property
+    def busy_until(self) -> float:
+        """Instant at which the CPU drains everything currently queued
+        (``sim.now`` when idle — always, without a modelled CPU)."""
+        return max(self._busy_until, self.sim.now)
+
+    @property
+    def tasks_executed(self) -> int:
+        """Number of executed work items completed so far."""
+        return self._tasks_executed
+
+    @abstractmethod
+    def execute(self, cost: float, fn: Callable[..., Any], args: tuple = ()) -> None:
+        """Run ``fn(*args)`` after the node's CPU spent *cost* seconds
+        on it, through :meth:`_run_task` under the current epoch.
+
+        Backends without a modelled CPU may ignore *cost* but must still
+        defer the invocation — callers rely on not being re-entered
+        synchronously.  A negative *cost* raises
+        :class:`~repro.errors.SimulationError`; on a crashed node the
+        work is silently dropped.
+        """
+
+    def _run_task(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
+        if self._crashed_at is not None or epoch != self._epoch:
+            return
+        self._tasks_executed += 1
+        fn(*args)
+
+    # ------------------------------------------------------------------ #
+    # Timers
+    # ------------------------------------------------------------------ #
+    def set_timer(self, delay: float, fn: Callable[..., Any], args: tuple = (),
+                  cancellable: bool = False) -> Optional[Any]:
+        """Fire ``fn(*args)`` after *delay* seconds unless the node
+        crashes first.
+
+        A timer does not occupy the CPU — the callback itself should
+        :meth:`execute` any non-trivial work.  Returns a handle for
+        :meth:`cancel` only when *cancellable* (and the node is up);
+        otherwise ``None``.
+        """
+        if self._crashed_at is not None:
+            return None
+        if delay < 0:
+            raise ScheduleInPastError(f"negative delay {delay!r}")
+        sim = self.sim
+        return sim.schedule_at(sim.now + delay, self._run_timer,
+                               (self._epoch, fn, args), cancellable=cancellable)
+
+    def _run_timer(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
+        if self._crashed_at is not None or epoch != self._epoch:
+            return
+        fn(*args)
+
+    def cancel(self, handle: Any) -> None:
+        """Cancel a handle from ``set_timer(..., cancellable=True)``."""
+        self.sim.cancel(handle)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = f"crashed@{self._crashed_at:.6f}" if self._crashed_at is not None else "up"
+        return f"<{type(self).__name__} {self.name} id={self.machine_id} {state}>"
 
 
 class Transport(ABC):
@@ -239,19 +342,6 @@ class Transport(ABC):
     def send(self, message: Any) -> None:
         """Send one datagram (unreliable, unordered: whatever the
         substrate does)."""
-
-    def send_many(self, messages: Sequence[Any]) -> None:
-        """Send a batch of datagrams, equivalent to :meth:`send` in
-        sequence.
-
-        Implementations may vectorise the batch (the simulated network
-        draws one latency block and pushes one delivery burst when every
-        message takes the homogeneous fast path); the default just
-        loops.  Behaviour — delivery order, impairment draws, counters —
-        must be indistinguishable from sequential sends.
-        """
-        for message in messages:
-            self.send(message)
 
     @abstractmethod
     def send_local(self, message: Any) -> None:

@@ -94,40 +94,34 @@ class RealtimeScheduler(Scheduler):
         self._events_processed += 1
         callback(*args)
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
-                 priority: int = 0) -> asyncio.TimerHandle:
-        """Fire ``callback(*args)`` after *delay* wall-clock seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self._loop.call_later(delay, self._fire, callback, args)
-
-    def schedule_fast(self, delay: float, callback: Callable[..., Any], *args: Any,
-                      priority: int = 0) -> None:
-        """Fire-and-forget :meth:`schedule` (the handle is discarded)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        self._loop.call_later(delay, self._fire, callback, args)
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any,
-                    priority: int = 0) -> asyncio.TimerHandle:
+    def schedule_at(self, time: float, callback: Callable[..., Any], args: tuple = (),
+                    priority: int = 0, cancellable: bool = False
+                    ) -> Optional[asyncio.TimerHandle]:
         """Fire at absolute instant *time* (clock of :attr:`now`); an
         already-past instant fires as soon as possible — wall-clock
         backends cannot refuse the past, they can only be late."""
-        return self._loop.call_later(max(0.0, time - self.now), self._fire,
-                                     callback, args)
+        handle = self._loop.call_later(max(0.0, time - self.now), self._fire,
+                                       callback, args)
+        return handle if cancellable else None
 
-    def schedule_at_fast(self, time: float, callback: Callable[..., Any], *args: Any,
-                         priority: int = 0) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
-        self._loop.call_later(max(0.0, time - self.now), self._fire, callback, args)
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Fire on the next loop iteration (after everything queued).
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any,
-                  priority: int = 0) -> asyncio.Handle:
-        """Fire on the next loop iteration (after everything queued)."""
-        return self._loop.call_soon(self._fire, callback, args)
+        Overrides the ``schedule_at(now)`` default: ``loop.call_soon``
+        appends straight to the loop's ready queue, whereas a zero-delay
+        ``call_later`` detours through the timer heap (a ``TimerHandle``
+        and a heap push/pop per kernel dispatch — every ``execute`` lands
+        here).
+        """
+        self._loop.call_soon(self._fire, callback, args)
 
     def cancel(self, handle: Any) -> None:
         """Cancel an asyncio handle (no-op once it fired)."""
+        if not isinstance(handle, asyncio.Handle):
+            raise SimulationError(
+                f"cancel() needs a handle from schedule_at(..., cancellable=True), "
+                f"got {handle!r}"
+            )
         handle.cancel()
 
     def peek_time(self) -> Optional[float]:
@@ -143,167 +137,23 @@ class RealtimeScheduler(Scheduler):
 class RealtimeNode(NodeBackend):
     """A :class:`~repro.runtime.api.NodeBackend` on wall-clock time.
 
-    Mirrors :class:`~repro.sim.process.Machine`'s observable surface —
-    including the ``_crashed_at`` / ``_busy_until`` internals the kernel
-    fast path reads — minus the serial-CPU queue: declared costs are
-    ignored and work runs on the next loop iteration.
-
-    Parameters
-    ----------
-    sim:
-        The shared :class:`RealtimeScheduler`.
-    machine_id:
-        Rank; doubles as the transport address.
-    name:
-        Human-readable name (defaults to ``"m<id>"``).
+    The base class's incarnation state machine and epoch-guarded timers,
+    without :class:`~repro.sim.process.Machine`'s serial-CPU queue:
+    declared costs are ignored, work runs on the next loop iteration,
+    and ``_busy_until`` never moves past ``sim.now`` (always idle).
+    Crash/recover are *software* crash-stop.
     """
 
-    __slots__ = (
-        "sim",
-        "machine_id",
-        "name",
-        "_crashed_at",
-        "_busy_until",
-        "_epoch",
-        "_crash_count",
-        "_recovered_at",
-        "_tasks_executed",
-        "on_crash",
-        "on_recover",
-    )
+    __slots__ = ()
 
-    def __init__(self, sim: RealtimeScheduler, machine_id: int,
-                 name: Optional[str] = None) -> None:
-        self.sim = sim
-        self.machine_id = int(machine_id)
-        self.name = name if name is not None else f"m{machine_id}"
-        self._crashed_at: Optional[float] = None
-        #: Kernel-contract internal; no modelled CPU, so always "idle".
-        self._busy_until: float = 0.0
-        self._epoch = 0
-        self._crash_count = 0
-        self._recovered_at: Optional[float] = None
-        self._tasks_executed = 0
-        #: Hooks invoked with the crash time when :meth:`crash` fires.
-        self.on_crash: List[Callable[[float], None]] = []
-        #: Hooks invoked with the recovery time when :meth:`recover` fires.
-        self.on_recover: List[Callable[[float], None]] = []
-
-    # ------------------------------------------------------------------ #
-    # Failure model
-    # ------------------------------------------------------------------ #
-    @property
-    def crashed(self) -> bool:
-        """Whether the node is currently down (software crash-stop)."""
-        return self._crashed_at is not None
-
-    @property
-    def crashed_at(self) -> Optional[float]:
-        """The crash instant, or ``None`` while the node is up."""
-        return self._crashed_at
-
-    @property
-    def crash_count(self) -> int:
-        """How many times the node has crashed so far."""
-        return self._crash_count
-
-    @property
-    def ever_crashed(self) -> bool:
-        """Whether the node crashed at least once (even if back up)."""
-        return self._crash_count > 0
-
-    @property
-    def epoch(self) -> int:
-        """Current incarnation epoch (increments at every crash)."""
-        return self._epoch
-
-    @property
-    def last_recovered_at(self) -> Optional[float]:
-        """Instant of the most recent recovery (``None`` if never)."""
-        return self._recovered_at
-
-    def crash(self) -> None:
-        """Take the node down now (idempotent); its timers and queued
-        work are suppressed by the incarnation-epoch guard."""
-        if self._crashed_at is not None:
-            return
-        self._crashed_at = self.sim.now
-        self._crash_count += 1
-        self._epoch += 1
-        for hook in list(self.on_crash):
-            hook(self.sim.now)
-
-    def recover(self) -> None:
-        """Bring a crashed node back up (no-op while up); the
-        ``on_recover`` hooks then run the kernel's restart protocol."""
-        if self._crashed_at is None:
-            return
-        self._crashed_at = None
-        self._recovered_at = self.sim.now
-        for hook in list(self.on_recover):
-            hook(self.sim.now)
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    @property
-    def busy_until(self) -> float:
-        """Always :attr:`Scheduler.now`: no modelled CPU queue."""
-        return self.sim.now
-
-    @property
-    def tasks_executed(self) -> int:
-        """Number of executed work items completed so far."""
-        return self._tasks_executed
-
-    def execute(self, cost: float, fn: Callable[..., Any], *args: Any) -> None:
+    def execute(self, cost: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Run ``fn(*args)`` on the next loop iteration (cost ignored:
         the real CPU charges for itself); dropped if the node is down."""
         if cost < 0:
             raise SimulationError(f"negative CPU cost {cost!r}")
         if self._crashed_at is not None:
             return
-        self.execute_packed(cost, fn, args)
-
-    def execute_packed(self, cost: float, fn: Callable[..., Any], args: tuple) -> None:
-        """Hot-path :meth:`execute`: pre-packed args, no checks."""
         self.sim.call_soon(self._run_task, self._epoch, fn, args)
-
-    def _run_task(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
-        if self._crashed_at is not None or epoch != self._epoch:
-            return
-        self._tasks_executed += 1
-        fn(*args)
-
-    # ------------------------------------------------------------------ #
-    # Timers
-    # ------------------------------------------------------------------ #
-    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any
-                  ) -> Optional[asyncio.TimerHandle]:
-        """Fire ``fn(*args)`` after *delay* seconds unless the node
-        crashes first; ``None`` when already down."""
-        if self._crashed_at is not None:
-            return None
-        return self.sim.schedule(delay, self._run_timer, self._epoch, fn, args)
-
-    def set_timer_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`set_timer`."""
-        if self._crashed_at is not None:
-            return
-        self.sim.schedule_fast(delay, self._run_timer, self._epoch, fn, args)
-
-    def _run_timer(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
-        if self._crashed_at is not None or epoch != self._epoch:
-            return
-        fn(*args)
-
-    def cancel(self, handle: Any) -> None:
-        """Cancel a timer handle returned by :meth:`set_timer`."""
-        self.sim.cancel(handle)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"crashed@{self._crashed_at:.3f}" if self.crashed else "up"
-        return f"<RealtimeNode {self.name} id={self.machine_id} {state}>"
 
 
 class _NodeDatagramProtocol(asyncio.DatagramProtocol):
@@ -551,12 +401,12 @@ class RealtimeUdpTransport(Transport):
             if (link.duplicate_rate > 0.0
                     and self._impair_rng.random() < link.duplicate_rate):
                 self._c_duplicated += 1
-                self.sim.schedule_fast(delay, self._deliver_now, dst, src,
-                                       payload, size_bytes)
+                self.sim.schedule(delay, self._deliver_now, dst, src,
+                                  payload, size_bytes)
         if delay > 0.0:
             self._c_delayed += 1
-            self.sim.schedule_fast(delay, self._deliver_now, dst, src,
-                                   payload, size_bytes)
+            self.sim.schedule(delay, self._deliver_now, dst, src,
+                              payload, size_bytes)
             return
         self._deliver_now(dst, src, payload, size_bytes)
 

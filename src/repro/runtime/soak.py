@@ -522,7 +522,7 @@ def _arm_stale_probe(soak: SoakSystem) -> None:
             return
         module = soak.manager.module(target)
         backend.machine(target).execute(
-            0.0, module._on_adeliver, target, forged, 64
+            0.0, module._on_adeliver, (target, forged, 64)
         )
 
     soak.manager.on_version_closed.append(inject)

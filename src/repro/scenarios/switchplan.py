@@ -173,7 +173,7 @@ class SwitchPlan:
         sim = gcs.system.sim
         for step in self.steps:
             if isinstance(step, SwitchAt):
-                sim.schedule_at(step.at, self._fire, gcs, step)
+                sim.schedule_at(step.at, self._fire, (gcs, step))
             elif isinstance(step, SwitchAfterDeliveries):
                 self._arm_delivery_trigger(gcs, step)
             elif isinstance(step, SwitchOnFault):

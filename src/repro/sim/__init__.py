@@ -4,7 +4,7 @@ This package replaces the paper's physical testbed (7 PCs on switched
 100 Mb/s Ethernet): a deterministic event loop (:class:`Simulator`),
 simulated hosts with serial CPUs and crash-stop failures
 (:class:`Machine`), latency distributions, named random streams, and
-non-intrusive probes.
+counters.
 """
 
 from .clock import Duration, Time, format_time, ms, to_ms, to_us, us
@@ -27,7 +27,7 @@ from .latency import (
     lan_latency,
 )
 from .faults import FaultInjector, FaultRecord
-from .monitors import Counter, EventLog, PeriodicProbe
+from .monitors import Counter
 from .process import Machine
 from .random import BufferedDraws, RngRegistry, stable_hash64
 
@@ -59,7 +59,5 @@ __all__ = [
     "EmpiricalLatency",
     "ShiftedLatency",
     "lan_latency",
-    "PeriodicProbe",
     "Counter",
-    "EventLog",
 ]

@@ -18,10 +18,9 @@ Design notes
 * Error transparency: exceptions raised inside callbacks abort the run and
   propagate to the caller; a simulation that swallows errors hides bugs.
 * The engine knows nothing about machines, networks or protocols — those
-  live in higher layers and only use :meth:`Simulator.schedule` /
-  :meth:`Simulator.cancel` (or the fire-and-forget
-  :meth:`Simulator.schedule_fast` family when the event is never
-  cancelled).
+  live in higher layers and only use :meth:`Simulator.schedule_at` (with
+  the inherited ``schedule`` / ``call_soon`` conveniences) and
+  :meth:`Simulator.cancel`.
 * Throughput: :meth:`run` dispatches heap entries inline — one heap
   inspection per event, no per-event method calls or handle round-trips —
   because campaign throughput is bounded by this loop.  The readable
@@ -31,11 +30,11 @@ Design notes
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional
 
 from ..errors import ScheduleInPastError, SimulationError
 from ..runtime.api import Scheduler
-from .clock import Duration, Time
+from .clock import Time
 from .events import PRIORITY_NORMAL, EventHandle, EventQueue
 from .random import RngRegistry
 
@@ -48,8 +47,10 @@ class Simulator(Scheduler):
     ``Simulator`` is the native implementation of the
     :class:`~repro.runtime.api.Scheduler` contract (the runtime seam);
     :class:`~repro.runtime.realtime.RealtimeScheduler` is its
-    wall-clock twin.  The base class is pure interface (``__slots__ =
-    ()``), so nothing changes on the dispatch hot path.
+    wall-clock twin.  The base class holds no state (``__slots__ =
+    ()``) and contributes only the ``schedule`` / ``call_soon``
+    conveniences over :meth:`schedule_at`, so nothing changes on the
+    dispatch hot path.
 
     Parameters
     ----------
@@ -64,7 +65,7 @@ class Simulator(Scheduler):
     --------
     >>> sim = Simulator(seed=7)
     >>> fired = []
-    >>> _ = sim.schedule(0.5, fired.append, "hello")
+    >>> sim.schedule(0.5, fired.append, "hello")
     >>> sim.run()
     >>> (sim.now, fired)
     (0.5, ['hello'])
@@ -89,9 +90,9 @@ class Simulator(Scheduler):
         trace_hook: Optional[Callable[[Time, EventHandle], None]] = None,
     ) -> None:
         self._queue = EventQueue()
-        # Cached queue internals for the fire-and-forget push paths (the
-        # queue never replaces its heap list or counter, so the aliases
-        # stay valid for the simulator's lifetime).
+        # Cached queue internals for the fire-and-forget push (the queue
+        # never replaces its heap list or counter, so the aliases stay
+        # valid for the simulator's lifetime).
         self._heap = self._queue._heap
         self._seq = self._queue._counter
         self._now: Time = 0.0
@@ -136,102 +137,41 @@ class Simulator(Scheduler):
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    def schedule(
-        self,
-        delay: Duration,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise ScheduleInPastError(f"negative delay {delay!r}")
-        return self._queue.push(self._now + delay, callback, args, priority)
-
     def schedule_at(
         self,
         time: Time,
         callback: Callable[..., Any],
-        *args: Any,
+        args: tuple = (),
         priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute instant *time*."""
-        if time < self._now:
-            raise ScheduleInPastError(
-                f"cannot schedule at {time!r}; current time is {self._now!r}"
-            )
-        return self._queue.push(time, callback, args, priority)
+        cancellable: bool = False,
+    ) -> Optional[EventHandle]:
+        """Schedule ``callback(*args)`` at absolute instant *time*.
 
-    def schedule_fast(
-        self,
-        delay: Duration,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, not cancellable.
-
-        The hot-path variant for the ~90% of events that are never
-        cancelled (network deliveries, CPU completions, one-shot ticks);
-        ordering semantics are identical to :meth:`schedule`.
+        The ~90% of events that are never cancelled (network deliveries,
+        CPU completions, one-shot ticks) push a bare heap entry and
+        return ``None``; *cancellable* allocates an
+        :class:`~repro.sim.events.EventHandle` for :meth:`cancel`.
+        Ordering is identical either way.
         """
-        if delay < 0:
-            raise ScheduleInPastError(f"negative delay {delay!r}")
-        _heappush(
-            self._heap, (self._now + delay, priority, next(self._seq), callback, args)
-        )
-
-    def schedule_at_fast(
-        self,
-        time: Time,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no handle, not cancellable."""
         if time < self._now:
             raise ScheduleInPastError(
                 f"cannot schedule at {time!r}; current time is {self._now!r}"
             )
-        # NOTE: Machine.execute_packed pushes this same 5-tuple entry
-        # shape directly (one fewer call per kernel dispatch) — keep the
-        # two in sync if the heap entry layout ever changes.
+        if cancellable:
+            return self._queue.push(time, callback, args, priority)
+        # NOTE: Machine.execute pushes this same 5-tuple entry shape
+        # directly (one fewer call per kernel dispatch) — keep the two in
+        # sync if the heap entry layout ever changes.
         _heappush(self._heap, (time, priority, next(self._seq), callback, args))
-
-    def schedule_burst_fast(
-        self,
-        times: Sequence[Time],
-        callback: Callable[..., Any],
-        items: Sequence[Any],
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Fire-and-forget burst: ``callback(items[i])`` at ``times[i]``.
-
-        One validation pass plus direct heap pushes — the per-event
-        method-call overhead of N :meth:`schedule_at_fast` calls
-        collapses into one loop over cached locals.  Entry layout and
-        sequence-counter semantics are identical to the scalar path, so
-        a burst is indistinguishable (to the heap) from the equivalent
-        sequence of scalar pushes.
-        """
-        now = self._now
-        heap, seq = self._heap, self._seq
-        for time, item in zip(times, items):
-            if time < now:
-                raise ScheduleInPastError(
-                    f"cannot schedule at {time!r}; current time is {now!r}"
-                )
-            _heappush(heap, (time, priority, next(seq), callback, (item,)))
-
-    def call_soon(
-        self, callback: Callable[..., Any], *args: Any, priority: int = PRIORITY_NORMAL
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at the current instant (after the
-        currently-firing event and anything already queued for *now*)."""
-        return self._queue.push(self._now, callback, args, priority)
+        return None
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event (no-op if it already fired)."""
+        if not isinstance(handle, EventHandle):
+            raise SimulationError(
+                f"cancel() needs a handle from schedule_at(..., cancellable=True), "
+                f"got {handle!r}"
+            )
         self._queue.cancel(handle)
 
     # ------------------------------------------------------------------ #

@@ -15,11 +15,13 @@ The queue is a binary heap whose entries are plain tuples, keyed by
 Two kinds of heap entry coexist:
 
 * **cancellable** — ``(time, priority, seq, handle)`` where *handle* is a
-  slotted :class:`EventHandle` the caller can :meth:`~EventQueue.cancel`;
+  slotted :class:`EventHandle` the caller can :meth:`~EventQueue.cancel`,
+  pushed by :meth:`EventQueue.push`;
 * **fire-and-forget** — ``(time, priority, seq, callback, args)``, pushed
-  by :meth:`EventQueue.push_fast` with no handle allocation at all.  The
-  vast majority of events (network deliveries, CPU completions) are never
-  cancelled, so this is the engine's hot path.
+  straight onto the heap by :meth:`Simulator.schedule_at
+  <repro.sim.engine.Simulator.schedule_at>` with no handle allocation at
+  all.  The vast majority of events (network deliveries, CPU completions)
+  are never cancelled, so this is the engine's hot path.
 
 Because ``seq`` is unique, tuple comparison always terminates within the
 first three elements and the two entry shapes mix freely in one heap.
@@ -119,18 +121,6 @@ class EventQueue:
         handle = EventHandle(time, priority, next(self._counter), callback, args)
         heapq.heappush(self._heap, (time, priority, handle.seq, handle))
         return handle
-
-    def push_fast(
-        self,
-        time: Time,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Schedule a fire-and-forget event: no handle, not cancellable."""
-        heapq.heappush(
-            self._heap, (time, priority, next(self._counter), callback, args)
-        )
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel *handle*; a no-op if it already fired or was cancelled.

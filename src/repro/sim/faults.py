@@ -263,7 +263,7 @@ class FaultInjector:
     # Scheduled faults
     # ------------------------------------------------------------------ #
     def _at(self, time: Time, fn: Callable[..., None], *args: Any) -> None:
-        self.sim.schedule_at(time, fn, *args, priority=PRIORITY_CONTROL)
+        self.sim.schedule_at(time, fn, args, priority=PRIORITY_CONTROL)
 
     def crash_at(self, time: Time, machine_id: int) -> None:
         """Schedule a crash of *machine_id* at absolute instant *time*."""

@@ -59,17 +59,6 @@ class LatencyModel:
         """
         return self.sample(draws.raw)
 
-    def sample_buffered_block(self, draws: "BufferedDraws", count: int) -> list:
-        """*count* draws through *draws*, bit-identical to *count*
-        :meth:`sample_buffered` calls (the network's batch fan-out path).
-
-        The base implementation loops the scalar path; the distributions
-        with a buffered kernel override it with one sliced block per
-        call (see :meth:`~repro.sim.random.BufferedDraws._take_block` for
-        why the stream stays aligned).
-        """
-        return [self.sample_buffered(draws) for _ in range(count)]
-
 
 @dataclass(frozen=True)
 class ConstantLatency(LatencyModel):
@@ -86,9 +75,6 @@ class ConstantLatency(LatencyModel):
 
     def sample_buffered(self, draws: "BufferedDraws") -> Duration:
         return self.value
-
-    def sample_buffered_block(self, draws: "BufferedDraws", count: int) -> list:
-        return [self.value] * count
 
     def mean(self) -> Duration:
         return self.value
@@ -111,9 +97,6 @@ class UniformLatency(LatencyModel):
     def sample_buffered(self, draws: "BufferedDraws") -> Duration:
         return draws.uniform(self.low, self.high)
 
-    def sample_buffered_block(self, draws: "BufferedDraws", count: int) -> list:
-        return draws.uniform_block(self.low, self.high, count)
-
     def mean(self) -> Duration:
         return 0.5 * (self.low + self.high)
 
@@ -134,10 +117,6 @@ class ExponentialLatency(LatencyModel):
 
     def sample_buffered(self, draws: "BufferedDraws") -> Duration:
         return self.floor + draws.exponential(self.mean_tail)
-
-    def sample_buffered_block(self, draws: "BufferedDraws", count: int) -> list:
-        floor = self.floor
-        return [floor + v for v in draws.exponential_block(self.mean_tail, count)]
 
     def mean(self) -> Duration:
         return self.floor + self.mean_tail
@@ -180,10 +159,6 @@ class LogNormalLatency(LatencyModel):
 
     def sample_buffered(self, draws: "BufferedDraws") -> Duration:
         return self.floor + draws.lognormal(self.mu, self.sigma)
-
-    def sample_buffered_block(self, draws: "BufferedDraws", count: int) -> list:
-        floor = self.floor
-        return [floor + v for v in draws.lognormal_block(self.mu, self.sigma, count)]
 
     def mean(self) -> Duration:
         return self.floor + self.tail_mean
@@ -229,10 +204,6 @@ class ShiftedLatency(LatencyModel):
 
     def sample_buffered(self, draws: "BufferedDraws") -> Duration:
         return self.shift + self.base.sample_buffered(draws)
-
-    def sample_buffered_block(self, draws: "BufferedDraws", count: int) -> list:
-        shift = self.shift
-        return [shift + v for v in self.base.sample_buffered_block(draws, count)]
 
     def mean(self) -> Duration:
         return self.shift + self.base.mean()

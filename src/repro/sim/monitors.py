@@ -1,65 +1,15 @@
-"""Simulation probes: periodic sampling and counters.
+"""Simulation counters.
 
-Probes observe a running simulation without perturbing it (they fire at
-:data:`~repro.sim.events.PRIORITY_LATE`, i.e. after all protocol events at
-the same instant).  Experiments use them to sample CPU backlog, queue
-lengths, and in-flight message counts for the time-series plots.
+:class:`Counter` is the named-counter bag protocol modules keep their
+statistics in (RP2P retransmissions, rbcast relays, ...); reports and
+benchmarks read it back through ``module.counters``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict
 
-from .clock import Duration, Time
-from .engine import Simulator
-from .events import PRIORITY_LATE
-
-__all__ = ["PeriodicProbe", "Counter", "EventLog"]
-
-
-class PeriodicProbe:
-    """Sample ``fn()`` every *interval* seconds, recording ``(time, value)``.
-
-    The probe re-arms itself until :meth:`stop` is called or the
-    simulation ends.  Samples are kept in :attr:`samples`.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval: Duration,
-        fn: Callable[[], Any],
-        start_at: Time = 0.0,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.sim = sim
-        self.interval = interval
-        self.fn = fn
-        self.samples: List[Tuple[Time, Any]] = []
-        self._stopped = False
-        self._handle = sim.schedule_at(
-            max(start_at, sim.now), self._tick, priority=PRIORITY_LATE
-        )
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.samples.append((self.sim.now, self.fn()))
-        self._handle = self.sim.schedule(
-            self.interval, self._tick, priority=PRIORITY_LATE
-        )
-
-    def stop(self) -> None:
-        """Stop sampling (keeps the samples collected so far)."""
-        self._stopped = True
-        if self._handle is not None:
-            self.sim.cancel(self._handle)
-            self._handle = None
-
-    def values(self) -> List[Any]:
-        """Just the sampled values, without timestamps."""
-        return [v for _, v in self.samples]
+__all__ = ["Counter"]
 
 
 class Counter:
@@ -82,44 +32,3 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self._counts!r})"
-
-
-class EventLog:
-    """An append-only log of timestamped records, filterable by kind.
-
-    A lightweight alternative to the kernel's full trace recorder for
-    experiment-level annotations ("replacement started", "crash injected").
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None) -> None:
-        self.sim = sim
-        self.capacity = capacity
-        self.records: List[Tuple[Time, str, Any]] = []
-        # Per-kind index: campaign checkers call of_kind/first/last once
-        # per property per run, which used to linear-scan the whole log.
-        self._by_kind: Dict[str, List[Tuple[Time, Any]]] = {}
-
-    def record(self, kind: str, payload: Any = None) -> None:
-        """Append a ``(now, kind, payload)`` record."""
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            return
-        now = self.sim.now
-        self.records.append((now, kind, payload))
-        bucket = self._by_kind.get(kind)
-        if bucket is None:
-            bucket = self._by_kind[kind] = []
-        bucket.append((now, payload))
-
-    def of_kind(self, kind: str) -> List[Tuple[Time, Any]]:
-        """All ``(time, payload)`` records of the given *kind*, in order."""
-        return list(self._by_kind.get(kind, ()))
-
-    def first(self, kind: str) -> Optional[Tuple[Time, Any]]:
-        """The earliest record of *kind*, or ``None``."""
-        bucket = self._by_kind.get(kind)
-        return bucket[0] if bucket else None
-
-    def last(self, kind: str) -> Optional[Tuple[Time, Any]]:
-        """The latest record of *kind*, or ``None``."""
-        bucket = self._by_kind.get(kind)
-        return bucket[-1] if bucket else None

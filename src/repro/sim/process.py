@@ -31,7 +31,7 @@ layer attaches a stack to a machine, not the other way round.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from heapq import heappush as _heappush
 
@@ -39,7 +39,7 @@ from ..errors import SimulationError
 from ..runtime.api import NodeBackend
 from .clock import Duration, Time
 from .engine import Simulator
-from .events import PRIORITY_CONTROL, PRIORITY_NORMAL, EventHandle
+from .events import PRIORITY_CONTROL, PRIORITY_NORMAL
 
 __all__ = ["Machine"]
 
@@ -48,10 +48,11 @@ class Machine(NodeBackend):
     """One simulated host with a serial CPU and crash-stop semantics.
 
     ``Machine`` is the simulation's implementation of the
-    :class:`~repro.runtime.api.NodeBackend` contract (the runtime seam);
+    :class:`~repro.runtime.api.NodeBackend` contract (the runtime seam):
+    the crash/recover state machine and the epoch-guarded timers are the
+    base class's, the serial CPU below is what the simulation adds.
     :class:`~repro.runtime.realtime.RealtimeNode` is its wall-clock
-    twin.  The base class is pure interface (``__slots__ = ()``), so
-    inheriting it costs nothing on the hot paths.
+    twin.
 
     Parameters
     ----------
@@ -63,126 +64,25 @@ class Machine(NodeBackend):
         Human-readable name (defaults to ``"m<id>"``).
     """
 
-    __slots__ = (
-        "sim",
-        "machine_id",
-        "name",
-        "_crashed_at",
-        "_busy_until",
-        "_cpu_busy_total",
-        "_tasks_executed",
-        "_epoch",
-        "_crash_count",
-        "_recovered_at",
-        "on_crash",
-        "on_recover",
-    )
+    __slots__ = ("_cpu_busy_total",)
+
+    sim: Simulator
 
     def __init__(self, sim: Simulator, machine_id: int, name: Optional[str] = None) -> None:
-        self.sim = sim
-        self.machine_id = int(machine_id)
-        self.name = name if name is not None else f"m{machine_id}"
-        self._crashed_at: Optional[Time] = None
-        self._busy_until: Time = 0.0
+        super().__init__(sim, machine_id, name)
         self._cpu_busy_total: Duration = 0.0
-        self._tasks_executed = 0
-        self._epoch = 0
-        self._crash_count = 0
-        self._recovered_at: Optional[Time] = None
-        #: Hooks invoked with the crash time when :meth:`crash` fires.
-        self.on_crash: List[Callable[[Time], None]] = []
-        #: Hooks invoked with the recovery time when :meth:`recover` fires.
-        #: The kernel's restart path hangs off these.
-        self.on_recover: List[Callable[[Time], None]] = []
 
-    # ------------------------------------------------------------------ #
-    # Failure model
-    # ------------------------------------------------------------------ #
-    @property
-    def crashed(self) -> bool:
-        """``True`` once the machine has crashed (crash-stop: forever)."""
-        return self._crashed_at is not None
-
-    @property
-    def crashed_at(self) -> Optional[Time]:
-        """The crash instant, or ``None`` while the machine is alive."""
-        return self._crashed_at
-
-    @property
-    def crash_count(self) -> int:
-        """How many times this machine has crashed so far."""
-        return self._crash_count
-
-    @property
-    def ever_crashed(self) -> bool:
-        """``True`` once the machine crashed at least once (even if it
-        recovered since); the conservative notion the property checkers
-        quantify over."""
-        return self._crash_count > 0
-
-    @property
-    def epoch(self) -> int:
-        """The current incarnation epoch (increments at every crash).
-
-        Work scheduled under an older epoch never fires; protocol
-        payloads that must outlive in-flight traffic from a dead
-        incarnation (heartbeats, re-join handshakes) carry this value.
-        """
-        return self._epoch
-
-    @property
-    def last_recovered_at(self) -> Optional[Time]:
-        """Instant of the most recent recovery (``None`` if never)."""
-        return self._recovered_at
-
-    def crash(self) -> None:
-        """Crash the machine now.  Idempotent.
-
-        Work already queued on the CPU, pending timers and in-flight
-        deliveries targeting this machine are suppressed: their wrappers
-        check :attr:`crashed` (and the incarnation epoch) when they fire.
-        """
-        if self._crashed_at is not None:
-            return
-        self._crashed_at = self.sim.now
-        self._crash_count += 1
-        self._epoch += 1
-        for hook in list(self.on_crash):
-            hook(self.sim.now)
-
-    def crash_at(self, time: Time) -> EventHandle:
+    def crash_at(self, time: Time) -> None:
         """Schedule a crash at absolute instant *time* (for fault injection)."""
-        return self.sim.schedule_at(time, self.crash, priority=PRIORITY_CONTROL)
+        self.sim.schedule_at(time, self.crash, priority=PRIORITY_CONTROL)
 
-    def recover(self) -> None:
-        """Bring a crashed machine back up (fault-injection opt-in).
-
-        The recovered incarnation starts with an idle CPU; every task and
-        timer scheduled before the crash stays dead (they belong to the
-        previous epoch).  The :attr:`on_recover` hooks then run the
-        restart protocol (the kernel re-arms each module's timers in the
-        new epoch).  No-op while the machine is up.
-        """
-        if self._crashed_at is None:
-            return
-        self._crashed_at = None
-        self._busy_until = self.sim.now
-        self._recovered_at = self.sim.now
-        for hook in list(self.on_recover):
-            hook(self.sim.now)
-
-    def recover_at(self, time: Time) -> EventHandle:
+    def recover_at(self, time: Time) -> None:
         """Schedule a recovery at absolute instant *time*."""
-        return self.sim.schedule_at(time, self.recover, priority=PRIORITY_CONTROL)
+        self.sim.schedule_at(time, self.recover, priority=PRIORITY_CONTROL)
 
     # ------------------------------------------------------------------ #
     # CPU
     # ------------------------------------------------------------------ #
-    @property
-    def busy_until(self) -> Time:
-        """Instant at which the CPU drains everything currently queued."""
-        return max(self._busy_until, self.sim.now)
-
     @property
     def cpu_backlog(self) -> Duration:
         """Seconds of queued-but-unfinished CPU work (0 when idle)."""
@@ -193,12 +93,7 @@ class Machine(NodeBackend):
         """Total CPU seconds consumed since the start of the run."""
         return self._cpu_busy_total
 
-    @property
-    def tasks_executed(self) -> int:
-        """Number of CPU tasks completed so far."""
-        return self._tasks_executed
-
-    def execute(self, cost: Duration, fn: Callable[..., Any], *args: Any) -> None:
+    def execute(self, cost: Duration, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Run ``fn(*args)`` after the CPU has spent *cost* seconds on it.
 
         The task starts when the CPU becomes free, so its completion time
@@ -206,24 +101,13 @@ class Machine(NodeBackend):
         crashed the work is silently dropped — a crashed machine does
         nothing.  Completions are fire-and-forget events (a crash
         suppresses them through the incarnation-epoch guard, not through
-        cancellation), so no handle is allocated or returned.
+        cancellation), pushed straight onto the simulator's heap: the
+        kernel's call/response dispatch lands here once per service call.
         """
         if cost < 0:
             raise SimulationError(f"negative CPU cost {cost!r}")
         if self._crashed_at is not None:
-            return None
-        self.execute_packed(cost, fn, args)
-
-    def execute_packed(self, cost: Duration, fn: Callable[..., Any], args: tuple) -> None:
-        """Hot-path :meth:`execute`: pre-packed args, no precondition checks.
-
-        The kernel's call/response dispatch calls this once per service
-        call, so it skips what :meth:`execute` already guarantees at its
-        own call sites — *cost* is non-negative and the machine is up —
-        and pushes the completion straight onto the simulator's
-        fire-and-forget heap.  Everything observable (completion instant,
-        CPU accounting, epoch guard) is identical to :meth:`execute`.
-        """
+            return
         sim = self.sim
         start = sim._now
         busy = self._busy_until
@@ -237,58 +121,3 @@ class Machine(NodeBackend):
             (completion, PRIORITY_NORMAL, next(sim._seq),
              self._run_task, (self._epoch, fn, args)),
         )
-
-    def _run_task(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
-        if self._crashed_at is not None or epoch != self._epoch:
-            return
-        self._tasks_executed += 1
-        fn(*args)
-
-    # ------------------------------------------------------------------ #
-    # Timers
-    # ------------------------------------------------------------------ #
-    def set_timer(
-        self, delay: Duration, fn: Callable[..., Any], *args: Any
-    ) -> Optional[EventHandle]:
-        """Fire ``fn(*args)`` after *delay* seconds unless the machine crashes.
-
-        Unlike :meth:`execute`, a timer does not occupy the CPU — the
-        callback itself should :meth:`execute` any non-trivial work.
-        Returns ``None`` when the machine is already crashed.
-        """
-        if self.crashed:
-            return None
-        return self.sim.schedule(delay, self._run_timer, self._epoch, fn, args)
-
-    def set_timer_fast(self, delay: Duration, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`set_timer`: no cancellable handle.
-
-        The one-shot variant for timers that are **never cancelled** —
-        periodic wheels that re-arm themselves (FD ticks, ack flushes)
-        are the canonical case: each firing allocates a fresh
-        :class:`~repro.sim.events.EventHandle` on the ordinary path
-        purely to drop it.  Ordering, crash suppression and the
-        incarnation-epoch guard are identical to :meth:`set_timer`; the
-        only difference is that the caller cannot cancel it.
-        """
-        if self._crashed_at is not None:
-            return
-        self.sim.schedule_fast(delay, self._run_timer, self._epoch, fn, args)
-
-    def _run_timer(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
-        if self._crashed_at is not None or epoch != self._epoch:
-            return
-        fn(*args)
-
-    def cancel(self, handle: EventHandle) -> None:
-        """Cancel a timer handle returned by :meth:`set_timer`.
-
-        Delegates to the simulator; part of the
-        :class:`~repro.runtime.api.NodeBackend` contract so module code
-        never needs a direct engine reference to disarm its timers.
-        """
-        self.sim.cancel(handle)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"crashed@{self._crashed_at:.6f}" if self.crashed else "up"
-        return f"<Machine {self.name} id={self.machine_id} {state}>"

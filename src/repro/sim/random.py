@@ -163,24 +163,6 @@ class BufferedDraws:
         """*count* uniform draws on [0, 1), served from the same buffer."""
         return np.asarray(self._take_block(_KIND_RANDOM, lambda rng, n: rng.random(n), count))
 
-    def uniform_block(self, low: float, high: float, count: int) -> list:
-        """*count* ``uniform(low, high)`` draws, served from the same buffer."""
-        return self._take_block(
-            ("uniform", low, high), lambda rng, n: rng.uniform(low, high, n), count
-        )
-
-    def exponential_block(self, scale: float, count: int) -> list:
-        """*count* ``exponential(scale)`` draws, served from the same buffer."""
-        return self._take_block(
-            ("exponential", scale), lambda rng, n: rng.exponential(scale, n), count
-        )
-
-    def lognormal_block(self, mu: float, sigma: float, count: int) -> list:
-        """*count* ``lognormal(mu, sigma)`` draws, served from the same buffer."""
-        return self._take_block(
-            ("lognormal", mu, sigma), lambda rng, n: rng.lognormal(mu, sigma, n), count
-        )
-
     def uniform(self, low: float, high: float) -> float:
         """Block-buffered ``rng.uniform(low, high)``."""
         kind = self._kind

@@ -8,7 +8,7 @@ class LeakyTimer(Module):  # planted R4: arms a timer, no on_restart
         self.set_timer(1.0, self._tick)
 
     def _tick(self):
-        self.set_timer_fast(1.0, self._tick)
+        self.set_timer(1.0, self._tick)
 
 
 # repro: ignore[R4] -- fixture: justified class-level suppression is honoured

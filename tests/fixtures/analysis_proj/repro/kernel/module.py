@@ -3,10 +3,7 @@
 
 
 class Module:
-    def set_timer(self, delay, fn, *args):
-        pass
-
-    def set_timer_fast(self, delay, fn, *args):
+    def set_timer(self, delay, fn, *args, cancellable=False):
         pass
 
     def on_restart(self):

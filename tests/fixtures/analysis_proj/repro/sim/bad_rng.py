@@ -28,3 +28,25 @@ class Broadcaster:
 
     def seeded_ok(self, seed):
         return random.Random(seed)  # clean: explicit seed
+
+
+class SeamFeeder:
+    """Raw-set loops feeding the seam operations R2 did not list before
+    the one-spelling collapse (``execute``, ``call_soon``)."""
+
+    def __init__(self, node, sim, pending):
+        self.node = node
+        self.sim = sim
+        self.pending = set(pending)
+
+    def run_all(self):
+        for task in self.pending:  # planted R2: set iteration feeding execute
+            self.node.execute(0.0, task)
+
+    def soon_all(self):
+        for task in self.pending:  # planted R2: set iteration feeding call_soon
+            self.sim.call_soon(task)
+
+    def run_sorted(self):
+        for task in sorted(self.pending, key=repr):  # clean: sorted view
+            self.node.execute(0.0, task)

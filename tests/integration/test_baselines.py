@@ -34,7 +34,7 @@ def run_baseline(baseline, n=4, seed=17, duration=8.0, load=60.0):
     ]
     trigger = switch_modules[0]
     gcs.system.sim.schedule_at(
-        duration / 2.0, trigger.call, WellKnown.R_ABCAST, "change_protocol", PROTOCOL_CT
+        duration / 2.0, trigger.call, (WellKnown.R_ABCAST, "change_protocol", PROTOCOL_CT)
     )
     gcs.run(until=duration)
     gcs.run_to_quiescence()

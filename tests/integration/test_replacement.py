@@ -176,7 +176,7 @@ class TestGmAcrossSwitch:
         gm0 = next(
             m for m in gcs.system.stack(0).modules.values() if m.protocol == "gm"
         )
-        gcs.system.sim.schedule_at(3.01, gm0.call, WellKnown.GM, "propose_expel", 3)
+        gcs.system.sim.schedule_at(3.01, gm0.call, (WellKnown.GM, "propose_expel", 3))
         gcs.run(until=6.0)
         gcs.run_to_quiescence()
         views = []

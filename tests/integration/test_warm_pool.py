@@ -9,6 +9,9 @@ Three contracts are pinned here:
 * **failure naming** — a cell that raises inside a worker fails the
   campaign with a :class:`~repro.errors.ScenarioError` naming the
   scenario and seed, never hangs the pool, and leaves the pool usable;
+  with several poisoned cells the error names the *first* one in cell
+  order on every run, whatever ``jobs`` × ``chunk_size`` and whichever
+  worker replied first;
 * **worker death** — a killed worker is replaced transparently when idle
   and surfaces as a named error when it dies mid-chunk.
 """
@@ -18,6 +21,7 @@ import os
 import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ScenarioError
 from repro.experiments import PROTOCOL_SEQ
@@ -44,6 +48,10 @@ SPEC_CRASH = ScenarioSpec(
     quiescence_extra=4.0,
 )
 CAMPAIGN = Campaign(name="pool", scenarios=(SPEC_SWITCH, SPEC_CRASH))
+#: A cell cheap enough to run by the dozen (the poisoning property below).
+SPEC_TINY = ScenarioSpec(
+    name="pool-tiny", n=3, duration=0.2, load_msgs_per_sec=20.0, quiescence_extra=2.0
+)
 
 
 class TestByteIdentity:
@@ -89,6 +97,14 @@ class TestByteIdentity:
         assert default_chunk_size(64, 4) == 4
 
 
+@pytest.fixture(scope="module", params=[1, 2, 4], ids=lambda jobs: f"jobs{jobs}")
+def sized_pool(request):
+    """A private pool of each width (not the process-wide singleton)."""
+    pool = WarmPool(request.param)
+    yield pool
+    pool.shutdown()
+
+
 class TestFailureContract:
     def test_poisoned_cell_names_spec_and_seed(self):
         # run_scenario validates the trace mode inside the worker, so a
@@ -98,6 +114,26 @@ class TestFailureContract:
         message = str(excinfo.value)
         assert "pool-switch" in message
         assert "seed 7" in message
+
+    @given(poisoned=st.sets(st.integers(min_value=0, max_value=5), min_size=1))
+    @settings(max_examples=6, deadline=None)
+    def test_first_poisoned_cell_wins_whatever_the_scheduling(self, sized_pool, poisoned):
+        # run_scenario validates the trace mode inside the worker, so a
+        # bogus mode poisons exactly the chosen cells; they fail at once
+        # while their healthy neighbours take tens of milliseconds, which
+        # is what used to let a later poisoned cell's error arrive first.
+        cells = [
+            (SPEC_TINY, seed, "bogus" if seed in poisoned else "structural")
+            for seed in range(6)
+        ]
+        expected = f"scenario 'pool-tiny' seed {min(poisoned)} raised in a pool worker:"
+        for chunk_size in (1, 2, None):
+            with pytest.raises(ScenarioError) as excinfo:
+                sized_pool.run_cells(cells, chunk_size=chunk_size)
+            assert str(excinfo.value).splitlines()[0] == expected
+        # Every in-flight reply was collected, so the pipes are clean.
+        healthy = [(SPEC_TINY, 0, "structural")] * 2
+        assert len(sized_pool.run_cells(healthy, chunk_size=1)) == 2
 
     def test_pool_usable_after_poisoned_campaign(self):
         with pytest.raises(ScenarioError):

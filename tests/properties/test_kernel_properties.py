@@ -58,7 +58,7 @@ class TestBindingBlocking:
                     stack.unbind("svc")
 
         for t, action in steps:
-            sys_.sim.schedule_at(t, do, action)
+            sys_.sim.schedule_at(t, do, (action,))
         sys_.run()
 
         # Every issued call was served exactly once, in issue order.
@@ -90,6 +90,6 @@ class TestBindingBlocking:
             )
 
         for t, action in steps:
-            sys_.sim.schedule_at(t, do, action)
+            sys_.sim.schedule_at(t, do, (action,))
         sys_.run()
         assert all(c <= 1 for c in observed)

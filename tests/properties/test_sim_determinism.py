@@ -36,7 +36,7 @@ class TestDeterminism:
             sim = Simulator(seed=seed)
             order = []
             for i, (delay, prio) in enumerate(sched):
-                sim.schedule(delay, order.append, i, priority=prio)
+                sim.schedule_at(delay, order.append, (i,), priority=prio)
             # sprinkle some randomness consumption in the middle
             sim.schedule(5.0, lambda: sim.rng.stream("x").random(3))
             sim.run()
@@ -50,7 +50,7 @@ class TestDeterminism:
         sim = Simulator(seed=0)
         times = []
         for delay, prio in sched:
-            sim.schedule(delay, lambda: times.append(sim.now), priority=prio)
+            sim.schedule_at(delay, lambda: times.append(sim.now), priority=prio)
         sim.run()
         assert times == sorted(times)
 
@@ -60,7 +60,7 @@ class TestDeterminism:
         sim = Simulator(seed=0)
         fired = []
         for i, (delay, prio) in enumerate(sched):
-            sim.schedule(delay, fired.append, i, priority=prio)
+            sim.schedule_at(delay, fired.append, (i,), priority=prio)
         sim.run()
         assert sorted(fired) == list(range(len(sched)))
 

@@ -86,7 +86,7 @@ def test_write_baseline_then_rerun_is_grandfathered(tmp_path, capsys):
     # hygiene (the planted unjustified marker) remains active.
     rc = main([FIXTURE, "--baseline", str(baseline)])
     out = capsys.readouterr().out
-    assert "13 baselined" in out
+    assert "15 baselined" in out
     active = [line for line in out.splitlines() if ": R" in line]
     assert not active
     assert rc == 1  # the SUP hygiene finding still gates

@@ -1,132 +1,14 @@
-"""Unit tests: the vectorised batch-delivery path is exactly sequential.
+"""Unit tests: block draws stay aligned with scalar draws.
 
-``SimNetwork.send_many`` is an optimisation, not a semantic: delivery
-times, stream consumption, counters and crash handling must be
-bit-identical to the same messages pushed one ``send()`` at a time.
-Same for the two layers under it — ``Scheduler.schedule_burst_fast``
-versus scalar pushes, and ``LatencyModel.sample_buffered_block`` versus
-scalar buffered draws.
+``BufferedDraws.random_block`` (the fault injector draws whole crash
+schedules through it) must consume the stream exactly like the same
+number of scalar ``random()`` calls, in any interleaving.
 """
 
-import pytest
-
-from repro.errors import ScheduleInPastError
-from repro.net import NetMessage, SimNetwork, SwitchedLan
-from repro.sim import Machine, Simulator, lan_latency
-from repro.sim.latency import (
-    ConstantLatency,
-    ExponentialLatency,
-    LogNormalLatency,
-    ShiftedLatency,
-    UniformLatency,
-)
 from repro.sim.random import BufferedDraws, RngRegistry
 
 
-def _net(seed=3, lan=None, n=4):
-    sim = Simulator(seed=seed)
-    machines = [Machine(sim, i) for i in range(n)]
-    net = SimNetwork(sim, machines, lan or SwitchedLan(latency=lan_latency()))
-    log = []
-    for m in machines:
-        net.attach(m.machine_id, lambda msg, t, log=log: log.append((t, msg.src, msg.dst)))
-    return sim, machines, net, log
-
-
-def _batch(k, n=4):
-    return [NetMessage(j % n, (j + 1) % n, f"m{j}", 256 + j) for j in range(k)]
-
-
-class TestSendManyEquivalence:
-    def _run(self, use_batch, lan=None, crash=None, k=12):
-        sim, machines, net, log = _net(lan=lan)
-        if crash is not None:
-            machines[crash].crash()
-        batch = _batch(k)
-        if use_batch:
-            net.send_many(batch)
-        else:
-            for message in batch:
-                net.send(message)
-        sim.run()
-        return log, net.stats()
-
-    def test_fast_path_matches_sequential_sends(self):
-        log_a, stats_a = self._run(use_batch=False)
-        log_b, stats_b = self._run(use_batch=True)
-        assert log_a == log_b
-        assert stats_a == stats_b
-
-    def test_impaired_fallback_matches_sequential_sends(self):
-        lan = SwitchedLan(latency=lan_latency(), loss_rate=0.3, duplicate_rate=0.2)
-        log_a, stats_a = self._run(use_batch=False, lan=lan)
-        log_b, stats_b = self._run(use_batch=True, lan=lan)
-        assert log_a == log_b
-        assert stats_a == stats_b
-
-    def test_crashed_sender_skipped_without_consuming_draws(self):
-        log_a, stats_a = self._run(use_batch=False, crash=1)
-        log_b, stats_b = self._run(use_batch=True, crash=1)
-        assert log_a == log_b
-        assert stats_a == stats_b
-
-    def test_empty_and_singleton_batches(self):
-        sim, _machines, net, log = _net()
-        net.send_many([])
-        net.send_many([NetMessage(0, 1, "solo", 128)])
-        sim.run()
-        assert [(s, d) for _t, s, d in log] == [(0, 1)]
-
-
-class TestScheduleBurstFast:
-    def test_burst_matches_scalar_pushes(self):
-        fired_a, fired_b = [], []
-        sim_a = Simulator(seed=1)
-        for i, t in enumerate((0.3, 0.1, 0.2, 0.1)):
-            sim_a.schedule_at_fast(t, fired_a.append, i)
-        sim_a.run()
-        sim_b = Simulator(seed=1)
-        sim_b.schedule_burst_fast((0.3, 0.1, 0.2, 0.1), fired_b.append, (0, 1, 2, 3))
-        sim_b.run()
-        assert fired_a == fired_b == [1, 3, 2, 0]
-
-    def test_burst_rejects_past_times(self):
-        sim = Simulator(seed=1)
-        sim.schedule_fast(1.0, lambda: None)
-        sim.run()
-        with pytest.raises(ScheduleInPastError):
-            sim.schedule_burst_fast((0.5,), lambda x: None, ("late",))
-
-
 class TestSampleBufferedBlock:
-    MODELS = [
-        ConstantLatency(1e-4),
-        UniformLatency(1e-5, 2e-4),
-        ExponentialLatency(mean_tail=5e-5, floor=1e-5),
-        LogNormalLatency(tail_mean=3e-5, sigma=0.6, floor=6e-5),
-        ShiftedLatency(UniformLatency(0.0, 1e-4), 2e-5),
-    ]
-
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-    def test_block_matches_scalar_draws(self, model):
-        scalar = BufferedDraws(RngRegistry(seed=9).stream("lat"))
-        block = BufferedDraws(RngRegistry(seed=9).stream("lat"))
-        expected = [model.sample_buffered(scalar) for _ in range(700)]
-        got = []
-        for count in (1, 5, 256, 300, 138):
-            got.extend(model.sample_buffered_block(block, count))
-        assert got == expected
-
-    def test_block_and_scalar_interleave_stay_aligned(self):
-        model = UniformLatency(0.0, 1.0)
-        scalar = BufferedDraws(RngRegistry(seed=4).stream("lat"))
-        mixed = BufferedDraws(RngRegistry(seed=4).stream("lat"))
-        expected = [model.sample_buffered(scalar) for _ in range(40)]
-        got = model.sample_buffered_block(mixed, 10)
-        got += [model.sample_buffered(mixed) for _ in range(20)]
-        got += model.sample_buffered_block(mixed, 10)
-        assert got == expected
-
     def test_random_block_matches_scalar(self):
         scalar = BufferedDraws(RngRegistry(seed=2).stream("x"))
         block = BufferedDraws(RngRegistry(seed=2).stream("x"))

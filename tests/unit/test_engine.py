@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleInPastError, SimulationError
-from repro.sim import Simulator
+from repro.sim import PRIORITY_CONTROL, PRIORITY_LATE, Simulator
 
 
 class TestScheduling:
@@ -17,9 +17,19 @@ class TestScheduling:
 
     def test_schedule_at_absolute(self, sim):
         fired = []
-        sim.schedule_at(1.5, fired.append, "x")
+        assert sim.schedule_at(1.5, fired.append, ("x",)) is None
         sim.run()
         assert fired == ["x"] and sim.now == 1.5
+
+    def test_priority_breaks_ties_at_one_instant(self, sim):
+        """PRIORITY_LATE fires after, PRIORITY_CONTROL before, the normal
+        events of the same instant — whatever the scheduling order."""
+        order = []
+        sim.schedule_at(1.0, order.append, ("late",), priority=PRIORITY_LATE)
+        sim.schedule(1.0, order.append, "normal")
+        sim.schedule_at(1.0, order.append, ("control",), priority=PRIORITY_CONTROL)
+        sim.run()
+        assert order == ["control", "normal", "late"]
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ScheduleInPastError):
@@ -47,10 +57,16 @@ class TestScheduling:
 
     def test_cancel(self, sim):
         fired = []
-        handle = sim.schedule(1.0, fired.append, "no")
+        handle = sim.schedule_at(1.0, fired.append, ("no",), cancellable=True)
         sim.cancel(handle)
         sim.run()
         assert fired == []
+
+    def test_cancel_of_a_non_handle_raises(self, sim):
+        # Fire-and-forget scheduling returns None; cancelling that (or any
+        # other non-handle) is a bug at the call site, never a silent no-op.
+        with pytest.raises(SimulationError, match="cancellable=True"):
+            sim.cancel(sim.schedule(1.0, lambda: None))
 
 
 class TestRunControl:

@@ -97,68 +97,69 @@ class TestErrors:
 
 
 class TestFastPath:
-    """The fire-and-forget entries obey the same ordering contract."""
+    """The fire-and-forget entries ``Simulator.schedule_at`` pushes straight
+    onto the queue's heap obey the same ordering contract as handles."""
 
-    def test_fast_entries_order_with_handles(self):
-        q = EventQueue()
+    def test_fast_entries_order_with_handles(self, sim):
+        q = sim._queue
         fired = []
-        q.push_fast(2.0, fired.append, ("fast2",))
+        sim.schedule_at(2.0, fired.append, ("fast2",))
         q.push(1.0, fired.append, ("slow1",))
-        q.push_fast(1.0, fired.append, ("fast1-later",))
+        sim.schedule_at(1.0, fired.append, ("fast1-later",))
         q.push(3.0, fired.append, ("slow3",))
         while q:
             h = q.pop()
             h.callback(*h.args)
         assert fired == ["slow1", "fast1-later", "fast2", "slow3"]
 
-    def test_fast_priority_breaks_ties(self):
-        q = EventQueue()
+    def test_fast_priority_breaks_ties(self, sim):
+        q = sim._queue
         fired = []
-        q.push_fast(1.0, fired.append, ("late",), priority=PRIORITY_LATE)
-        q.push_fast(1.0, fired.append, ("control",), priority=PRIORITY_CONTROL)
-        q.push_fast(1.0, fired.append, ("normal",), priority=PRIORITY_NORMAL)
+        sim.schedule_at(1.0, fired.append, ("late",), priority=PRIORITY_LATE)
+        sim.schedule_at(1.0, fired.append, ("control",), priority=PRIORITY_CONTROL)
+        sim.schedule_at(1.0, fired.append, ("normal",), priority=PRIORITY_NORMAL)
         while q:
             h = q.pop()
             h.callback(*h.args)
         assert fired == ["control", "normal", "late"]
 
-    def test_fifo_among_mixed_equal_entries(self):
-        q = EventQueue()
+    def test_fifo_among_mixed_equal_entries(self, sim):
+        q = sim._queue
         fired = []
         for i in range(6):
             if i % 2:
                 q.push(1.0, fired.append, (i,))
             else:
-                q.push_fast(1.0, fired.append, (i,))
+                sim.schedule_at(1.0, fired.append, (i,))
         while q:
             h = q.pop()
             h.callback(*h.args)
         assert fired == list(range(6))
 
-    def test_pop_materialises_transient_handle(self):
-        q = EventQueue()
-        q.push_fast(1.5, print, ("x",), priority=PRIORITY_LATE)
+    def test_pop_materialises_transient_handle(self, sim):
+        q = sim._queue
+        sim.schedule_at(1.5, print, ("x",), priority=PRIORITY_LATE)
         h = q.pop()
         assert (h.time, h.priority) == (1.5, PRIORITY_LATE)
         assert h.callback is print and h.args == ("x",)
 
-    def test_len_counts_fast_entries(self):
-        q = EventQueue()
-        q.push_fast(1.0, lambda: None)
+    def test_len_counts_fast_entries(self, sim):
+        q = sim._queue
+        sim.schedule_at(1.0, lambda: None)
         q.push(2.0, lambda: None)
         assert len(q) == 2
         q.pop()
         assert len(q) == 1
 
-    def test_peek_time_sees_fast_entries(self):
-        q = EventQueue()
+    def test_peek_time_sees_fast_entries(self, sim):
+        q = sim._queue
         q.push(5.0, lambda: None)
-        q.push_fast(2.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
         assert q.peek_time() == 2.0
 
-    def test_clear_drops_fast_entries(self):
-        q = EventQueue()
-        q.push_fast(1.0, lambda: None)
+    def test_clear_drops_fast_entries(self, sim):
+        q = sim._queue
+        sim.schedule_at(1.0, lambda: None)
         q.push(2.0, lambda: None)
         q.clear()
         assert len(q) == 0 and q.peek_time() is None
@@ -177,11 +178,11 @@ class TestCancelAfterFire:
         assert q.pop() is other
         assert len(q) == 0
 
-    def test_cancel_of_popped_fast_entry_handle_is_noop(self):
+    def test_cancel_of_popped_fast_entry_handle_is_noop(self, sim):
         """The transient handle pop() materialises for a fire-and-forget
         entry is already fired; cancelling it must not corrupt the count."""
-        q = EventQueue()
-        q.push_fast(1.0, lambda: None)
+        q = sim._queue
+        sim.schedule_at(1.0, lambda: None)
         q.push(2.0, lambda: None)
         transient = q.pop()
         q.cancel(transient)

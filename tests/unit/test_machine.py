@@ -14,7 +14,7 @@ def machine(sim):
 class TestCpuQueueing:
     def test_single_task_completes_after_cost(self, sim, machine):
         done = []
-        machine.execute(0.010, done.append, "a")
+        machine.execute(0.010, done.append, ("a",))
         sim.run()
         assert done == ["a"]
         assert sim.now == pytest.approx(0.010)
@@ -37,7 +37,7 @@ class TestCpuQueueing:
 
     def test_zero_cost_task(self, sim, machine):
         done = []
-        machine.execute(0.0, done.append, 1)
+        machine.execute(0.0, done.append, (1,))
         sim.run()
         assert done == [1] and sim.now == 0.0
 
@@ -63,7 +63,7 @@ class TestCpuQueueing:
 class TestTimers:
     def test_timer_fires(self, sim, machine):
         fired = []
-        machine.set_timer(0.5, fired.append, "t")
+        machine.set_timer(0.5, fired.append, ("t",))
         sim.run()
         assert fired == ["t"] and sim.now == 0.5
 
@@ -78,14 +78,14 @@ class TestTimers:
 class TestCrash:
     def test_crash_suppresses_queued_work(self, sim, machine):
         done = []
-        machine.execute(0.010, done.append, "x")
+        machine.execute(0.010, done.append, ("x",))
         machine.crash()
         sim.run()
         assert done == []
 
     def test_crash_suppresses_timers(self, sim, machine):
         fired = []
-        machine.set_timer(0.5, fired.append, "t")
+        machine.set_timer(0.5, fired.append, ("t",))
         machine.crash_at(0.1)
         sim.run()
         assert fired == []
@@ -123,7 +123,7 @@ class TestRecovery:
         machine.crash_at(1.0)
         machine.recover_at(2.0)
         done = []
-        sim.schedule_at(2.5, lambda: machine.execute(0.01, done.append, "x"))
+        sim.schedule_at(2.5, lambda: machine.execute(0.01, done.append, ("x",)))
         sim.run()
         assert not machine.crashed
         assert machine.ever_crashed and machine.crash_count == 1
@@ -132,8 +132,8 @@ class TestRecovery:
     def test_precrash_work_stays_dead_after_recovery(self, sim, machine):
         """Tasks and timers from the old incarnation never fire."""
         fired = []
-        machine.execute(1.5, fired.append, "task")   # would complete at 1.5
-        machine.set_timer(1.5, fired.append, "timer")
+        machine.execute(1.5, fired.append, ("task",))   # would complete at 1.5
+        machine.set_timer(1.5, fired.append, ("timer",))
         machine.crash_at(1.0)
         machine.recover_at(1.2)                       # recovery before t=1.5
         sim.run()
@@ -168,30 +168,32 @@ class TestRecovery:
 
 
 class TestSetTimerFast:
+    """Handle-free timers (the default) next to cancellable ones."""
+
     def test_fires_like_set_timer(self, sim, machine):
         fired = []
-        machine.set_timer_fast(0.5, fired.append, "fast")
-        machine.set_timer(0.5, fired.append, "slow")
+        assert machine.set_timer(0.5, fired.append, ("plain",)) is None
+        assert machine.set_timer(0.5, fired.append, ("handle",), cancellable=True)
         sim.run()
-        assert fired == ["fast", "slow"]  # scheduling order preserved
+        assert fired == ["plain", "handle"]  # scheduling order preserved
         assert sim.now == pytest.approx(0.5)
 
     def test_dies_with_the_epoch(self, sim, machine):
         fired = []
-        machine.set_timer_fast(1.0, fired.append, "old")
+        machine.set_timer(1.0, fired.append, ("old",))
         machine.crash()
         machine.recover()
-        machine.set_timer_fast(1.0, fired.append, "new")
+        machine.set_timer(1.0, fired.append, ("new",))
         sim.run()
         assert fired == ["new"]
 
     def test_noop_on_crashed_machine(self, sim, machine):
         fired = []
         machine.crash()
-        machine.set_timer_fast(0.1, fired.append, "never")
+        assert machine.set_timer(0.1, fired.append, ("never",), cancellable=True) is None
         sim.run()
         assert fired == []
 
     def test_negative_delay_rejected(self, sim, machine):
         with pytest.raises(SimulationError):
-            machine.set_timer_fast(-0.1, lambda: None)
+            machine.set_timer(-0.1, lambda: None)

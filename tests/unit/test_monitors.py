@@ -1,40 +1,6 @@
-"""Unit tests: probes, counters, event logs."""
+"""Unit tests: counters."""
 
-import pytest
-
-from repro.sim import Counter, EventLog, PeriodicProbe
-
-
-class TestPeriodicProbe:
-    def test_samples_at_interval(self, sim):
-        values = iter(range(100))
-        probe = PeriodicProbe(sim, interval=0.5, fn=lambda: next(values))
-        sim.schedule(2.0, lambda: None)
-        sim.run(until=2.0)
-        times = [t for t, _v in probe.samples]
-        assert times == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
-
-    def test_stop(self, sim):
-        probe = PeriodicProbe(sim, interval=0.5, fn=lambda: 1)
-        sim.schedule(0.6, probe.stop)
-        sim.run(until=3.0)
-        assert len(probe.samples) == 2  # t=0.0 and t=0.5
-
-    def test_values_view(self, sim):
-        probe = PeriodicProbe(sim, interval=1.0, fn=lambda: "v")
-        sim.run(until=2.0)
-        assert probe.values() == ["v", "v", "v"]
-
-    def test_invalid_interval(self, sim):
-        with pytest.raises(ValueError):
-            PeriodicProbe(sim, interval=0.0, fn=lambda: 1)
-
-    def test_probe_fires_after_normal_events(self, sim):
-        order = []
-        PeriodicProbe(sim, interval=1.0, fn=lambda: order.append("probe"))
-        sim.schedule(1.0, lambda: order.append("event"))
-        sim.run(until=1.0)
-        assert order == ["probe", "event", "probe"]  # t=0 probe, then t=1
+from repro.sim import Counter
 
 
 class TestCounter:
@@ -53,27 +19,3 @@ class TestCounter:
         snap = c.as_dict()
         c.incr("x")
         assert snap == {"x": 1}
-
-
-class TestEventLog:
-    def test_record_and_filter(self, sim):
-        log = EventLog(sim)
-        log.record("switch", "v1")
-        sim.schedule(1.0, log.record, "switch", "v2")
-        sim.run()
-        assert log.of_kind("switch") == [(0.0, "v1"), (1.0, "v2")]
-
-    def test_first_and_last(self, sim):
-        log = EventLog(sim)
-        log.record("a", 1)
-        log.record("b", 2)
-        log.record("a", 3)
-        assert log.first("a") == (0.0, 1)
-        assert log.last("a") == (0.0, 3)
-        assert log.first("zzz") is None
-
-    def test_capacity(self, sim):
-        log = EventLog(sim, capacity=2)
-        for i in range(5):
-            log.record("k", i)
-        assert len(log.records) == 2

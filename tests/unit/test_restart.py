@@ -81,10 +81,10 @@ class TestStackRestart:
         sys_ = System(n=1, seed=0)
         st = sys_.stack(0)
         fired = []
-        st.machine.set_timer(1.0, fired.append, "old")
+        st.machine.set_timer(1.0, fired.append, ("old",))
         st.machine.crash()
         st.machine.recover()
-        st.machine.set_timer(1.0, fired.append, "new")
+        st.machine.set_timer(1.0, fired.append, ("new",))
         sys_.run(until=3.0)
         assert fired == ["new"]
 
@@ -109,7 +109,7 @@ class TestRp2pRestart:
         sys_, net, rp2ps = self._world()
         # Partition so the send stays unacked, then crash the sender.
         net.partition({0}, {1})
-        sys_.sim.schedule_at(0.1, rp2ps[0].call, "rp2p", "send", 1, ("hello",), 10)
+        sys_.sim.schedule_at(0.1, rp2ps[0].call, ("rp2p", "send", 1, ("hello",), 10))
         sys_.sim.schedule_at(0.2, sys_.machines[0].crash)
         sys_.run(until=1.0)
         assert rp2ps[0].unacked_count(1) == 1

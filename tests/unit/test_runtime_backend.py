@@ -13,16 +13,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
+from repro.kernel.module import Module
+from repro.kernel.trace import TraceRecorder
 from repro.net.message import NetMessage
+from repro.net.network import SimNetwork
 from repro.runtime import (
     Backend,
     NodeBackend,
     RealtimeBackend,
     RealtimeFaultInjector,
+    RealtimeNode,
+    RealtimeScheduler,
+    RealtimeUdpTransport,
     Scheduler,
     SimBackend,
     Transport,
 )
+from repro.sim import Machine, Simulator
 from repro.sim.faults import FaultInjector
 
 # Base timer quantum: long enough that wall-clock jitter cannot reorder
@@ -59,12 +67,48 @@ def test_implements_the_api(backend):
     assert backend.machine(0) is backend.nodes[0]
 
 
+# --------------------------------------------------------------------- #
+# One spelling per seam operation: the collapsed surface stays collapsed
+# --------------------------------------------------------------------- #
+def test_abstract_surface_is_one_spelling_per_operation():
+    assert Scheduler.__abstractmethods__ == {
+        "now", "events_processed", "schedule_at", "cancel", "peek_time",
+    }
+    assert NodeBackend.__abstractmethods__ == {"execute"}
+    assert Transport.__abstractmethods__ == {
+        "attach", "detach", "send", "send_local", "stats",
+    }
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Simulator, RealtimeScheduler, Machine, RealtimeNode, SimNetwork,
+     RealtimeUdpTransport, Module, TraceRecorder],
+    ids=lambda cls: cls.__name__,
+)
+def test_no_public_twin_suffixes(cls):
+    twins = [
+        name for name in dir(cls)
+        if not name.startswith("_")
+        and name.endswith(("_fast", "_packed", "_burst", "_many"))
+    ]
+    assert twins == []
+
+
+def test_incarnation_state_machine_lives_on_the_base_only():
+    for name in ("crash", "recover", "set_timer", "cancel", "_run_task", "_run_timer",
+                 "crashed", "crashed_at", "crash_count", "ever_crashed", "epoch",
+                 "last_recovered_at", "tasks_executed"):
+        assert name in vars(NodeBackend), name
+        assert name not in vars(Machine) and name not in vars(RealtimeNode), name
+
+
 def test_timer_ordering(backend):
     fired = []
     node = backend.nodes[0]
-    node.set_timer(3 * TICK, fired.append, "c")
-    node.set_timer(1 * TICK, fired.append, "a")
-    node.set_timer(2 * TICK, fired.append, "b")
+    node.set_timer(3 * TICK, fired.append, ("c",))
+    node.set_timer(1 * TICK, fired.append, ("a",))
+    node.set_timer(2 * TICK, fired.append, ("b",))
     run_ticks(backend, 4)
     assert fired == ["a", "b", "c"]
 
@@ -73,7 +117,7 @@ def test_equal_delay_timers_fire_in_arming_order(backend):
     fired = []
     node = backend.nodes[0]
     for tag in ("first", "second", "third"):
-        node.set_timer_fast(TICK, fired.append, tag)
+        node.set_timer(TICK, fired.append, (tag,))
     run_ticks(backend, 2)
     assert fired == ["first", "second", "third"]
 
@@ -81,26 +125,39 @@ def test_equal_delay_timers_fire_in_arming_order(backend):
 def test_cancel_prevents_fire_and_is_idempotent_after_fire(backend):
     fired = []
     node = backend.nodes[0]
-    cancelled = node.set_timer(TICK, fired.append, "cancelled")
-    kept = node.set_timer(TICK, fired.append, "kept")
+    assert node.set_timer(TICK, fired.append, ("plain",)) is None
+    cancelled = node.set_timer(TICK, fired.append, ("cancelled",), cancellable=True)
+    kept = node.set_timer(TICK, fired.append, ("kept",), cancellable=True)
     node.cancel(cancelled)
     run_ticks(backend, 2)
-    assert fired == ["kept"]
+    assert fired == ["plain", "kept"]
     # Cancelling a handle whose timer already fired must be a no-op.
     node.cancel(kept)
+    node.cancel(cancelled)
     run_ticks(backend, 1)
-    assert fired == ["kept"]
+    assert fired == ["plain", "kept"]
+
+
+def test_cancelling_a_non_handle_raises(backend):
+    node = backend.nodes[0]
+    # A handle-free timer returns None; cancelling that, or anything else
+    # that is not a handle, is a call-site bug and must be loud.
+    for not_a_handle in (node.set_timer(TICK, lambda: None), "timer", 7):
+        with pytest.raises(SimulationError, match="cancellable=True"):
+            node.cancel(not_a_handle)
+        with pytest.raises(SimulationError, match="cancellable=True"):
+            backend.sim.cancel(not_a_handle)
 
 
 def test_crash_suppresses_timers_across_recovery(backend):
     fired = []
     node = backend.nodes[0]
-    node.set_timer(4 * TICK, fired.append, "old-epoch")
+    node.set_timer(4 * TICK, fired.append, ("old-epoch",))
     run_ticks(backend, 1)  # advances ~2 ticks: still before the deadline
     node.crash()
     assert node.crashed and node.ever_crashed and node.crash_count == 1
     # While down: arming is refused (None handle, nothing scheduled).
-    assert node.set_timer(TICK, fired.append, "while-down") is None
+    assert node.set_timer(TICK, fired.append, ("while-down",)) is None
     node.recover()
     assert not node.crashed
     # The pre-crash timer belongs to the dead epoch: it must never fire,
@@ -108,7 +165,7 @@ def test_crash_suppresses_timers_across_recovery(backend):
     run_ticks(backend, 3)
     assert fired == []
     # The new incarnation's timers work.
-    node.set_timer(TICK, fired.append, "new-epoch")
+    node.set_timer(TICK, fired.append, ("new-epoch",))
     run_ticks(backend, 2)
     assert fired == ["new-epoch"]
 
@@ -128,7 +185,7 @@ def test_crash_and_recover_hooks_fire(backend):
 def test_execute_defers(backend):
     ran = []
     node = backend.nodes[0]
-    node.execute(0.0, ran.append, "deferred")
+    node.execute(0.0, ran.append, ("deferred",))
     assert ran == []  # must not run synchronously inside execute()
     run_ticks(backend, 1)
     assert ran == ["deferred"]
@@ -138,7 +195,7 @@ def test_execute_dropped_on_crashed_node(backend):
     ran = []
     node = backend.nodes[0]
     node.crash()
-    node.execute(0.0, ran.append, "never")
+    node.execute(0.0, ran.append, ("never",))
     run_ticks(backend, 1)
     assert ran == []
 
@@ -190,7 +247,7 @@ def test_scheduler_clock_and_counters(backend):
     sim = backend.sim
     t0 = sim.now
     e0 = sim.events_processed
-    sim.schedule_fast(TICK, lambda: None)
+    sim.schedule(TICK, lambda: None)
     run_ticks(backend, 1)
     assert sim.now >= t0 + TICK
     assert sim.events_processed > e0
@@ -211,12 +268,12 @@ def test_injector_crash_suppresses_timers_and_recover_rearms(backend):
     injector = make_injector(backend)
     fired = []
     node = backend.nodes[0]
-    node.set_timer(3 * TICK, fired.append, "old-epoch")
+    node.set_timer(3 * TICK, fired.append, ("old-epoch",))
     injector.crash(0)
     run_ticks(backend, 4)
     assert fired == []  # pre-crash timer died with its epoch
     injector.recover(0)
-    node.set_timer(TICK, fired.append, "new-epoch")
+    node.set_timer(TICK, fired.append, ("new-epoch",))
     run_ticks(backend, 2)
     assert fired == ["new-epoch"]  # the recovered incarnation re-arms
     assert [record.kind for record in injector.records] == ["crash", "recover"]

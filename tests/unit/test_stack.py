@@ -122,9 +122,9 @@ class TestBlockedCalls:
         st = sys_.stack(0)
         echo = st.add_module(Echo(st), bind=False)
         listener = st.add_module(Listener(st))
-        sys_.sim.schedule_at(0.0, listener.call, "echo", "ping", 0)
-        sys_.sim.schedule_at(0.99999, listener.call, "echo", "ping", 1)
-        sys_.sim.schedule_at(1.0, st.bind, "echo", echo)
+        sys_.sim.schedule_at(0.0, listener.call, ("echo", "ping", 0))
+        sys_.sim.schedule_at(0.99999, listener.call, ("echo", "ping", 1))
+        sys_.sim.schedule_at(1.0, st.bind, ("echo", echo))
         sys_.run()
         assert echo.calls == [0, 1]
         assert st.blocked_call_count("echo") == 0
@@ -403,8 +403,8 @@ class TestBatchedDrain:
             st.issue_call(None, "echo", "ping", (i,))
         sys_.run()
         interleaved = []
-        sys_.sim.schedule_at(1.0, st.bind, "echo", echo)
-        sys_.sim.schedule_at(1.0, interleaved.append, "bystander")
+        sys_.sim.schedule_at(1.0, st.bind, ("echo", echo))
+        sys_.sim.schedule_at(1.0, interleaved.append, ("bystander",))
         before = st.machine.tasks_executed
         sys_.run()
         assert echo.calls == [0, 1, 2]

@@ -107,7 +107,7 @@ class TestSlottedRecords:
 
     def test_get_covers_slots_and_detail(self):
         tr = TraceRecorder()
-        tr.record(1.0, TraceKind.RECOVER, 2, epoch=3)
+        tr.record(1.0, TraceKind.RECOVER, 2, detail={"epoch": 3})
         tr.record(2.0, TraceKind.RESPONSE, 2, service="s", event="pong")
         recover, response = tr.events
         assert recover.get("epoch") == 3
