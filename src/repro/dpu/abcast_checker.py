@@ -68,11 +68,12 @@ def check_validity(
 ) -> List[str]:
     """Correct senders must deliver their own messages."""
     exempt = in_flight_ok or set()
+    delivered = {stack_id: log.delivered_set(stack_id) for stack_id in log.deliveries}
     violations = []
     for key, (sender, t_send) in log.sends.items():
         if sender in crashed or key in exempt:
             continue
-        if key not in log.delivered_set(sender):
+        if key not in delivered.get(sender, ()):
             violations.append(
                 f"message {key!r} ABcast by correct stack {sender} at "
                 f"t={t_send:.6f} was never Adelivered by its sender"

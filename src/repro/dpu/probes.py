@@ -76,14 +76,21 @@ class DeliveryLog:
         """Set of keys Adelivered by *stack_id*."""
         return set(self.delivery_sequence(stack_id))
 
-    def delivery_times(self, key: Hashable) -> Dict[int, Time]:
-        """``stack -> delivery time`` for one message key."""
-        out: Dict[int, Time] = {}
+    def first_delivery_times(self) -> Dict[Hashable, Dict[int, Time]]:
+        """``key -> {stack -> first delivery time}``, in one pass.
+
+        Each inner map lists stacks in :attr:`deliveries` order, which
+        the latency averages depend on to the last bit.
+        """
+        index: Dict[Hashable, Dict[int, Time]] = {}
         for stack_id, seq in self.deliveries.items():
-            for k, t in seq:
-                if k == key and stack_id not in out:
-                    out[stack_id] = t
-        return out
+            for key, t in seq:
+                times = index.get(key)
+                if times is None:
+                    index[key] = {stack_id: t}
+                elif stack_id not in times:
+                    times[stack_id] = t
+        return index
 
 
 def is_workload_key(key: Hashable) -> bool:

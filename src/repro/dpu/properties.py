@@ -4,6 +4,9 @@ All checkers are pure functions over a recorded
 :class:`~repro.kernel.trace.TraceRecorder`; each returns a list of
 violation strings (empty = property holds on this trace) and has an
 ``assert_*`` twin raising :class:`~repro.errors.PropertyViolation`.
+Each reads only the record kinds its docstring names, through the
+recorder's per-kind index (:meth:`~repro.kernel.trace.TraceRecorder.of_kind`)
+— never the whole stream, whose per-call rows dominate a full trace.
 
 Finite-trace caveat: the *weak* properties are "eventually" properties.
 On a finite trace a pending obligation near the end may be an artefact of
@@ -37,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PropertyViolation
-from ..kernel.events import TraceKind
+from ..kernel.events import TraceKind, TraceRecord
 from ..kernel.service import WellKnown
 from ..kernel.trace import TraceRecorder
 from ..sim.clock import Time
@@ -70,14 +73,15 @@ def check_weak_stack_well_formedness(
     A blocked call on a stack that crashes at any point is exempt: a
     crashed stack makes no further calls and honours no obligations — the
     paper's properties quantify over non-crashed stacks, and an obligation
-    pending at the crash instant dies with the stack.
+    pending at the crash instant dies with the stack.  Reads
+    ``CALL_BLOCKED``, ``CALL_UNBLOCKED`` and ``CRASH`` records.
     """
     crashes = trace.crashes()
     blocked: Dict[Tuple[int, str], Time] = {}  # (stack, call_id) -> block time
-    for event in trace:
+    for event in trace.of_kind(TraceKind.CALL_BLOCKED, TraceKind.CALL_UNBLOCKED):
         if event.kind is TraceKind.CALL_BLOCKED:
             blocked[(event.stack_id, event.get("call_id"))] = event.time
-        elif event.kind is TraceKind.CALL_UNBLOCKED:
+        else:
             blocked.pop((event.stack_id, event.get("call_id")), None)
     violations = []
     for (stack_id, call_id), t in sorted(blocked.items(), key=lambda kv: kv[1]):
@@ -92,7 +96,8 @@ def check_weak_stack_well_formedness(
 
 
 def check_strong_stack_well_formedness(trace: TraceRecorder) -> List[str]:
-    """No call may ever block (the service must be bound at call time)."""
+    """No call may ever block (the service must be bound at call time);
+    reads ``CALL_BLOCKED`` records."""
     return [
         f"call {e.get('call_id')} on stack {e.stack_id} blocked at t={e.time:.6f} "
         f"(service {e.service!r} unbound)"
@@ -106,21 +111,30 @@ def check_strong_stack_well_formedness(trace: TraceRecorder) -> List[str]:
 def _module_presence(
     trace: TraceRecorder, protocol: str
 ) -> Dict[int, List[Tuple[Time, Time]]]:
-    """Per stack, the [added, removed) intervals of modules of *protocol*."""
+    """Per stack, the [added, removed) intervals of modules of *protocol*
+    (its ``MODULE_ADDED`` / ``MODULE_REMOVED`` records)."""
     open_since: Dict[Tuple[int, str], Time] = {}
     intervals: Dict[int, List[Tuple[Time, Time]]] = {}
-    for event in trace:
-        if event.protocol != protocol:
-            continue
+    for event in trace.of_kind(
+        TraceKind.MODULE_ADDED, TraceKind.MODULE_REMOVED, protocol=protocol
+    ):
         if event.kind is TraceKind.MODULE_ADDED:
             open_since[(event.stack_id, event.module)] = event.time
-        elif event.kind is TraceKind.MODULE_REMOVED:
+        else:
             start = open_since.pop((event.stack_id, event.module), None)
             if start is not None:
                 intervals.setdefault(event.stack_id, []).append((start, event.time))
     for (stack_id, _module), start in open_since.items():
         intervals.setdefault(stack_id, []).append((start, float("inf")))
     return intervals
+
+
+def _binds(
+    trace: TraceRecorder, protocol: str, stacks: Sequence[int]
+) -> List[TraceRecord]:
+    """The ``BIND`` records of *protocol* on *stacks*, in recording order."""
+    wanted = set(stacks)
+    return [e for e in trace.of_kind(TraceKind.BIND, protocol=protocol) if e.stack_id in wanted]
 
 
 def check_weak_protocol_operationability(
@@ -130,15 +144,12 @@ def check_weak_protocol_operationability(
     ignore_after: Optional[Time] = None,
 ) -> List[str]:
     """Whenever a module of *protocol* is bound on some stack, every
-    non-crashed stack in *stacks* must eventually contain such a module."""
+    non-crashed stack in *stacks* must eventually contain such a module.
+    Reads ``CRASH`` and *protocol*'s ``BIND`` / ``MODULE_*`` records."""
     crashes = trace.crashes()
     presence = _module_presence(trace, protocol)
-    binds = [
-        e for e in trace.of_kind(TraceKind.BIND)
-        if e.protocol == protocol and e.stack_id in set(stacks)
-    ]
     violations = []
-    for bind in binds:
+    for bind in _binds(trace, protocol, stacks):
         if ignore_after is not None and bind.time > ignore_after:
             continue
         for j in stacks:
@@ -162,15 +173,12 @@ def check_strong_protocol_operationability(
     stacks: Sequence[int],
 ) -> List[str]:
     """Whenever a module of *protocol* is bound on some stack, every
-    non-crashed stack in *stacks* must contain such a module *right then*."""
+    non-crashed stack in *stacks* must contain such a module *right then*.
+    Reads ``CRASH`` and *protocol*'s ``BIND`` / ``MODULE_*`` records."""
     crashes = trace.crashes()
     presence = _module_presence(trace, protocol)
-    binds = [
-        e for e in trace.of_kind(TraceKind.BIND)
-        if e.protocol == protocol and e.stack_id in set(stacks)
-    ]
     violations = []
-    for bind in binds:
+    for bind in _binds(trace, protocol, stacks):
         for j in stacks:
             crash_t = crashes.get(j)
             if crash_t is not None and crash_t <= bind.time:
@@ -202,7 +210,7 @@ def protocol_chains(
     a pipelined chain leaves in the kernel trace.  Re-binding the *same*
     module (registry requirement resolution) still counts as a chain
     step only when it targets *service*, which only the replacement layer
-    ever rebinds.
+    ever rebinds.  Reads ``BIND`` records.
     """
     wanted = set(stacks)
     chains: Dict[int, List[str]] = {s: [] for s in stacks}
@@ -222,7 +230,8 @@ def check_chain_agreement(
     order (correct stacks exactly; ever-crashed stacks as a subsequence).
 
     See :func:`repro.dpu.abcast_checker.chain_agreement_violations` for
-    the precise quantification.
+    the precise quantification.  Reads ``BIND`` records (through
+    :func:`protocol_chains`).
     """
     return chain_agreement_violations(
         protocol_chains(trace, stacks, service=service), crashed=crashed

@@ -15,8 +15,10 @@ column lists (plus a per-kind row index) instead of allocating a
 strings is a handful of ``list.append`` calls — no object header, no
 slot initialisation, no per-record GC tracking — which matters because
 structural tracing stays on during campaigns and sits directly on the
-kernel's dispatch path.  Records are materialised lazily, once, at query
-time (the analysis phase), and cached until the next append.
+kernel's dispatch path.  Records are built at query time, and only for
+the rows a query asks for: :meth:`TraceRecorder.of_kind` reads the
+per-kind row index, so the property checkers never touch the per-call
+firehose of a full trace.
 
 Hot-path contract with :class:`~repro.kernel.stack.Stack`: the stack
 caches per-kind "wants" flags (see :meth:`TraceRecorder.wants`) at
@@ -72,7 +74,6 @@ class TraceRecorder:
         "_event_names",
         "_details",
         "_kind_rows",
-        "_records",
     )
 
     def __init__(
@@ -98,8 +99,6 @@ class TraceRecorder:
         #: ``of_kind`` and the checkers that call it stop scanning the
         #: full stream.
         self._kind_rows: Dict[TraceKind, List[int]] = {}
-        #: Lazily materialised records, invalidated on append/clear.
-        self._records: Optional[List[TraceRecord]] = None
         #: Live subscribers called on each recorded event (e.g. online checkers).
         self.subscribers: List[Callable[[TraceRecord], None]] = []
 
@@ -155,7 +154,6 @@ class TraceRecorder:
         if rows is None:
             rows = self._kind_rows[kind] = []
         rows.append(row)
-        self._records = None
         if self.subscribers:
             record = self._row(row)
             for sub in self.subscribers:
@@ -165,7 +163,7 @@ class TraceRecorder:
     # Materialisation
     # ------------------------------------------------------------------ #
     def _row(self, i: int) -> TraceRecord:
-        """Materialise row *i* as a :class:`TraceRecord`."""
+        """Build row *i* as a :class:`TraceRecord`."""
         detail = self._details[i]
         if detail is not None:
             return TraceRecord(
@@ -180,13 +178,6 @@ class TraceRecorder:
             self._methods[i], self._call_ids[i], self._event_names[i],
         )
 
-    def _materialise(self) -> List[TraceRecord]:
-        """All rows as records, built once and cached until the next append."""
-        records = self._records
-        if records is None:
-            records = self._records = [self._row(i) for i in range(len(self._times))]
-        return records
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -194,45 +185,39 @@ class TraceRecorder:
         return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._materialise())
+        return iter(self.events)
 
     @property
     def events(self) -> List[TraceRecord]:
-        """The materialised record list (do not mutate)."""
-        return self._materialise()
+        """Every record, in recording order (a new list on each access)."""
+        return [self._row(i) for i in range(len(self._times))]
 
-    def of_kind(self, *kinds: TraceKind) -> List[TraceRecord]:
+    def of_kind(
+        self, *kinds: TraceKind, protocol: Optional[str] = None
+    ) -> List[TraceRecord]:
         """Records whose kind is one of *kinds*, in recording order.
 
-        Row indices are recording order, so a multi-kind query is a
-        sorted merge of the per-kind row lists — no full-stream scan
-        either way.
+        When *protocol* is given, only records of that protocol.  Row
+        indices are recording order, so a multi-kind query is a sorted
+        merge of the per-kind row lists, and records are built only for
+        the rows returned — never a full-stream scan.
         """
-        if len(kinds) == 1:
-            rows = self._kind_rows.get(kinds[0])
-            if not rows:
-                return []
-            records = self._materialise()
-            return [records[i] for i in rows]
         lists = [r for r in (self._kind_rows.get(k) for k in set(kinds)) if r]
         if not lists:
             return []
-        if len(lists) == 1:
-            merged = lists[0]
-        else:
-            merged = sorted(row for rows in lists for row in rows)
-        records = self._materialise()
-        return [records[i] for i in merged]
+        rows = lists[0] if len(lists) == 1 else sorted(i for r in lists for i in r)
+        if protocol is not None:
+            protocols = self._protocols
+            rows = [i for i in rows if protocols[i] == protocol]
+        return [self._row(i) for i in rows]
 
     def for_stack(self, stack_id: int) -> List[TraceRecord]:
         """Records of a single stack, in time order."""
-        records = self._materialise()
-        return [records[i] for i, s in enumerate(self._stacks) if s == stack_id]
+        return [self._row(i) for i, s in enumerate(self._stacks) if s == stack_id]
 
     def for_service(self, service: str) -> List[TraceRecord]:
         """Records mentioning *service*, in time order."""
-        records = self._materialise()
-        return [records[i] for i, s in enumerate(self._services) if s == service]
+        return [self._row(i) for i, s in enumerate(self._services) if s == service]
 
     def crashes(self) -> Dict[int, Time]:
         """Map of ``stack_id -> crash time`` for stacks that crashed.
@@ -273,7 +258,6 @@ class TraceRecorder:
         self._event_names.clear()
         self._details.clear()
         self._kind_rows.clear()
-        self._records = None
 
 
 class _NullTraceRecorder(TraceRecorder):

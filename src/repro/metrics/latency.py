@@ -7,13 +7,16 @@ the average of t_i(m) for all machines (stacks) i."
 
 All functions operate on a :class:`~repro.dpu.probes.DeliveryLog`; times
 are simulated seconds (convert for display with
-:func:`repro.sim.clock.to_ms` — the paper plots milliseconds).
+:func:`repro.sim.clock.to_ms` — the paper plots milliseconds).  A series
+reads the log's one-pass delivery index
+(:meth:`~repro.dpu.probes.DeliveryLog.first_delivery_times`), not one
+scan of every delivery per message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +32,17 @@ __all__ = [
 ]
 
 
+def _average_latency(
+    times: Dict[int, Time], t_send: Time, stacks: Optional[Sequence[int]]
+) -> Optional[float]:
+    """Mean of ``t - t_send`` over *times* (restricted to *stacks*)."""
+    if stacks is not None:
+        times = {s: t for s, t in times.items() if s in stacks}
+    if not times:
+        return None
+    return float(np.mean([t - t_send for t in times.values()]))
+
+
 def message_latency(
     log: DeliveryLog, key: Hashable, stacks: Optional[Sequence[int]] = None
 ) -> Optional[float]:
@@ -39,13 +53,8 @@ def message_latency(
     (used to exclude crashed machines, as the paper's averaging
     implicitly does).
     """
-    sender, t_send = log.sends[key]
-    times = log.delivery_times(key)
-    if stacks is not None:
-        times = {s: t for s, t in times.items() if s in stacks}
-    if not times:
-        return None
-    return float(np.mean([t - t_send for t in times.values()]))
+    _sender, t_send = log.sends[key]
+    return _average_latency(log.first_delivery_times().get(key, {}), t_send, stacks)
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,10 @@ def latency_series(
     Messages never delivered anywhere are skipped (they would have
     infinite latency; the property checkers report them separately).
     """
+    index = log.first_delivery_times()
     points = []
     for key, (_sender, t_send) in log.sends.items():
-        lat = message_latency(log, key, stacks)
+        lat = _average_latency(index.get(key, {}), t_send, stacks)
         if lat is not None:
             points.append(LatencyPoint(key=key, send_time=t_send, latency=lat))
     points.sort(key=lambda p: p.send_time)

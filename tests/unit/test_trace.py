@@ -89,6 +89,23 @@ class TestQueries:
             wanted = set(kinds)
             assert tr.of_kind(*kinds) == [e for e in tr if e.kind in wanted]
 
+    def test_of_kind_protocol_filter(self):
+        tr = TraceRecorder()
+        tr.record(1.0, TraceKind.MODULE_ADDED, 0, None, "a", "p")
+        tr.record(2.0, TraceKind.BIND, 0, "s", "a", "p")
+        tr.record(3.0, TraceKind.MODULE_ADDED, 1, None, "b", "q")
+        tr.record(4.0, TraceKind.MODULE_REMOVED, 0, None, "a", "p")
+        assert [e.time for e in tr.of_kind(
+            TraceKind.MODULE_ADDED, TraceKind.MODULE_REMOVED, protocol="p"
+        )] == [1.0, 4.0]
+        assert tr.of_kind(TraceKind.BIND, protocol="q") == []
+
+    def test_queries_build_fresh_records(self):
+        tr = self._populate()
+        assert tr.events == tr.events and tr.events is not tr.events
+        tr.record(5.0, TraceKind.BIND, 2, service="c")
+        assert len(tr.events) == len(list(tr)) == 5
+
     def test_wants_reflects_keep_filter(self):
         assert TraceRecorder().wants(TraceKind.CALL)
         filtered = TraceRecorder(keep=[TraceKind.CRASH])
