@@ -100,6 +100,10 @@ class Module:
         protocol: Optional[str] = None,
     ) -> None:
         self.stack = stack
+        #: Rank of the hosting stack (= machine id = network address).  A
+        #: plain attribute, fixed for the module's lifetime: it is read on
+        #: every datagram and dispatch.
+        self.stack_id: int = stack.stack_id
         self.provides: Tuple[str, ...] = tuple(provides if provides is not None else self.PROVIDES)
         self.requires: Tuple[str, ...] = tuple(requires if requires is not None else self.REQUIRES)
         self.protocol: str = protocol if protocol is not None else (self.PROTOCOL or type(self).__name__)
@@ -162,7 +166,7 @@ class Module:
     # ------------------------------------------------------------------ #
     def call(self, service: str, method: str, *args: Any, cost: Optional[float] = None) -> None:
         """Issue a service call (one-way, dispatched to the bound provider)."""
-        self.stack.issue_call(self, service, method, args, cost=cost)
+        self.stack.issue_call(self, service, method, args, cost)
 
     def respond(self, service: str, event: str, *args: Any, cost: Optional[float] = None) -> None:
         """Emit a response event on a service this module provides.
@@ -171,7 +175,7 @@ class Module:
         Section 2: "a module Qi can respond to a service call even if Qi
         has been unbound").
         """
-        self.stack.issue_response(self, service, event, args, cost=cost)
+        self.stack.issue_response(self, service, event, args, cost)
 
     def query(self, service: str, query: str, *args: Any) -> Any:
         """Synchronously query the module bound to *service*."""
@@ -236,11 +240,6 @@ class Module:
     def now(self) -> float:
         """Current runtime time (simulated or wall-clock seconds)."""
         return self.stack.sim.now
-
-    @property
-    def stack_id(self) -> int:
-        """Rank of the hosting stack (= machine id = network address)."""
-        return self.stack.stack_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} provides={self.provides}>"

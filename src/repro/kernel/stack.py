@@ -37,11 +37,12 @@ through it), so the common case — bound service, no blocked-call backlog
   does dispatch fall back to the per-service slow path;
 * trace recording is **opt-out**: per-kind flags cached from the
   recorder's ``keep`` filter plus a live ``enabled`` check mean a
-  trace-off call never packs record kwargs (``Stack(machine)`` and
+  trace-off call never packs a record (``Stack(machine)`` and
   ``Stack(machine, trace=False)`` use the shared
-  :data:`~repro.kernel.trace.NULL_TRACE` sink);
-* call ids materialise as strings lazily, only when a record that carries
-  them is actually kept;
+  :data:`~repro.kernel.trace.NULL_TRACE` sink); a kept record is one
+  positional ``record`` call carrying the call's int seq, which the
+  recorder renders as ``"<stack>:<seq>"`` only when a query builds the
+  record;
 * response fan-out is served from a cached per ``(service, event)``
   subscriber list, invalidated when the module set changes.
 
@@ -109,6 +110,7 @@ class Stack:
 
     __slots__ = (
         "machine",
+        "stack_id",
         "backend",
         "restart_completed_at",
         "restart_completed_epoch",
@@ -149,6 +151,10 @@ class Stack:
         max_buffered_responses: Optional[int] = None,
     ) -> None:
         self.machine = machine
+        #: Rank of this stack (= machine id = network address).  A plain
+        #: slot, fixed for the stack's lifetime: every dispatch and trace
+        #: record reads it.
+        self.stack_id: int = machine.machine_id
         #: The runtime seam modules reach timers through (``Module.set_timer``
         #: routes here).  Today the backend *is* the machine — the alias
         #: exists so kernel and module code never name the concrete class.
@@ -204,11 +210,6 @@ class Stack:
     # ------------------------------------------------------------------ #
     # Identity / convenience
     # ------------------------------------------------------------------ #
-    @property
-    def stack_id(self) -> int:
-        """Rank of this stack (= machine id = network address)."""
-        return self.machine.machine_id
-
     @property
     def sim(self) -> "Scheduler":
         """The scheduler the hosting node runs on (the simulator in the
@@ -384,13 +385,9 @@ class Stack:
         trace = self.trace
         if self._trace_call and trace.enabled:
             trace.record(
-                self._sim.now,
-                TraceKind.CALL,
-                self.stack_id,
-                service=service,
-                module=caller.name if caller is not None else "<external>",
-                method=method,
-                call_id=f"{self.stack_id}:{seq}",
+                self._sim.now, TraceKind.CALL, self.stack_id, service,
+                caller.name if caller is not None else "<external>", None,
+                method, seq,
             )
         machine.execute(
             self.call_cost if cost is None else cost,
@@ -413,14 +410,8 @@ class Stack:
                 if self._trace_dispatch and trace.enabled:
                     provider = entry[0]
                     trace.record(
-                        self._sim.now,
-                        TraceKind.CALL_DISPATCHED,
-                        self.stack_id,
-                        service=service,
-                        module=provider.name,
-                        protocol=provider.protocol,
-                        method=method,
-                        call_id=f"{self.stack_id}:{seq}",
+                        self._sim.now, TraceKind.CALL_DISPATCHED, self.stack_id,
+                        service, provider.name, provider.protocol, method, seq,
                     )
                 entry[1](*args)
                 return
@@ -438,13 +429,8 @@ class Stack:
             trace = self.trace
             if self._trace_blocked and trace.enabled:
                 trace.record(
-                    self._sim.now,
-                    TraceKind.CALL_BLOCKED,
-                    self.stack_id,
-                    service=service,
-                    module=caller_name,
-                    method=method,
-                    call_id=f"{self.stack_id}:{seq}",
+                    self._sim.now, TraceKind.CALL_BLOCKED, self.stack_id,
+                    service, caller_name, None, method, seq,
                 )
             if provider is not None:
                 # The drain chain scheduled by the bind stops at the queue
@@ -472,14 +458,8 @@ class Stack:
         trace = self.trace
         if self._trace_dispatch and trace.enabled:
             trace.record(
-                self._sim.now,
-                TraceKind.CALL_DISPATCHED,
-                self.stack_id,
-                service=service,
-                module=provider.name,
-                protocol=provider.protocol,
-                method=method,
-                call_id=f"{self.stack_id}:{seq}",
+                self._sim.now, TraceKind.CALL_DISPATCHED, self.stack_id,
+                service, provider.name, provider.protocol, method, seq,
             )
         handler(*args)
 
@@ -524,13 +504,8 @@ class Stack:
                 self._blocked_time_total += sim.now - blocked_at
             if self._trace_unblocked and trace.enabled:
                 trace.record(
-                    sim.now,
-                    TraceKind.CALL_UNBLOCKED,
-                    self.stack_id,
-                    service=service,
-                    module=caller_name,
-                    method=method,
-                    call_id=f"{self.stack_id}:{seq}",
+                    sim.now, TraceKind.CALL_UNBLOCKED, self.stack_id,
+                    service, caller_name, None, method, seq,
                 )
             if queue:
                 peek = sim.peek_time()
@@ -636,13 +611,8 @@ class Stack:
         trace = self.trace
         if self._trace_response and trace.enabled:
             trace.record(
-                self._sim.now,
-                TraceKind.RESPONSE,
-                self.stack_id,
-                service=service,
-                module=provider.name,
-                protocol=provider.protocol,
-                event=event,
+                self._sim.now, TraceKind.RESPONSE, self.stack_id, service,
+                provider.name, provider.protocol, None, None, event,
             )
         machine.execute(
             self.response_cost if cost is None else cost,
@@ -693,13 +663,8 @@ class Stack:
             trace = self.trace
             if self._trace_response_buffered and trace.enabled:
                 trace.record(
-                    self._sim.now,
-                    TraceKind.RESPONSE_BUFFERED,
-                    self.stack_id,
-                    service=service,
-                    module=provider_name,
-                    protocol=provider_protocol,
-                    event=event,
+                    self._sim.now, TraceKind.RESPONSE_BUFFERED, self.stack_id,
+                    service, provider_name, provider_protocol, None, None, event,
                 )
 
     def _flush_buffered_responses(self, new_module: Module) -> None:

@@ -20,6 +20,13 @@ the rows a query asks for: :meth:`TraceRecorder.of_kind` reads the
 per-kind row index, so the property checkers never touch the per-call
 firehose of a full trace.
 
+The columns are kept on evidence (``benchmarks/e2e`` ``sim-fulltrace-log``,
+three alternating pairs on a 2-vCPU host): one list of per-row tuples
+was ~8 % slower (``pass_cost`` 4.44 → 4.79 ref, +2.4 MiB peak RSS) —
+each retained tuple is a GC-tracked object, ~34 k per cell — and one
+flat list extended by the ten fields per record was neutral (B/A 0.985,
+inside the columnar runs' quartile spread).
+
 Hot-path contract with :class:`~repro.kernel.stack.Stack`: the stack
 caches per-kind "wants" flags (see :meth:`TraceRecorder.wants`) at
 construction and re-checks only the cheap :attr:`enabled` attribute per
@@ -92,7 +99,7 @@ class TraceRecorder:
         self._modules: List[Optional[str]] = []
         self._protocols: List[Optional[str]] = []
         self._methods: List[Optional[str]] = []
-        self._call_ids: List[Optional[str]] = []
+        self._call_ids: List[Optional[int]] = []  # stack-local call seq
         self._event_names: List[Optional[str]] = []
         self._details: List[Optional[Mapping[str, Any]]] = []
         #: Per-kind row indices (mirrors the old per-kind record index):
@@ -122,17 +129,20 @@ class TraceRecorder:
         module: Optional[str] = None,
         protocol: Optional[str] = None,
         method: Optional[str] = None,
-        call_id: Optional[str] = None,
+        call_id: Optional[int] = None,
         event: Optional[str] = None,
         detail: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Record one event (a no-op when disabled or filtered out).
 
-        Every field lands in its named slot; *detail* is the record's
+        Every field lands in its named slot; *call_id* is the call's
+        stack-local int seq, rendered as ``"<stack_id>:<seq>"`` in the
+        built :attr:`~TraceRecord.call_id`.  *detail* is the record's
         :attr:`~TraceRecord.detail` mapping, passed as a dict by the few
         kinds that carry one (``module_added``, ``recover``, ...).  The
         signature deliberately has no ``**kwargs``: the kernel records
-        per dispatch, and CPython would build a kwargs dict per call.
+        per dispatch, positionally, and CPython would build a kwargs dict
+        per call.
         """
         if not self.enabled:
             return
@@ -163,19 +173,19 @@ class TraceRecorder:
     # Materialisation
     # ------------------------------------------------------------------ #
     def _row(self, i: int) -> TraceRecord:
-        """Build row *i* as a :class:`TraceRecord`."""
-        detail = self._details[i]
-        if detail is not None:
-            return TraceRecord(
-                self._times[i], self._kinds[i], self._stacks[i],
-                self._services[i], self._modules[i], self._protocols[i],
-                self._methods[i], self._call_ids[i], self._event_names[i],
-                detail,
-            )
+        """Build row *i* as a :class:`TraceRecord`.
+
+        The ``call_id`` column holds the stack-local call seq; the record
+        carries it rendered as ``"<stack>:<seq>"``.
+        """
+        stack_id = self._stacks[i]
+        call_id = self._call_ids[i]
         return TraceRecord(
-            self._times[i], self._kinds[i], self._stacks[i],
+            self._times[i], self._kinds[i], stack_id,
             self._services[i], self._modules[i], self._protocols[i],
-            self._methods[i], self._call_ids[i], self._event_names[i],
+            self._methods[i],
+            None if call_id is None else f"{stack_id}:{call_id}",
+            self._event_names[i], self._details[i],
         )
 
     # ------------------------------------------------------------------ #

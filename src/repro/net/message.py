@@ -31,9 +31,20 @@ RP2P_HEADER_BYTES = 12
 _msg_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NetMessage:
     """One datagram in flight.
+
+    Slotted, not ``frozen``: one is built per datagram, and a frozen
+    dataclass's ``__init__`` stores every field through
+    ``object.__setattr__`` — several times the cost of a slotted class
+    built positionally.  Two consequences follow:
+
+    * immutability is a convention — no code assigns to a message field;
+      derive a changed copy with :func:`dataclasses.replace` (which keeps
+      :attr:`msg_id`), as the corruption path does;
+    * a message is unhashable (``eq`` without ``frozen``); nothing keys a
+      set or dict by message.
 
     Attributes
     ----------
@@ -51,7 +62,7 @@ class NetMessage:
     dst: int
     payload: Any
     size_bytes: int
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
+    msg_id: int = field(default_factory=_msg_counter.__next__)
 
     def __post_init__(self) -> None:
         if self.size_bytes < 0:

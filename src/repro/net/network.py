@@ -295,7 +295,9 @@ class SimNetwork(Transport):
         sender = self._machines.get(src)
         if sender is None:
             raise UnknownDestinationError(f"no machine with id {src}")
-        if sender.crashed:
+        # _crashed_at, not the crashed property: the per-datagram read the
+        # kernel makes too (see the co-design note in Stack.issue_call).
+        if sender._crashed_at is not None:
             return  # a crashed machine sends nothing
         self._c_sent += 1
         self._c_bytes_sent += message.size_bytes
@@ -368,7 +370,7 @@ class SimNetwork(Transport):
     # ------------------------------------------------------------------ #
     def _deliver(self, message: NetMessage) -> None:
         receiver = self._machines[message.dst]
-        if receiver.crashed:
+        if receiver._crashed_at is not None:
             self._c_dropped_crashed_receiver += 1
             return
         hook = self._hooks.get(message.dst)

@@ -66,13 +66,11 @@ class UdpModule(Module):
     # Outbound
     # ------------------------------------------------------------------ #
     def _send(self, dst: int, payload: Any, size_bytes: int) -> None:
-        message = NetMessage(
-            src=self.stack_id,
-            dst=dst,
-            payload=payload,
-            size_bytes=size_bytes + UDP_HEADER_BYTES,
-        )
-        if dst == self.stack_id:
+        src = self.stack_id
+        # Positional: one construction per datagram (the kwargs form is
+        # measurably slower on this path).
+        message = NetMessage(src, dst, payload, size_bytes + UDP_HEADER_BYTES)
+        if dst == src:
             # Loopback: skip NIC and LAN, but still cost a receive.
             self.network.send_local(message)
             return

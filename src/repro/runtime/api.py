@@ -140,7 +140,8 @@ class NodeBackend(ABC):
         Hook lists invoked with the crash/recovery instant (the kernel's
         restart protocol hangs off ``on_recover``).
     _crashed_at / _busy_until:
-        The two internals the kernel dispatch fast path reads directly:
+        The two internals the kernel dispatch fast path (and, for the
+        crash instant, both transports' per-datagram path) reads directly:
         crash instant (``None`` while up) and the CPU-drain instant (any
         value ``<= sim.now`` means idle; backends without a modelled CPU
         never move it past ``sim.now``).

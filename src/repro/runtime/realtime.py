@@ -421,8 +421,7 @@ class RealtimeUdpTransport(Transport):
             self._c_dropped_unknown += 1
             return
         self._c_received += 1
-        hook(NetMessage(src=src, dst=dst, payload=payload,
-                        size_bytes=size_bytes), self.sim.now)
+        hook(NetMessage(src, dst, payload, size_bytes), self.sim.now)
 
     def stats(self) -> Dict[str, int]:
         """Datagram counters, dict-shaped like ``SimNetwork.stats()``."""

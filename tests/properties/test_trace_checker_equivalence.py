@@ -27,7 +27,7 @@ STACKS = (0, 1, 2, 3)
 SERVICES = ("abcast", "svc", None)
 MODULES = ("m0", "m1", "m2")
 PROTOCOLS = ("p", "q", None)
-CALL_IDS = ("0:1", "0:2", "1:1", None)
+CALL_IDS = (1, 2, 3, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -237,7 +237,7 @@ def test_hand_built_trace_with_every_special_case():
         (0.6, TraceKind.CRASH, 2),
     ):
         trace.record(*row)
-    trace.record(0.7, TraceKind.CALL_BLOCKED, 3, "svc", None, None, None, "3:1")
+    trace.record(0.7, TraceKind.CALL_BLOCKED, 3, "svc", None, None, None, 1)
     assert check_weak_stack_well_formedness(trace) == [
         "call 3:1 on stack 3 blocked at t=0.700000 and never released"
     ]

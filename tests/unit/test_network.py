@@ -1,9 +1,12 @@
 """Unit tests: the simulated switched LAN."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import NetworkError, UnknownDestinationError
 from repro.net import NetMessage, SimNetwork, SwitchedLan, estimate_payload_size
+from repro.runtime.codec import decode_value, encode_value
 from repro.sim import ConstantLatency, Machine
 
 
@@ -14,14 +17,40 @@ def make_net(sim, n=3, **lan_kwargs):
 
 
 class TestMessage:
+    """The slotted (not frozen) ``NetMessage``: what callers may rely on."""
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             NetMessage(0, 1, "p", -1)
+        with pytest.raises(ValueError):
+            NetMessage(src=0, dst=1, payload="p", size_bytes=-1)
 
     def test_msg_ids_unique(self):
         a = NetMessage(0, 1, "p", 10)
         b = NetMessage(0, 1, "p", 10)
         assert a.msg_id != b.msg_id
+
+    def test_slotted_no_instance_dict(self):
+        assert not hasattr(NetMessage(0, 1, "p", 10), "__dict__")
+
+    def test_positional_equals_keyword(self):
+        positional = NetMessage(0, 1, ("p", 2), 10, 99)
+        keyword = NetMessage(src=0, dst=1, payload=("p", 2), size_bytes=10, msg_id=99)
+        assert positional == keyword
+        assert repr(positional) == repr(keyword)
+
+    def test_replace_keeps_msg_id(self):
+        original = NetMessage(0, 1, "p", 10)
+        changed = dataclasses.replace(original, payload="q")
+        assert changed.msg_id == original.msg_id
+        assert (changed.src, changed.dst, changed.payload, changed.size_bytes) == (
+            0, 1, "q", 10
+        )
+        assert original.payload == "p"
+
+    def test_codec_round_trip(self):
+        message = NetMessage(2, 0, ("frame", 7, b"\x00\x01"), 64)
+        assert decode_value(encode_value(message)) == message
 
 
 class TestEstimateSize:

@@ -24,14 +24,14 @@ def trace_of(*events):
 class TestWeakWellFormedness:
     def test_released_block_is_fine(self):
         tr = trace_of(
-            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:1")),
-            (2.0, TraceKind.CALL_UNBLOCKED, 0, dict(service="s", call_id="0:1")),
+            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=1)),
+            (2.0, TraceKind.CALL_UNBLOCKED, 0, dict(service="s", call_id=1)),
         )
         assert check_weak_stack_well_formedness(tr) == []
 
     def test_permanent_block_is_violation(self):
         tr = trace_of(
-            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:1")),
+            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=1)),
         )
         violations = check_weak_stack_well_formedness(tr)
         assert len(violations) == 1 and "0:1" in violations[0]
@@ -39,14 +39,14 @@ class TestWeakWellFormedness:
     def test_block_on_crashed_stack_exempt(self):
         tr = trace_of(
             (0.5, TraceKind.CRASH, 0, {}),
-            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:1")),
+            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=1)),
         )
         assert check_weak_stack_well_formedness(tr) == []
 
     def test_block_before_crash_exempt_too(self):
         # The stack crashed after blocking: the obligation dies with it.
         tr = trace_of(
-            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:1")),
+            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=1)),
             (2.0, TraceKind.CRASH, 0, {}),
         )
         # The paper's properties quantify over non-crashed stacks: an
@@ -55,13 +55,13 @@ class TestWeakWellFormedness:
 
     def test_ignore_after_horizon(self):
         tr = trace_of(
-            (9.5, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:9")),
+            (9.5, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=9)),
         )
         assert check_weak_stack_well_formedness(tr, ignore_after=9.0) == []
 
     def test_assertion_twin_raises(self):
         tr = trace_of(
-            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:1")),
+            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=1)),
         )
         with pytest.raises(PropertyViolation):
             assert_weak_stack_well_formedness(tr)
@@ -70,15 +70,15 @@ class TestWeakWellFormedness:
 class TestStrongWellFormedness:
     def test_any_block_is_violation(self):
         tr = trace_of(
-            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id="0:1")),
-            (2.0, TraceKind.CALL_UNBLOCKED, 0, dict(service="s", call_id="0:1")),
+            (1.0, TraceKind.CALL_BLOCKED, 0, dict(service="s", call_id=1)),
+            (2.0, TraceKind.CALL_UNBLOCKED, 0, dict(service="s", call_id=1)),
         )
         assert len(check_strong_stack_well_formedness(tr)) == 1
         with pytest.raises(PropertyViolation):
             assert_strong_stack_well_formedness(tr)
 
     def test_clean_trace_passes(self):
-        tr = trace_of((1.0, TraceKind.CALL, 0, dict(service="s", call_id="0:1")))
+        tr = trace_of((1.0, TraceKind.CALL, 0, dict(service="s", call_id=1)))
         assert check_strong_stack_well_formedness(tr) == []
 
 

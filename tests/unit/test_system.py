@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import KernelError
-from repro.kernel import Module, System
+from repro.experiments import GroupCommConfig, build_group_comm_system
+from repro.kernel import Module, Stack, System
+from repro.runtime import RealtimeBackend
+from repro.runtime.soak import SoakConfig, build_soak_system
 
 
 class Simple(Module):
@@ -76,3 +79,37 @@ class TestSystem:
         sys_.sim.schedule(0.5, lambda: None)
         sys_.run(until=1.0)
         assert sys_.sim.now == 1.0
+
+
+def _assert_identities(stacks):
+    assert stacks
+    for stack in stacks:
+        assert stack.stack_id == stack.machine.machine_id
+        assert stack.modules
+        for module in stack.modules.values():
+            assert module.stack_id == module.stack.stack_id == stack.machine.machine_id
+
+
+class TestIdentityAttributes:
+    """``stack_id`` is a plain attribute fixed at construction on both
+    ``Stack`` and ``Module``, equal to the hosting machine's id."""
+
+    def test_not_properties(self):
+        # The per-dispatch read must stay one attribute load: no property
+        # chain (Module -> Stack -> machine) may grow back.
+        assert not isinstance(getattr(Stack, "stack_id", None), property)
+        assert not isinstance(getattr(Module, "stack_id", None), property)
+
+    def test_group_comm_system(self):
+        gcs = build_group_comm_system(GroupCommConfig(n=3, seed=0, with_gm=True))
+        _assert_identities(gcs.stacks())
+
+    def test_realtime_soak_system(self):
+        config = SoakConfig(nodes=3, duration=0.5, health_port=None)
+        backend = RealtimeBackend(config.nodes, seed=0)
+        backend.start()
+        try:
+            soak = build_soak_system(config, backend)
+            _assert_identities(soak.backend.stacks)
+        finally:
+            backend.stop()

@@ -33,10 +33,20 @@ class TestRecording:
 
     def test_detail_access(self):
         tr = TraceRecorder()
-        tr.record(1.0, TraceKind.CALL, 0, service="s", call_id="0:1", method="go")
+        tr.record(1.0, TraceKind.CALL, 0, service="s", call_id=1, method="go")
         e = tr.events[0]
         assert e.get("call_id") == "0:1"
         assert e.get("missing", "dflt") == "dflt"
+
+    def test_call_id_rendered_from_stack_and_seq(self):
+        """record() takes the stack-local int seq; the built record
+        carries the ``"<stack>:<seq>"`` string through both accessors."""
+        tr = TraceRecorder()
+        tr.record(1.0, TraceKind.CALL, 3, service="s", method="go", call_id=7)
+        tr.record(2.0, TraceKind.BIND, 3, service="s")
+        call, bind = tr.events
+        assert call.call_id == call.get("call_id") == "3:7"
+        assert bind.call_id is None and bind.get("call_id", "dflt") == "dflt"
 
 
 class TestQueries:
@@ -116,7 +126,7 @@ class TestQueries:
 class TestSlottedRecords:
     def test_hot_fields_are_slots(self):
         tr = TraceRecorder()
-        tr.record(1.0, TraceKind.CALL, 0, service="s", method="go", call_id="0:1")
+        tr.record(1.0, TraceKind.CALL, 0, service="s", method="go", call_id=1)
         e = tr.events[0]
         assert (e.method, e.call_id, e.event) == ("go", "0:1", None)
         assert not hasattr(e, "__dict__")  # slotted: no per-record dict
