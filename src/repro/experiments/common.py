@@ -6,15 +6,21 @@ machine — UDP, RP2P, FD, CT (consensus), ABcast, Repl, GM — plus the
 substrate pieces the figure leaves implicit (reliable broadcast inside
 CT) and the measurement layer (load generator, delivery probe).
 
-Every experiment and most integration tests go through this builder, so
-its :class:`GroupCommConfig` is the single place where the simulation is
-calibrated.
+Every experiment, most integration tests and the realtime soak go
+through this builder, so its :class:`GroupCommConfig` is the single
+place where the simulation is calibrated.  It assembles the stack set on
+any :class:`~repro.runtime.api.Backend` — the simulated twin by default,
+the real-socket one for the soak.
+
+:func:`collect_rejoined` and :func:`pending_deliveries` are the one
+re-join rule and the one quiescence rule every drain uses: the simulated
+:meth:`GroupCommSystem.run_to_quiescence` and the soak's wall-clock drain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..abcast import CtAbcastModule, SequencerAbcastModule, TokenAbcastModule
 from ..baselines import (
@@ -34,8 +40,10 @@ from ..dpu.probes import is_workload_key
 from ..fd import HeartbeatFd
 from ..gm import GroupMembershipModule
 from ..kernel import STRUCTURAL_TRACE_KINDS, System, WellKnown
-from ..net import Rp2pModule, SimNetwork, SwitchedLan, UdpModule
+from ..net import Rp2pModule, SwitchedLan, UdpModule
 from ..rbcast import RBCAST_SERVICE, RbcastModule
+from ..runtime.api import Backend, Transport
+from ..runtime.sim_backend import SimBackend
 from ..sim.clock import Duration, ms, us
 from ..sim.latency import lan_latency
 from ..workload import FixedPayload, LoadGeneratorModule
@@ -44,6 +52,8 @@ __all__ = [
     "GroupCommConfig",
     "GroupCommSystem",
     "build_group_comm_system",
+    "collect_rejoined",
+    "pending_deliveries",
     "register_standard_protocols",
     "PROTOCOL_CT",
     "PROTOCOL_SEQ",
@@ -130,8 +140,13 @@ class GroupCommSystem:
     """A built system plus its measurement handles."""
 
     config: GroupCommConfig
-    system: System
-    network: SimNetwork
+    #: The runtime the stacks run on.
+    backend: Backend
+    #: The system surface the stacks, manager and checkers share: the
+    #: simulated :class:`~repro.kernel.system.System` on ``SimBackend``;
+    #: the realtime backend is its own (duck-typed) system.
+    system: Any
+    network: Transport
     log: DeliveryLog
     generators: List[LoadGeneratorModule]
     manager: Optional[ReplacementManager] = None
@@ -148,56 +163,98 @@ class GroupCommSystem:
         exempt: Sequence[int] = (),
         rejoined: Optional[Callable[[], Mapping[int, float]]] = None,
     ) -> None:
-        """Run until every correct stack has delivered everything outstanding
-        (or the budget of *extra* seconds is exhausted).
+        """Run until nothing is pending (:func:`pending_deliveries`) or
+        the budget of *extra* simulated seconds is exhausted.
 
         *exempt* stacks (known-faulty: crashed, churned, or isolated) are
-        held to no obligation; their sends only count once delivered
-        somewhere by a correct stack (mirroring uniform agreement).
-
-        *rejoined*, when given, is polled each step for the stacks whose
-        crash-recovery re-join handshake has completed (``stack ->
-        re-join instant``).  A rejoined stack's exemption narrows back:
-        its post-re-join sends become targets for everyone, and the
-        drain also waits for the rejoined stack itself to deliver every
-        message sent after its re-join instant.
+        held to no obligation.  *rejoined*, when given, is polled each
+        step for the stacks whose crash-recovery re-join handshake has
+        completed (``stack -> re-join instant``), which narrows their
+        exemption back.  Simulated backend only: the realtime soak
+        drains on the wall clock with the same rule.
         """
         exempt_set = set(exempt)
         deadline = self.system.sim.now + extra
         while self.system.sim.now < deadline:
             self.system.run(until=min(deadline, self.system.sim.now + step))
             rejoin_times = dict(rejoined()) if rejoined is not None else {}
-
-            def obliged(sender: int, t_send: float) -> bool:
-                if sender not in exempt_set:
-                    return True
-                return is_post_rejoin_send(sender, t_send, rejoin_times)
-
-            correct = [
-                s
-                for s in range(self.config.n)
-                if s not in exempt_set and not self.system.machine(s).ever_crashed
-            ]
-            targets = {
-                key
-                for key, (sender, t) in self.log.sends.items()
-                if obliged(sender, t)
-            }
-            for s in correct:
-                targets |= self.log.delivered_set(s)
-            done = all(targets <= self.log.delivered_set(s) for s in correct)
-            for r, t_rejoin in rejoin_times.items():
-                post_rejoin = {
-                    key
-                    for key, (sender, t) in self.log.sends.items()
-                    if t > t_rejoin and obliged(sender, t)
-                }
-                done = done and post_rejoin <= self.log.delivered_set(r)
-            if done:
+            if not pending_deliveries(self, exempt_set, rejoin_times):
                 return
 
     def stacks(self) -> List:
         return self.system.stacks
+
+
+def collect_rejoined(gcs: GroupCommSystem, kernel_marker: bool = False) -> Dict[int, float]:
+    """Stacks whose re-join completed for the incarnation that is still
+    up: ``stack -> re-join completion instant``.
+
+    The GM re-join handshake is the primary signal; stale handshakes are
+    discarded (a stack that crashed again after re-joining only counts
+    once its *current* incarnation completed the handshake).  With
+    *kernel_marker*, stacks lacking a GM handshake fall back to the
+    kernel's "restart complete" marker — the instant every module
+    re-armed in the new incarnation — so bare (no-GM) scenarios get the
+    narrowed recovery-liveness obligations too.  Without either signal a
+    recovered stack keeps the wide ever-crashed exemption.
+    """
+    out: Dict[int, float] = {}
+    for stack in gcs.system.stacks:
+        machine = stack.machine
+        if machine.crashed or not machine.ever_crashed:
+            continue
+        gm = stack.bound_module(WellKnown.GM)
+        if (
+            gm is not None
+            and getattr(gm, "rejoined_at", None) is not None
+            and gm.rejoined_epoch == machine.epoch
+        ):
+            out[stack.stack_id] = gm.rejoined_at
+        elif kernel_marker and stack.restart_completed_epoch == machine.epoch:
+            out[stack.stack_id] = stack.restart_completed_at
+    return out
+
+
+def pending_deliveries(
+    gcs: GroupCommSystem, exempt: AbstractSet[int], rejoined: Mapping[int, float]
+) -> Dict[int, int]:
+    """Per-stack count of deliveries still owed; empty means quiescent.
+
+    A send is an obligation unless its sender is *exempt* (known-faulty)
+    — a *rejoined* sender's sends after its re-join instant are
+    obligations again.  Every correct stack (neither exempt nor ever
+    crashed) owes every obligation plus everything any correct stack
+    already delivered (uniform agreement); a rejoined stack owes every
+    obligation sent after its own re-join instant.
+    """
+    log = gcs.log
+
+    def obliged(sender: int, t_send: float) -> bool:
+        return sender not in exempt or is_post_rejoin_send(sender, t_send, rejoined)
+
+    delivered = {
+        s: log.delivered_set(s)
+        for s in range(gcs.config.n)
+        if s not in exempt and not gcs.system.machine(s).ever_crashed
+    }
+    targets = {key for key, (sender, t) in log.sends.items() if obliged(sender, t)}
+    for keys in delivered.values():
+        targets |= keys
+    pending: Dict[int, int] = {}
+    for s, keys in delivered.items():
+        missing = len(targets - keys)
+        if missing:
+            pending[s] = missing
+    for r, t_rejoin in rejoined.items():
+        have = log.delivered_set(r)
+        missing = sum(
+            1
+            for key, (sender, t) in log.sends.items()
+            if t > t_rejoin and key not in have and obliged(sender, t)
+        )
+        if missing:
+            pending[r] = missing
+    return pending
 
 
 def register_standard_protocols(gcs_system: System, group: Sequence[int],
@@ -239,8 +296,17 @@ def register_standard_protocols(gcs_system: System, group: Sequence[int],
     )
 
 
-def build_group_comm_system(config: GroupCommConfig) -> GroupCommSystem:
-    """Build the paper's Figure 4 stack on every machine of a fresh system."""
+def build_group_comm_system(
+    config: GroupCommConfig, backend: Optional[Backend] = None
+) -> GroupCommSystem:
+    """Build the paper's Figure 4 stack on every node of *backend*.
+
+    With no *backend*, a fresh :class:`~repro.runtime.sim_backend.SimBackend`
+    is built from *config* — its LAN, corruption, trace depth and CPU
+    costs.  A given backend (started, with one empty stack per node)
+    brings its own clock, transport and link policy; *config* then sets
+    the stack set and the workload only.
+    """
     if config.baseline is not None and config.baseline not in ("maestro", "graceful"):
         raise ValueError(f"unknown baseline {config.baseline!r}")
     if config.baseline is not None and not config.with_repl_layer:
@@ -250,26 +316,29 @@ def build_group_comm_system(config: GroupCommConfig) -> GroupCommSystem:
         raise ValueError(
             f"unknown trace mode {config.trace!r}; expected one of {TRACE_MODES}"
         )
-    system = System(
-        n=config.n,
-        seed=config.seed,
-        trace_enabled=config.trace_enabled and config.trace != "off",
-        trace_kinds=(
-            STRUCTURAL_TRACE_KINDS if config.trace == "structural" else None
-        ),
-        call_cost=config.call_cost,
-        response_cost=config.response_cost,
-    )
-    lan = SwitchedLan(
-        bandwidth_bps=config.bandwidth_bps,
-        latency=lan_latency(),
-        loss_rate=config.loss_rate,
-        duplicate_rate=config.duplicate_rate,
-    )
-    network = SimNetwork(system.sim, system.machines, lan)
-    network.corrupt_rate = config.corrupt_rate
-    network.checksum = config.checksum
-    system.network = network
+    if backend is None:
+        backend = SimBackend(
+            n=config.n,
+            seed=config.seed,
+            lan=SwitchedLan(
+                bandwidth_bps=config.bandwidth_bps,
+                latency=lan_latency(),
+                loss_rate=config.loss_rate,
+                duplicate_rate=config.duplicate_rate,
+            ),
+            trace_enabled=config.trace_enabled and config.trace != "off",
+            trace_kinds=(
+                STRUCTURAL_TRACE_KINDS if config.trace == "structural" else None
+            ),
+            call_cost=config.call_cost,
+            response_cost=config.response_cost,
+        )
+        backend.transport.links.corrupt_rate = config.corrupt_rate
+        backend.transport.links.checksum = config.checksum
+    if backend.n != config.n:
+        raise ValueError(f"config.n={config.n} but the backend has {backend.n} nodes")
+    system = getattr(backend, "system", backend)
+    network = backend.transport
     group = list(range(config.n))
     register_standard_protocols(system, group, config)
 
@@ -367,6 +436,7 @@ def build_group_comm_system(config: GroupCommConfig) -> GroupCommSystem:
 
     return GroupCommSystem(
         config=config,
+        backend=backend,
         system=system,
         network=network,
         log=log,

@@ -6,6 +6,8 @@ discrete-event twin, wrapping the existing engine bit-identically) and
 :class:`RealtimeBackend` (asyncio UDP sockets and wall-clock timers) —
 plus the :mod:`repro.runtime.soak` harness that boots real-socket
 stacks on localhost and drives traffic through a mid-switch chain.
+Faults on either twin go through one :class:`~repro.sim.faults.
+FaultInjector` and the transport's :class:`~repro.net.links.LinkPolicy`.
 
 The backend classes are exposed lazily (PEP 562): the core simulation
 packages import :mod:`repro.runtime.api` at module load, so eagerly
@@ -30,7 +32,6 @@ __all__ = [
     "RealtimeNode",
     "RealtimeScheduler",
     "RealtimeUdpTransport",
-    "RealtimeFaultInjector",
     "encode_datagram",
     "decode_datagram",
     "register_wire_type",
@@ -43,7 +44,6 @@ _LAZY = {
     "RealtimeNode": "realtime",
     "RealtimeScheduler": "realtime",
     "RealtimeUdpTransport": "realtime",
-    "RealtimeFaultInjector": "chaos",
     "encode_datagram": "codec",
     "decode_datagram": "codec",
     "register_wire_type": "codec",

@@ -24,9 +24,11 @@ behalf) actually uses:
   :class:`~repro.sim.process.Machine` adds the serial CPU and
   :class:`~repro.runtime.realtime.RealtimeNode` the loop hop.
 * :class:`Transport` — datagram I/O between nodes: ``attach`` /
-  ``detach`` delivery hooks, ``send`` / ``send_local``, counters.
-  Implemented by :class:`~repro.net.network.SimNetwork` and
-  :class:`~repro.runtime.realtime.RealtimeUdpTransport`.
+  ``detach`` delivery hooks (implemented on the base), ``send`` /
+  ``send_local``, counters.  Implemented by
+  :class:`~repro.net.network.SimNetwork` and
+  :class:`~repro.runtime.realtime.RealtimeUdpTransport`, which consult
+  one :class:`~repro.net.links.LinkPolicy` each for every fault decision.
 
 :class:`Backend` bundles the three into one bootable cluster runtime;
 :class:`~repro.runtime.sim_backend.SimBackend` and
@@ -48,7 +50,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import ScheduleInPastError
+from ..errors import NetworkError, ScheduleInPastError, UnknownDestinationError
 
 __all__ = ["Scheduler", "NodeBackend", "Transport", "Backend"]
 
@@ -326,18 +328,32 @@ class Transport(ABC):
     the contract: datagrams from crashed senders are never sent, and
     datagrams to crashed receivers are dropped at delivery time (the
     receiver may crash while a datagram is in flight).
+
+    :meth:`attach` / :meth:`detach` are implemented once, here, on two
+    tables every implementation keeps: ``_nodes`` (rank → node) and
+    ``_hooks`` (rank → delivery hook).  Both implementations also hold
+    their fault surface as ``links`` (a :class:`~repro.net.links.
+    LinkPolicy`).
     """
 
     __slots__ = ()
 
-    @abstractmethod
+    _nodes: Dict[int, Any]
+    _hooks: Dict[int, Callable[..., None]]
+
     def attach(self, machine_id: int, hook: Callable[..., None]) -> None:
         """Register the delivery hook for node *machine_id* (its doorway
-        module, normally :class:`~repro.net.udp.UdpModule`)."""
+        module, normally :class:`~repro.net.udp.UdpModule`): only for a
+        node the transport connects, and only once per node."""
+        if machine_id not in self._nodes:
+            raise UnknownDestinationError(f"no machine with id {machine_id}")
+        if machine_id in self._hooks:
+            raise NetworkError(f"machine {machine_id} already attached")
+        self._hooks[machine_id] = hook
 
-    @abstractmethod
     def detach(self, machine_id: int) -> None:
-        """Remove the delivery hook of node *machine_id*."""
+        """Remove the delivery hook of node *machine_id* (no-op if none)."""
+        self._hooks.pop(machine_id, None)
 
     @abstractmethod
     def send(self, message: Any) -> None:
@@ -358,14 +374,17 @@ class Transport(ABC):
 class Backend(ABC):
     """One bootable cluster runtime: a scheduler, *n* nodes, a transport.
 
-    The lifecycle is ``start()`` → build stacks on :attr:`nodes` →
+    The lifecycle is ``start()`` → populate the stacks (normally
+    :func:`~repro.experiments.common.build_group_comm_system`) →
     ``run(duration)`` (repeatable) → ``stop()``.  ``start()`` comes
     *first* because module ``on_start`` hooks arm timers and send
     datagrams immediately — the transport must already be bound.
 
     Implementations expose ``nodes`` (list of :class:`NodeBackend`,
-    index = rank), ``transport`` (:class:`Transport`) and ``sim`` (the
-    shared :class:`Scheduler`).
+    index = rank; ``machine(i)`` is node *i*), ``transport``
+    (:class:`Transport`), ``sim`` (the shared :class:`Scheduler`), and
+    one empty kernel stack per node (``stacks``) with a shared protocol
+    ``registry``.
     """
 
     __slots__ = ()
@@ -386,7 +405,3 @@ class Backend(ABC):
     @abstractmethod
     def stop(self) -> None:
         """Tear the runtime down; :attr:`Scheduler.at_end` hooks run here."""
-
-    def node(self, i: int) -> NodeBackend:
-        """Node of rank *i*."""
-        return self.nodes[i]  # type: ignore[attr-defined]

@@ -25,27 +25,30 @@ event loop's monotonic clock and datagrams travel through real
   encoding).  **Trust boundary**: decoding never executes anything —
   unknown tags, unknown wire versions, and truncated or corrupted
   datagrams are counted (``malformed`` in :meth:`~RealtimeUdpTransport.
-  stats`) and dropped, never raised into the event loop.  The transport
-  also carries the chaos layer's fault surface (partitions, per-link
-  impairments, latency spikes) so :class:`~repro.runtime.chaos.
-  RealtimeFaultInjector` can degrade a live cluster the way
-  :class:`~repro.net.network.SimNetwork` degrades a simulated one.
+  stats`) and dropped, never raised into the event loop.  Its fault
+  surface is the same :class:`~repro.net.links.LinkPolicy` the
+  simulated network consults, so one
+  :class:`~repro.sim.faults.FaultInjector` degrades either.
 * :class:`RealtimeBackend` — bundles the three behind the
-  :class:`~repro.runtime.api.Backend` lifecycle and doubles as the
-  duck-typed "system" (``stacks`` / ``machine(i)`` / ``sim`` /
-  ``registry``) that :class:`~repro.dpu.manager.ReplacementManager`
-  and the property checkers already consume, so the *unmodified*
-  dpu/gm/fd/abcast modules run on it.
+  :class:`~repro.runtime.api.Backend` lifecycle, with one kernel stack
+  per node, and doubles as the duck-typed "system" (``stacks`` /
+  ``machine(i)`` / ``sim`` / ``registry``) that
+  :class:`~repro.dpu.manager.ReplacementManager` and the property
+  checkers already consume, so the *unmodified* dpu/gm/fd/abcast
+  modules run on it.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import CodecError, SimulationError, UnknownDestinationError
+from ..errors import CodecError, SimulationError
+from ..kernel.registry import ProtocolRegistry
+from ..kernel.stack import Stack
+from ..kernel.trace import TraceRecorder
+from ..net.links import LinkPolicy
 from ..net.message import NetMessage
-from ..net.network import LinkImpairment
 from ..sim.random import RngRegistry
 from .api import Backend, NodeBackend, Scheduler, Transport
 from .codec import decode_datagram, encode_datagram
@@ -182,18 +185,15 @@ class RealtimeUdpTransport(Transport):
     datagrams from crashed senders are never sent; datagrams to crashed
     receivers are dropped at delivery time.
 
-    **Chaos surface** (duck-type compatible with ``SimNetwork``, which
-    is what lets one :class:`~repro.sim.faults.FaultInjector` contract
-    drive both): :meth:`partition` / :meth:`partition_oneway` /
-    :meth:`heal` maintain directed partition tables honoured on *both*
-    the send and the receive path (the receive check is the one that
-    matters beyond localhost — a partitioned peer cannot be stopped
-    from transmitting, only ignored); :meth:`impair_link` attaches a
-    per-direction :class:`~repro.net.network.LinkImpairment` whose
-    loss / duplication / reorder / extra-latency act at delivery time
-    (drop/dup/delay on :meth:`_deliver`); :attr:`extra_latency` is the
-    network-wide latency-spike knob.  Loopback (:meth:`send_local`)
-    bypasses impairments, exactly like the simulated network.
+    **Faults** are :attr:`links`' verdict, asked once per datagram at
+    send time, exactly as the simulated network asks its own: a dropped
+    datagram never reaches the socket, each copy the verdict lets
+    through is ``sendto``-ed now or after its delay, and a corrupted
+    frame goes out with its magic mangled, so the receiver's codec drops
+    it as ``malformed`` — the codec is the checksum, always on.  The
+    receive path re-checks partitions only: a peer beyond localhost
+    cannot be stopped from transmitting, only ignored.  Loopback
+    (:meth:`send_local`) bypasses the policy, like the simulated network.
     """
 
     def __init__(self, sim: RealtimeScheduler, nodes: List[RealtimeNode],
@@ -205,27 +205,18 @@ class RealtimeUdpTransport(Transport):
         self._endpoints: Dict[int, asyncio.DatagramTransport] = {}
         #: Rank -> bound (host, port); filled by :meth:`open`.
         self.addresses: Dict[int, Any] = {}
-        # Chaos state (mirrors SimNetwork's fault surface).
-        self._partitions: Set[FrozenSet[int]] = set()
-        self._oneway: Set[Tuple[int, int]] = set()
-        self._links: Dict[Tuple[int, int], LinkImpairment] = {}
-        #: Extra one-way delay added to every non-loopback delivery.
-        self.extra_latency: float = 0.0
-        #: Rng stream for impairment draws (own stream: chaos draws
-        #: never perturb workload randomness, same rule as the sim).
-        self._impair_rng = sim.rng.stream("net.realtime.impairments")
+        #: The fault surface, on its own stream: chaos draws never
+        #: perturb workload randomness (same rule as the sim).  No
+        #: checksum drop: the codec is the checksum (see ``send``).
+        self.links = LinkPolicy(self._nodes, sim.rng.stream("net.realtime.impairments"))
+        self.links.checksum = False
         self._c_sent = 0
         self._c_bytes_sent = 0
         self._c_received = 0
         self._c_dropped_crashed = 0
         self._c_dropped_unknown = 0
         self._c_malformed = 0
-        self._c_dropped_partition = 0
-        self._c_dropped_loss = 0
-        self._c_duplicated = 0
-        self._c_reordered = 0
         self._c_delayed = 0
-        self._c_corrupted = 0
 
     async def open(self) -> None:
         """Bind one UDP socket per node (must run inside the loop)."""
@@ -248,88 +239,6 @@ class RealtimeUdpTransport(Transport):
         self.addresses.clear()
 
     # ------------------------------------------------------------------ #
-    # Transport contract
-    # ------------------------------------------------------------------ #
-    def attach(self, machine_id: int, hook: Callable[..., None]) -> None:
-        """Register node *machine_id*'s delivery hook."""
-        self._hooks[machine_id] = hook
-
-    def detach(self, machine_id: int) -> None:
-        """Remove node *machine_id*'s delivery hook."""
-        self._hooks.pop(machine_id, None)
-
-    # ------------------------------------------------------------------ #
-    # Chaos surface (mirrors SimNetwork's fault-injection API)
-    # ------------------------------------------------------------------ #
-    def partition(self, group_a: Set[int], group_b: Set[int]) -> None:
-        """Drop all traffic between *group_a* and *group_b* until healed."""
-        for a in group_a:
-            for b in group_b:
-                if a != b:
-                    self._partitions.add(frozenset((a, b)))
-
-    def partition_oneway(self, src_group: Set[int], dst_group: Set[int]) -> None:
-        """Drop *src_group* → *dst_group* traffic only (asymmetric split)."""
-        for src in src_group:
-            for dst in dst_group:
-                if src != dst:
-                    self._oneway.add((src, dst))
-
-    def heal(self) -> None:
-        """Remove every partition (symmetric and one-way)."""
-        self._partitions.clear()
-        self._oneway.clear()
-
-    def is_partitioned(self, a: int, b: int) -> bool:
-        """Whether *a* → *b* traffic is currently blocked (directional)."""
-        if self._partitions and frozenset((a, b)) in self._partitions:
-            return True
-        return bool(self._oneway) and (a, b) in self._oneway
-
-    def impair_link(
-        self,
-        src: int,
-        dst: int,
-        loss_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        reorder_rate: float = 0.0,
-        reorder_delay: float = 0.0,
-        extra_latency: float = 0.0,
-        corrupt_rate: float = 0.0,
-        symmetric: bool = True,
-    ) -> None:
-        """Attach a :class:`LinkImpairment` to *src→dst* (and the reverse
-        direction when *symmetric*), replacing any previous one."""
-        for machine_id in (src, dst):
-            if machine_id not in self._nodes:
-                raise UnknownDestinationError(f"no machine with id {machine_id}")
-        impairment = LinkImpairment(
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            reorder_rate=reorder_rate,
-            reorder_delay=reorder_delay,
-            extra_latency=extra_latency,
-            corrupt_rate=corrupt_rate,
-        )
-        self._links[(src, dst)] = impairment
-        if symmetric:
-            self._links[(dst, src)] = impairment
-
-    def clear_link(self, src: int, dst: int, symmetric: bool = True) -> None:
-        """Remove the impairment on *src→dst* (and reverse if *symmetric*)."""
-        self._links.pop((src, dst), None)
-        if symmetric:
-            self._links.pop((dst, src), None)
-
-    def clear_links(self) -> None:
-        """Remove every per-link impairment."""
-        self._links.clear()
-
-    def link_impairment(self, src: int, dst: int) -> Optional[LinkImpairment]:
-        """The impairment currently on *src→dst*, if any."""
-        return self._links.get((src, dst))
-
-    # ------------------------------------------------------------------ #
     # Datagram path
     # ------------------------------------------------------------------ #
     def send(self, message: Any) -> None:
@@ -338,33 +247,38 @@ class RealtimeUdpTransport(Transport):
         if sender is None or sender._crashed_at is not None:
             self._c_dropped_crashed += 1
             return
-        if self.is_partitioned(message.src, message.dst):
-            self._c_dropped_partition += 1
-            return
         addr = self.addresses.get(message.dst)
         endpoint = self._endpoints.get(message.src)
         if addr is None or endpoint is None:
             self._c_dropped_unknown += 1
             return
+        verdict = self.links.verdict(message.src, message.dst)
+        if verdict is None:
+            return
+        mangled, delay, duplicate_delay = verdict
         data = encode_datagram(message.src, message.dst, message.payload,
                                message.size_bytes)
-        link = self._links.get((message.src, message.dst)) if self._links else None
-        if (link is not None and link.corrupt_rate > 0.0
-                and self._impair_rng.random() < link.corrupt_rate):
-            # Wire corruption, mangled where the receiver's codec is
-            # guaranteed to notice (the magic): on the real backend every
-            # corrupted frame is detected and dropped as malformed — the
-            # safe-wire-codec contract is the checksum, always on.
-            self._c_corrupted += 1
+        if mangled:
+            # Mangled where the receiver's codec is guaranteed to notice.
             data = b"\x00" + data[1:]
+        self._transmit(endpoint, data, addr, delay)
+        if duplicate_delay is not None:
+            self._transmit(endpoint, data, addr, duplicate_delay)
+
+    def _transmit(self, endpoint: asyncio.DatagramTransport, data: bytes,
+                  addr: Any, delay: float) -> None:
+        if delay > 0.0:
+            self._c_delayed += 1
+            self.sim.schedule(delay, self._transmit, endpoint, data, addr, 0.0)
+            return
         endpoint.sendto(data, addr)
         self._c_sent += 1
         self._c_bytes_sent += len(data)
 
     def send_local(self, message: Any) -> None:
-        """Loopback: skip the socket — and the chaos surface, exactly like
+        """Loopback: skip the socket — and the link policy, exactly like
         ``SimNetwork.send_local`` (no loss, no partition, no latency)."""
-        self.sim.call_soon(self._deliver_now, message.dst, message.src,
+        self.sim.call_soon(self._deliver, message.dst, message.src,
                            message.payload, message.size_bytes)
 
     def _on_datagram(self, node_id: int, data: bytes) -> None:
@@ -373,45 +287,14 @@ class RealtimeUdpTransport(Transport):
         except CodecError:
             self._c_malformed += 1
             return
+        if self.links.is_partitioned(src, node_id):
+            # Receive-side enforcement: the check that matters beyond
+            # localhost, where a partitioned peer cannot be silenced.
+            self.links.dropped_partition += 1
+            return
         self._deliver(node_id, src, payload, size_bytes)
 
     def _deliver(self, dst: int, src: int, payload: Any, size_bytes: int) -> None:
-        """Apply the chaos surface, then hand off to :meth:`_deliver_now`.
-
-        Receive-side enforcement: a real peer beyond localhost cannot be
-        stopped from *transmitting* into a partition, so the drop has to
-        happen here, on arrival.  Loss / duplication / reorder-delay draws
-        likewise act at delivery — the sender's socket already did its
-        (un-impaired) work.
-        """
-        if self.is_partitioned(src, dst):
-            self._c_dropped_partition += 1
-            return
-        link = self._links.get((src, dst)) if self._links else None
-        delay = self.extra_latency
-        if link is not None:
-            if link.loss_rate > 0.0 and self._impair_rng.random() < link.loss_rate:
-                self._c_dropped_loss += 1
-                return
-            delay += link.extra_latency
-            if (link.reorder_rate > 0.0
-                    and self._impair_rng.random() < link.reorder_rate):
-                delay += self._impair_rng.random() * link.reorder_delay
-                self._c_reordered += 1
-            if (link.duplicate_rate > 0.0
-                    and self._impair_rng.random() < link.duplicate_rate):
-                self._c_duplicated += 1
-                self.sim.schedule(delay, self._deliver_now, dst, src,
-                                  payload, size_bytes)
-        if delay > 0.0:
-            self._c_delayed += 1
-            self.sim.schedule(delay, self._deliver_now, dst, src,
-                              payload, size_bytes)
-            return
-        self._deliver_now(dst, src, payload, size_bytes)
-
-    def _deliver_now(self, dst: int, src: int, payload: Any,
-                     size_bytes: int) -> None:
         receiver = self._nodes.get(dst)
         if receiver is None or receiver._crashed_at is not None:
             self._c_dropped_crashed += 1
@@ -425,6 +308,7 @@ class RealtimeUdpTransport(Transport):
 
     def stats(self) -> Dict[str, int]:
         """Datagram counters, dict-shaped like ``SimNetwork.stats()``."""
+        links = self.links
         out = {
             "sent": self._c_sent,
             "bytes_sent": self._c_bytes_sent,
@@ -432,27 +316,29 @@ class RealtimeUdpTransport(Transport):
             "dropped_crashed": self._c_dropped_crashed,
             "dropped_unknown": self._c_dropped_unknown,
             "malformed": self._c_malformed,
-            "dropped_partition": self._c_dropped_partition,
-            "dropped_loss": self._c_dropped_loss,
-            "duplicated": self._c_duplicated,
-            "reordered": self._c_reordered,
+            "dropped_partition": links.dropped_partition,
+            "dropped_loss": links.dropped_loss,
+            "duplicated": links.duplicated,
+            "reordered": links.reordered,
             "delayed": self._c_delayed,
         }
-        if self._c_corrupted:
+        if links.corrupted:
             # Conditional, like SimNetwork: corruption-free runs keep the
             # historical stats shape.
-            out["corrupted"] = self._c_corrupted
+            out["corrupted"] = links.corrupted
         return out
 
 
 class RealtimeBackend(Backend):
     """A bootable wall-clock cluster: scheduler + *n* nodes + UDP sockets.
 
-    Also exposes the duck-typed "system" surface
-    (``stacks``/``machine(i)``/``sim``/``registry``/``network``) the
-    replacement manager and experiment helpers consume, so the builder
-    code for realtime stacks mirrors the simulated one
-    (see :mod:`repro.runtime.soak`).
+    Creates one kernel stack per node, a shared protocol registry and a
+    disabled trace recorder, the way :class:`~repro.kernel.system.System`
+    does, and exposes the duck-typed "system" surface
+    (``stacks``/``machine(i)``/``sim``/``registry``/``network``/``trace``)
+    the replacement manager and experiment helpers consume, so
+    :func:`~repro.experiments.common.build_group_comm_system` populates
+    it exactly as it populates a simulated system.
 
     Parameters
     ----------
@@ -473,12 +359,11 @@ class RealtimeBackend(Backend):
             RealtimeNode(self.sim, i) for i in range(n)
         ]
         self.transport = RealtimeUdpTransport(self.sim, self.nodes, host=host)
-        #: Stacks built on the nodes (filled by the harness builder).
-        self.stacks: List[Any] = []
-        #: Protocol registry (filled by the harness builder).
-        self.registry: Any = None
         #: Alias for experiment helpers that expect ``system.network``.
         self.network = self.transport
+        self.registry = ProtocolRegistry()
+        self.trace = TraceRecorder(enabled=False)
+        self.stacks: List[Stack] = [Stack(node, self.trace) for node in self.nodes]
         self._started = False
         self._stopped = False
 
@@ -491,18 +376,9 @@ class RealtimeBackend(Backend):
         """Node *i* (system-compatible accessor)."""
         return self.nodes[i]
 
-    def stack(self, i: int) -> Any:
-        """Stack of node *i* (system-compatible accessor)."""
-        return self.stacks[i]
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        """The owned event loop (for harness extras, e.g. health servers)."""
-        return self._loop
-
     def start(self) -> None:
-        """Bind every node's socket (idempotent).  Call *before* building
-        stacks: module ``on_start`` hooks send datagrams immediately."""
+        """Bind every node's socket (idempotent).  Call *before* adding
+        modules: their ``on_start`` hooks send datagrams immediately."""
         if self._started:
             return
         self._loop.run_until_complete(self.transport.open())

@@ -7,7 +7,9 @@
 :class:`~repro.net.network.SimNetwork` over a
 :class:`~repro.net.topology.SwitchedLan` — behind the exact lifecycle
 and accessor surface :class:`~repro.runtime.realtime.RealtimeBackend`
-exposes, so harness code (the soak builder, the conformance tests) is
+exposes, so harness code (the Figure-4 builder
+:func:`~repro.experiments.common.build_group_comm_system`, which builds
+one of these unless given a backend, and the conformance tests) is
 written once against :class:`~repro.runtime.api.Backend` and runs on
 either twin.
 
@@ -28,7 +30,6 @@ from ..kernel.system import System
 from ..net.network import SimNetwork
 from ..net.topology import SwitchedLan
 from ..sim.clock import Duration
-from ..sim.latency import lan_latency
 from .api import Backend
 
 __all__ = ["SimBackend"]
@@ -68,8 +69,6 @@ class SimBackend(Backend):
             call_cost=call_cost,
             response_cost=response_cost,
         )
-        if lan is None:
-            lan = SwitchedLan(bandwidth_bps=100e6, latency=lan_latency())
         self.transport = SimNetwork(self.system.sim, self.system.machines, lan)
         self.system.network = self.transport
         #: Alias: harness code reads ``backend.network`` on either twin.
@@ -111,10 +110,6 @@ class SimBackend(Backend):
     def machine(self, i: int) -> Any:
         """Node *i* (system-compatible accessor)."""
         return self.system.machines[i]
-
-    def stack(self, i: int) -> Any:
-        """Stack of node *i* (system-compatible accessor)."""
-        return self.system.stacks[i]
 
     def start(self) -> None:
         """No-op: the simulated network needs no binding step."""

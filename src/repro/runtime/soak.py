@@ -16,8 +16,9 @@ and datagram counters, per-node delivery counts, wall-clock
 delivery-latency percentiles, and switch progress — the kind of surface
 a long soak is watched through.
 
-``--chaos`` arms the realtime chaos layer
-(:class:`~repro.runtime.chaos.RealtimeFaultInjector`): a scheduled
+``--chaos`` arms a :class:`~repro.sim.faults.FaultInjector` on the live
+cluster — the one injector, mutating the transport's link policy and
+firing at wall-clock instants: a scheduled
 crash → recover → partition → heal plan, with a lossy/duplicating link
 and a latency spike riding along, runs *through* the protocol-switch
 chain while the group-membership module expels and re-admits the
@@ -30,9 +31,12 @@ guarded algorithm discards it (counted), while ``--unguarded`` runs the
 paper-literal algorithm and is expected to FAIL the chain-agreement
 check — proving the chaos gate can actually reject a bad run.
 
-The builder is written against the :class:`~repro.runtime.api.Backend`
-surface, so the conformance tests boot the identical stack set on
-:class:`~repro.runtime.sim_backend.SimBackend` with the same code path.
+The stack set is :func:`~repro.experiments.common.build_group_comm_system`
+on the soak's calibration (:func:`build_soak_system`), and the drain
+uses that module's re-join and quiescence rules — the simulator's
+builder and rules, on real sockets.  ``tests/integration/
+test_cross_backend.py`` builds the stack set on both twins and compares
+the outcomes.
 """
 
 from __future__ import annotations
@@ -42,43 +46,35 @@ import asyncio
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..dpu import AbcastProbeModule, DeliveryLog, ReplacementManager, ReplAbcastModule
+from ..dpu import DeliveryLog, ReplacementManager
 from ..dpu.abcast_checker import (
     chain_agreement_violations,
     check_all_abcast_properties,
     check_recovery_liveness,
     is_post_rejoin_send,
 )
-from ..dpu.probes import is_workload_key
 from ..dpu.repl import NEW_ABCAST
 from ..experiments.common import (
     GroupCommConfig,
+    GroupCommSystem,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
-    register_standard_protocols,
+    build_group_comm_system,
+    collect_rejoined,
+    pending_deliveries,
 )
-from ..fd import HeartbeatFd
-from ..gm import GroupMembershipModule
-from ..kernel import WellKnown
-from ..kernel.registry import ProtocolRegistry
-from ..kernel.stack import Stack
-from ..kernel.trace import TraceRecorder
-from ..net import Rp2pModule, UdpModule
-from ..rbcast import RbcastModule
 from ..scenarios.spec import Crash, Heal, ImpairLink, LatencySpike, Partition, Recover
-from ..sim.clock import ms
-from ..workload import FixedPayload, LoadGeneratorModule
+from ..sim.faults import FaultInjector
 from .api import Backend
-from .chaos import RealtimeFaultInjector
 from .realtime import RealtimeBackend
 
 __all__ = [
     "SoakConfig",
-    "SoakSystem",
     "build_soak_system",
     "default_chaos_faults",
     "run_soak",
@@ -179,157 +175,80 @@ class SoakConfig:
     fault_plan: Optional[Tuple[Any, ...]] = None
 
 
-@dataclass
-class SoakSystem:
-    """A built soak: the backend plus its measurement handles."""
+def build_soak_system(config: SoakConfig, backend: Backend) -> GroupCommSystem:
+    """Assemble the Figure 4 stack set on an already-started *backend*:
+    :func:`~repro.experiments.common.build_group_comm_system` on the
+    soak's calibration (load from 0.1 s, no kernel trace, GM with chaos)."""
+    return build_group_comm_system(
+        GroupCommConfig(
+            n=config.nodes,
+            seed=config.seed,
+            load_msgs_per_sec=config.rate_per_sec,
+            payload_bytes=config.payload_bytes,
+            load_start=0.1,
+            load_stop=config.duration,
+            initial_protocol=config.initial_protocol,
+            creation_cost=config.creation_cost,
+            guard_change_sn=config.guard_change_sn,
+            with_gm=config.with_gm or config.chaos,
+            fd_period=config.fd_period,
+            fd_timeout=config.fd_timeout,
+            trace="off",
+        ),
+        backend,
+    )
 
-    config: SoakConfig
-    backend: Backend
-    log: DeliveryLog
-    manager: ReplacementManager
-    generators: List[LoadGeneratorModule]
-    #: ``(absolute_instant, protocol)`` switch plan (resolved from fractions).
-    switch_times: List[Tuple[float, str]] = field(default_factory=list)
-    health_address: Optional[Tuple[str, int]] = None
-    _health_server: Any = None
-    #: The chaos injector, when ``config.chaos`` armed one.
-    injector: Optional[RealtimeFaultInjector] = None
 
-    def snapshot(self) -> Dict[str, Any]:
-        """One JSON-able health/metrics snapshot of the running soak."""
-        backend = self.backend
-        versions = {
-            v: self.manager.replacement_complete(v)
-            for v in sorted(self.manager.windows)
-        }
-        out: Dict[str, Any] = {
-            "now": backend.sim.now,
-            "nodes": backend.n,
-            "events_processed": backend.sim.events_processed,
-            "sends": len(self.log.sends),
-            "deliveries": {
-                s: len(self.log.delivered_set(s)) for s in range(backend.n)
+def _snapshot(gcs: GroupCommSystem, manager: ReplacementManager,
+              injector: Optional[FaultInjector]) -> Dict[str, Any]:
+    """One JSON-able health/metrics snapshot of the running soak."""
+    system, log, n = gcs.system, gcs.log, gcs.config.n
+    out: Dict[str, Any] = {
+        "now": system.sim.now,
+        "nodes": n,
+        "events_processed": system.sim.events_processed,
+        "sends": len(log.sends),
+        "deliveries": {s: len(log.delivered_set(s)) for s in range(n)},
+        "protocols": manager.current_protocols(),
+        "switches_complete": {
+            v: manager.replacement_complete(v) for v in sorted(manager.windows)
+        },
+        "latency": _latency_percentiles(log),
+        "stale": manager.stale_classification(),
+        "transport": gcs.network.stats(),
+    }
+    if injector is not None:
+        kinds = Counter(record.kind for record in injector.records)
+        out["chaos"] = {
+            "counters": dict(sorted(kinds.items())),
+            "records": [record.to_dict() for record in injector.records],
+            "crashed_ever": {
+                str(k): v for k, v in sorted(injector.crashed_ever().items())
             },
-            "protocols": self.manager.current_protocols(),
-            "switches_complete": versions,
-            "latency": _latency_percentiles(self.log),
-            "stale": self.manager.stale_classification(),
-            "transport": backend.network.stats(),
+            "rejoined": {
+                str(k): v for k, v in sorted(collect_rejoined(gcs).items())
+            },
+            "stale_changes_discarded": sum(
+                manager.module(s).counters.get("stale_changes_discarded")
+                for s in range(n)
+            ),
         }
-        if self.injector is not None:
-            out["chaos"] = {
-                "counters": self.injector.counters(),
-                "records": self.injector.records_as_dicts(),
-                "crashed_ever": {
-                    str(k): v for k, v in sorted(self.injector.crashed_ever().items())
-                },
-                "rejoined": {
-                    str(k): v for k, v in sorted(_collect_rejoined(self).items())
-                },
-                "stale_changes_discarded": sum(
-                    self.manager.module(s).counters.get("stale_changes_discarded")
-                    for s in range(backend.n)
-                ),
-            }
-        return out
-
-
-def build_soak_system(config: SoakConfig, backend: Backend) -> SoakSystem:
-    """Assemble the Figure 4 stack set on an already-started *backend*.
-
-    Mirrors :func:`repro.experiments.common.build_group_comm_system`
-    module for module, but reaches the runtime only through the
-    :class:`~repro.runtime.api.Backend` surface — the same builder boots
-    the simulated and the real-socket twin.
-    """
-    group = list(range(backend.n))
-    if getattr(backend, "registry", None) is None:
-        backend.registry = ProtocolRegistry()
-    if not getattr(backend, "stacks", None):
-        trace = TraceRecorder(enabled=False)
-        backend.stacks = [Stack(node, trace) for node in backend.nodes]
-
-    gc_config = GroupCommConfig(
-        n=backend.n, seed=config.seed, token_idle_hold=ms(1.0)
-    )
-    register_standard_protocols(backend, group, gc_config)
-
-    log = DeliveryLog()
-    generators: List[LoadGeneratorModule] = []
-    needs_consensus = config.initial_protocol == PROTOCOL_CT
-
-    for stack in backend.stacks:
-        stack.add_module(UdpModule(stack, backend.network))
-        stack.add_module(Rp2pModule(stack))
-        stack.add_module(
-            HeartbeatFd(
-                stack, group, period=config.fd_period, timeout=config.fd_timeout
-            )
-        )
-        stack.add_module(RbcastModule(stack, group))
-        if needs_consensus:
-            from ..consensus import CtConsensusModule
-
-            stack.add_module(CtConsensusModule(stack, group))
-        info = backend.registry.info(config.initial_protocol)
-        stack.add_module(info.factory(stack))
-        stack.add_module(
-            ReplAbcastModule(
-                stack,
-                backend.registry,
-                initial_protocol=config.initial_protocol,
-                guard_change_sn=config.guard_change_sn,
-                creation_cost=config.creation_cost,
-            )
-        )
-        if config.with_gm or config.chaos:
-            stack.add_module(
-                GroupMembershipModule(
-                    stack, group, abcast_service=WellKnown.R_ABCAST
-                )
-            )
-        stack.add_module(
-            AbcastProbeModule(
-                stack, log, service=WellKnown.R_ABCAST, key_filter=is_workload_key
-            )
-        )
-        generator = LoadGeneratorModule(
-            stack,
-            log,
-            rate_per_sec=config.rate_per_sec / backend.n,
-            start_at=0.1 + stack.stack_id * (1.0 / config.rate_per_sec),
-            stop_at=config.duration,
-            service=WellKnown.R_ABCAST,
-            payload=FixedPayload(config.payload_bytes),
-        )
-        stack.add_module(generator)
-        generators.append(generator)
-
-    manager = ReplacementManager(backend)
-    switch_times = [
-        (fraction * config.duration, protocol) for fraction, protocol in config.plan
-    ]
-    return SoakSystem(
-        config=config,
-        backend=backend,
-        log=log,
-        manager=manager,
-        generators=generators,
-        switch_times=switch_times,
-    )
+    return out
 
 
 # --------------------------------------------------------------------- #
 # Health endpoint
 # --------------------------------------------------------------------- #
-def _start_health_server(soak: SoakSystem, backend: RealtimeBackend) -> None:
-    """Serve ``soak.snapshot()`` as JSON over HTTP on the backend's loop."""
+def _start_health_server(snapshot: Callable[[], Dict[str, Any]],
+                         config: SoakConfig, backend: RealtimeBackend) -> Any:
+    """Serve ``snapshot()`` as JSON over HTTP on the backend's loop;
+    returns the listening server."""
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
         try:
             await reader.readline()  # request line; any path serves metrics
-            body = json.dumps(soak.snapshot(), sort_keys=True).encode()
+            body = json.dumps(snapshot(), sort_keys=True).encode()
             writer.write(
                 b"HTTP/1.1 200 OK\r\n"
                 b"Content-Type: application/json\r\n"
@@ -340,21 +259,12 @@ def _start_health_server(soak: SoakSystem, backend: RealtimeBackend) -> None:
         finally:
             writer.close()
 
-    async def open_server() -> None:
-        server = await asyncio.start_server(
-            handle, soak.config.host, soak.config.health_port
-        )
-        soak._health_server = server
-        soak.health_address = server.sockets[0].getsockname()[:2]
-
-    backend.run_coro(open_server())
+    return backend.run_coro(asyncio.start_server(handle, config.host, config.health_port))
 
 
-def _probe_health(soak: SoakSystem, backend: RealtimeBackend) -> bool:
+def _probe_health(server: Any, backend: RealtimeBackend) -> bool:
     """GET the health endpoint through a real TCP connection; parse it."""
-    if soak.health_address is None:
-        return False
-    host, port = soak.health_address
+    host, port = server.sockets[0].getsockname()[:2]
 
     async def fetch() -> bool:
         reader, writer = await asyncio.open_connection(host, port)
@@ -405,102 +315,38 @@ def _latency_percentiles(log: DeliveryLog) -> Dict[str, Any]:
     }
 
 
-def _collect_rejoined(soak: SoakSystem) -> Dict[int, float]:
-    """Stacks whose re-join completed for the incarnation still up
-    (``stack -> completion instant``) — the scenario engine's rule.
-
-    The GM handshake for the *current* epoch is the primary signal;
-    stacks without a GM module fall back to the kernel's
-    restart-complete marker.
-    """
-    out: Dict[int, float] = {}
-    for stack in soak.backend.stacks:
-        machine = stack.machine
-        if machine.crashed or not machine.ever_crashed:
-            continue
-        gm = stack.bound_module(WellKnown.GM)
-        if (
-            gm is not None
-            and getattr(gm, "rejoined_at", None) is not None
-            and gm.rejoined_epoch == machine.epoch
-        ):
-            out[stack.stack_id] = gm.rejoined_at
-        elif gm is None and stack.restart_completed_epoch == machine.epoch:
-            out[stack.stack_id] = stack.restart_completed_at
-    return out
-
-
 # --------------------------------------------------------------------- #
 # Driving
 # --------------------------------------------------------------------- #
-def _drain_pending(soak: SoakSystem) -> Dict[str, int]:
-    """Per-stack count of obligations not yet delivered (empty = done).
-
-    Obligations follow the scenario engine's quiescence rule: a
-    never-crashed stack owes every send by a correct-or-rejoined sender
-    (a crashed sender's pre-re-join sends are exempt in-flight losses)
-    plus everything any correct stack already delivered (uniform
-    agreement); a currently-crashed stack owes nothing; a rejoined
-    stack owes the post-re-join sends.
-    """
-    log, backend = soak.log, soak.backend
-    crashed_now = {
-        s for s in range(backend.n) if backend.machine(s).crashed
-    }
-    rejoined = _collect_rejoined(soak)
-
-    def obliged(sender: int, t_send: float) -> bool:
-        if not backend.machine(sender).ever_crashed:
-            return True
-        return is_post_rejoin_send(sender, t_send, rejoined)
-
-    targets = {
-        key for key, (sender, t) in log.sends.items() if obliged(sender, t)
-    }
-    correct = [
-        s
-        for s in range(backend.n)
-        if s not in crashed_now and not backend.machine(s).ever_crashed
-    ]
-    for s in correct:
-        targets |= log.delivered_set(s)
-
-    pending: Dict[str, int] = {}
-    for s in correct:
-        missing = len(targets - log.delivered_set(s))
-        if missing:
-            pending[str(s)] = missing
-    for r, t_rejoin in rejoined.items():
-        post_rejoin = {
-            key
-            for key, (sender, t) in log.sends.items()
-            if t > t_rejoin and obliged(sender, t)
-        }
-        missing = len(post_rejoin - log.delivered_set(r))
-        if missing:
-            pending[str(r)] = pending.get(str(r), 0) + missing
-    return pending
+def _pending(gcs: GroupCommSystem, backend: RealtimeBackend) -> Dict[str, int]:
+    """The quiescence rule of :func:`~repro.experiments.common.
+    pending_deliveries`, every ever-crashed stack exempt (re-joined ones
+    narrowed back), keyed by stack id as a string for the report."""
+    exempt = {s for s in range(backend.n) if backend.machine(s).ever_crashed}
+    pending = pending_deliveries(gcs, exempt, collect_rejoined(gcs))
+    return {str(s): count for s, count in pending.items()}
 
 
-def _drain(soak: SoakSystem) -> Tuple[bool, Dict[str, int]]:
+def _drain(gcs: GroupCommSystem, backend: RealtimeBackend,
+           config: SoakConfig) -> Tuple[bool, Dict[str, int]]:
     """Run past the load window until every obligation is delivered.
 
     Returns ``(drained, pending)`` where *pending* names the stacks that
     failed to quiesce and how many deliveries each still owes — so a
     chaos-soak failure is diagnosable straight from the CI artifact.
     """
-    backend = soak.backend
-    deadline = backend.sim.now + soak.config.drain_extra
-    pending = _drain_pending(soak)
+    deadline = backend.sim.now + config.drain_extra
+    pending = _pending(gcs, backend)
     while backend.sim.now < deadline:
-        backend.run(soak.config.drain_step)
-        pending = _drain_pending(soak)
+        backend.run(config.drain_step)
+        pending = _pending(gcs, backend)
         if not pending:
             return True, {}
     return False, pending
 
 
-def _arm_stale_probe(soak: SoakSystem) -> None:
+def _arm_stale_probe(gcs: GroupCommSystem, manager: ReplacementManager,
+                     backend: RealtimeBackend) -> None:
     """Arm the chaos teeth check: one forged stale change frame.
 
     The moment version 1 closes cluster-wide, a fabricated
@@ -513,69 +359,74 @@ def _arm_stale_probe(soak: SoakSystem) -> None:
     chain-agreement check fails the run — proving the chaos gate
     rejects a genuinely inconsistent update.
     """
-    backend = soak.backend
     target = 1 if backend.n > 1 else 0
-    forged = (NEW_ABCAST, 0, (999, 0), soak.config.initial_protocol)
+    forged = (NEW_ABCAST, 0, (999, 0), gcs.config.initial_protocol)
 
     def inject(version: int, protocol: str, when: float) -> None:
         if version != 1:
             return
-        module = soak.manager.module(target)
+        module = manager.module(target)
         backend.machine(target).execute(
             0.0, module._on_adeliver, (target, forged, 64)
         )
 
-    soak.manager.on_version_closed.append(inject)
+    manager.on_version_closed.append(inject)
 
 
 def run_soak(config: SoakConfig) -> Dict[str, Any]:
     """Run one full soak on a fresh realtime backend; return the report."""
     backend = RealtimeBackend(config.nodes, seed=config.seed, host=config.host)
     backend.start()
-    soak = build_soak_system(config, backend)
+    gcs = build_soak_system(config, backend)
+    manager = gcs.manager
+    assert manager is not None  # the soak's stack set has the replacement layer
+    log = gcs.log
+    injector: Optional[FaultInjector] = None
     if config.chaos:
-        soak.injector = RealtimeFaultInjector(backend)
+        injector = FaultInjector(
+            backend.sim, backend.nodes, network=backend.network, name="chaos"
+        )
         faults = (
             config.fault_plan
             if config.fault_plan is not None
             else default_chaos_faults(config)
         )
-        soak.injector.schedule_plan(faults)
-        _arm_stale_probe(soak)
+        for action in faults:
+            action.schedule(injector)
+        _arm_stale_probe(gcs, manager, backend)
+    server = None
     if config.health_port is not None:
-        _start_health_server(soak, backend)
-    for at, protocol in soak.switch_times:
-        soak.manager.request_change(protocol, from_stack=0, at=at)
+        server = _start_health_server(
+            lambda: _snapshot(gcs, manager, injector), config, backend
+        )
+    for fraction, protocol in config.plan:
+        manager.request_change(protocol, from_stack=0, at=fraction * config.duration)
 
     wall_start = time.monotonic()
     backend.run(config.duration)
-    drained, drain_pending = _drain(soak)
+    drained, drain_pending = _drain(gcs, backend, config)
     wall_elapsed = time.monotonic() - wall_start
 
-    health_ok = (
-        _probe_health(soak, backend) if config.health_port is not None else None
-    )
-    snapshot = soak.snapshot()
+    health_ok = _probe_health(server, backend) if server is not None else None
+    snapshot = _snapshot(gcs, manager, injector)
 
     stacks = list(range(backend.n))
     crashed: Dict[int, float] = (
-        dict(soak.injector.crashed_ever()) if soak.injector is not None else {}
+        dict(injector.crashed_ever()) if injector is not None else {}
     )
-    rejoined = _collect_rejoined(soak)
+    rejoined = collect_rejoined(gcs)
     in_flight = {
         key
-        for key, (sender, t_send) in soak.log.sends.items()
+        for key, (sender, t_send) in log.sends.items()
         if sender in crashed and not is_post_rejoin_send(sender, t_send, rejoined)
     }
     violations = check_all_abcast_properties(
-        soak.log, crashed=crashed, stacks=stacks, in_flight_ok=in_flight or None
+        log, crashed=crashed, stacks=stacks, in_flight_ok=in_flight or None
     )
-    violations["recovery liveness"] = check_recovery_liveness(
-        soak.log, rejoined, crashed
-    )
+    violations["recovery liveness"] = check_recovery_liveness(log, rejoined, crashed)
     chains = {
         sid: [protocol for _version, protocol in trajectory]
-        for sid, trajectory in soak.manager.protocol_trajectories().items()
+        for sid, trajectory in manager.protocol_trajectories().items()
     }
     violations["chain agreement"] = chain_agreement_violations(
         chains, crashed=crashed
@@ -587,10 +438,10 @@ def run_soak(config: SoakConfig) -> Dict[str, Any]:
     )
     switches_ok = all(snapshot["switches_complete"].values()) and len(
         snapshot["switches_complete"]
-    ) == len(soak.switch_times)
+    ) == len(config.plan)
 
-    if soak._health_server is not None:
-        soak._health_server.close()
+    if server is not None:
+        server.close()
     backend.stop()
 
     ok = (

@@ -44,8 +44,12 @@ from ..dpu.properties import (
     check_weak_stack_well_formedness,
 )
 from ..errors import ScenarioError
-from ..experiments.common import TRACE_MODES, GroupCommConfig, build_group_comm_system
-from ..kernel.service import WellKnown
+from ..experiments.common import (
+    TRACE_MODES,
+    GroupCommConfig,
+    build_group_comm_system,
+    collect_rejoined,
+)
 from ..metrics import mean_latency
 from ..sim.faults import FaultInjector
 from .spec import ScenarioSpec
@@ -203,36 +207,6 @@ class CampaignResult:
 # --------------------------------------------------------------------------- #
 # Running one scenario
 # --------------------------------------------------------------------------- #
-def _collect_rejoined(gcs: Any, kernel_marker: bool = False) -> Dict[int, float]:
-    """Stacks whose re-join completed for the incarnation that is still
-    up: ``stack -> re-join completion instant``.
-
-    The GM re-join handshake is the primary signal; stale handshakes are
-    discarded (a stack that crashed again after re-joining only counts
-    once its *current* incarnation completed the handshake).  With
-    *kernel_marker*, stacks lacking a GM handshake fall back to the
-    kernel's "restart complete" marker — the instant every module
-    re-armed in the new incarnation — so bare (no-GM) scenarios get the
-    narrowed recovery-liveness obligations too.  Without either signal a
-    recovered stack keeps the wide ever-crashed exemption.
-    """
-    out: Dict[int, float] = {}
-    for stack in gcs.system.stacks:
-        machine = stack.machine
-        if machine.crashed or not machine.ever_crashed:
-            continue
-        gm = stack.bound_module(WellKnown.GM)
-        if (
-            gm is not None
-            and getattr(gm, "rejoined_at", None) is not None
-            and gm.rejoined_epoch == machine.epoch
-        ):
-            out[stack.stack_id] = gm.rejoined_at
-        elif kernel_marker and stack.restart_completed_epoch == machine.epoch:
-            out[stack.stack_id] = stack.restart_completed_at
-    return out
-
-
 def _config_for(spec: ScenarioSpec, seed: int, trace: str = "full") -> GroupCommConfig:
     """The builder config for one ``(spec, seed)`` cell at *trace* depth."""
     return GroupCommConfig(
@@ -291,7 +265,7 @@ def run_scenario(
         extra=spec.quiescence_extra,
         step=spec.quiescence_step,
         exempt=declared | set(injector.crashed_ever()),
-        rejoined=lambda: _collect_rejoined(gcs, spec.kernel_rejoin_marker),
+        rejoined=lambda: collect_rejoined(gcs, spec.kernel_rejoin_marker),
     )
 
     # ----- fault/crash accounting ------------------------------------- #
@@ -305,7 +279,7 @@ def run_scenario(
     # leave the in-flight exemption (everyone must deliver them) and the
     # recovery-liveness checker holds the rejoined stack itself to every
     # post-re-join message.
-    rejoined = _collect_rejoined(gcs, spec.kernel_rejoin_marker)
+    rejoined = collect_rejoined(gcs, spec.kernel_rejoin_marker)
     in_flight = {
         key
         for key, (sender, t_send) in gcs.log.sends.items()

@@ -14,23 +14,29 @@ simulated firing instant) and announced to the :attr:`on_fault` hooks,
 which is what lets a switch plan trigger "replace the protocol when the
 first fault is detected" deterministically.
 
-The injector lives in the ``sim`` layer and therefore knows the network
-only as a duck-typed object (``partition`` / ``heal`` / ``impair_link`` /
-``clear_links`` / ``extra_latency``); the concrete implementation is
-:class:`repro.net.network.SimNetwork`.
+Network faults mutate the network's :class:`~repro.net.links.LinkPolicy`
+(``network.links``) — the one fault surface both transports consult —
+and the injector needs nothing else of a runtime than the seam: a
+:class:`~repro.runtime.api.Scheduler` and its nodes.  So the same
+injector degrades a simulated LAN or a live cluster on
+:class:`~repro.runtime.realtime.RealtimeBackend` (there, faults fire at
+wall-clock instants), and a scenario's fault plan schedules unchanged
+on either (``action.schedule(injector)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
+from ..runtime.api import NodeBackend, Scheduler
 from .clock import Duration, Time
 from .events import PRIORITY_CONTROL
-from .engine import Simulator
-from .process import Machine
 from .random import BufferedDraws
+
+if TYPE_CHECKING:
+    from ..net.links import LinkPolicy
 
 __all__ = ["FaultRecord", "FaultInjector"]
 
@@ -54,12 +60,13 @@ class FaultInjector:
     Parameters
     ----------
     sim:
-        The simulator faults are scheduled on.
+        The scheduler faults are scheduled on.
     machines:
-        The machines that may crash/recover (usually ``system.machines``).
+        The nodes that may crash/recover (usually ``system.machines``).
     network:
-        Optional network object for partition/link/latency faults
-        (``SimNetwork`` or anything with the same fault surface).
+        Optional transport for partition/link/latency faults: its
+        ``links`` policy is what they change (``SimNetwork`` or
+        ``RealtimeUdpTransport``).
     name:
         Names the injector's RNG stream (``faults.<name>``), so two
         injectors in one run draw independently.
@@ -67,13 +74,13 @@ class FaultInjector:
 
     def __init__(
         self,
-        sim: Simulator,
-        machines: Sequence[Machine],
+        sim: Scheduler,
+        machines: Sequence[NodeBackend],
         network: Any = None,
         name: str = "default",
     ) -> None:
         self.sim = sim
-        self._machines: Dict[int, Machine] = {m.machine_id: m for m in machines}
+        self._machines: Dict[int, NodeBackend] = {m.machine_id: m for m in machines}
         self.network = network
         self.rng = sim.rng.stream(f"faults.{name}")
         #: Block-buffered uniform draws on the injector's stream (used for
@@ -103,16 +110,16 @@ class FaultInjector:
         for hook in list(self.on_fault):
             hook(index, record)
 
-    def _machine(self, machine_id: int) -> Machine:
+    def _machine(self, machine_id: int) -> NodeBackend:
         try:
             return self._machines[machine_id]
         except KeyError:
             raise SimulationError(f"fault injector knows no machine {machine_id}")
 
-    def _need_network(self) -> Any:
+    def _links(self) -> LinkPolicy:
         if self.network is None:
             raise SimulationError("this fault requires a network to be attached")
-        return self.network
+        return self.network.links
 
     def crashed_ever(self) -> Dict[int, Time]:
         """``machine -> first crash instant`` over the recorded faults."""
@@ -143,11 +150,11 @@ class FaultInjector:
 
     def partition(self, *groups: Sequence[int]) -> None:
         """Split the network into *groups*: cross-group traffic drops."""
-        network = self._need_network()
+        links = self._links()
         sets = [set(g) for g in groups if g]
         for i, a in enumerate(sets):
             for b in sets[i + 1:]:
-                network.partition(a, b)
+                links.partition(a, b)
         self._record("partition", *[tuple(sorted(g)) for g in sets])
 
     def partition_oneway(
@@ -159,59 +166,38 @@ class FaultInjector:
         half-broken-port failure): *src_side* still hears everything but
         its own frames toward *dst_side* vanish until :meth:`heal`.
         """
-        network = self._need_network()
-        network.partition_oneway(set(src_side), set(dst_side))
+        self._links().partition_oneway(set(src_side), set(dst_side))
         self._record(
             "partition-oneway", tuple(sorted(src_side)), tuple(sorted(dst_side))
         )
 
     def heal(self) -> None:
         """Remove every partition (symmetric and one-way)."""
-        self._need_network().heal()
+        self._links().heal()
         self._record("heal")
 
-    def impair_link(
-        self,
-        src: int,
-        dst: int,
-        loss_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        reorder_rate: float = 0.0,
-        reorder_delay: Duration = 0.0,
-        extra_latency: Duration = 0.0,
-        corrupt_rate: float = 0.0,
-        symmetric: bool = True,
-    ) -> None:
-        """Degrade the *src→dst* link (both directions when *symmetric*)."""
-        self._need_network().impair_link(
-            src,
-            dst,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            reorder_rate=reorder_rate,
-            reorder_delay=reorder_delay,
-            extra_latency=extra_latency,
-            corrupt_rate=corrupt_rate,
-            symmetric=symmetric,
-        )
+    def impair_link(self, src: int, dst: int, symmetric: bool = True, **rates: float) -> None:
+        """Degrade the *src→dst* link (both directions when *symmetric*);
+        *rates* are :class:`~repro.net.links.LinkImpairment`'s fields."""
+        link = self._links().impair_link(src, dst, symmetric, **rates)
         detail = [
-            src, dst, loss_rate, duplicate_rate, reorder_rate,
-            reorder_delay, extra_latency,
+            src, dst, link.loss_rate, link.duplicate_rate, link.reorder_rate,
+            link.reorder_delay, link.extra_latency,
         ]
-        if corrupt_rate:
+        if link.corrupt_rate:
             # Appended conditionally so corruption-free fault records (and
             # the campaign goldens that pin them) keep their shape.
-            detail.append(corrupt_rate)
+            detail.append(link.corrupt_rate)
         self._record("impair-link", *detail)
 
     def clear_link(self, src: int, dst: int, symmetric: bool = True) -> None:
         """Remove the impairment on *src↔dst*."""
-        self._need_network().clear_link(src, dst, symmetric=symmetric)
+        self._links().clear_link(src, dst, symmetric=symmetric)
         self._record("clear-link", src, dst)
 
     def clear_links(self) -> None:
         """Remove every per-link impairment."""
-        self._need_network().clear_links()
+        self._links().clear_links()
         self._record("clear-links")
 
     def latency_spike(self, extra: Duration, duration: Optional[Duration] = None) -> None:
@@ -228,35 +214,35 @@ class FaultInjector:
 
     def clear_latency_spikes(self) -> None:
         """Revert every active latency spike at once."""
-        network = self._need_network()
+        links = self._links()
         self._spike_generation += 1
-        if self._active_spikes == 0 and network.extra_latency == 0.0:
+        if self._active_spikes == 0 and links.extra_latency == 0.0:
             return
         self._active_spikes = 0
-        network.extra_latency = 0.0
+        links.extra_latency = 0.0
         self._record("latency-clear", 0.0, 0.0)
 
     def _spike_begin(self, extra: Duration, duration: Optional[Duration] = None) -> None:
-        network = self._need_network()
+        links = self._links()
         self._active_spikes += 1
-        network.extra_latency += extra
-        self._record("latency-spike", extra, network.extra_latency)
+        links.extra_latency += extra
+        self._record("latency-spike", extra, links.extra_latency)
         if duration is not None:
             # The revert is armed at begin time, carrying the current
             # generation: a wholesale clear in between invalidates it.
             self._at(self.sim.now + duration, self._spike_end, extra, self._spike_generation)
 
     def _spike_end(self, extra: Duration, generation: int) -> None:
-        network = self._need_network()
+        links = self._links()
         if generation != self._spike_generation:
             return  # this spike was already reverted by clear_latency_spikes
         self._active_spikes -= 1
-        total = network.extra_latency - extra
+        total = links.extra_latency - extra
         if self._active_spikes == 0:
             # Snap instead of trusting float subtraction to cancel: any
             # residue here would be an accounting bug, not physics.
             total = 0.0
-        network.extra_latency = total
+        links.extra_latency = total
         self._record("latency-spike", -extra, total)
 
     # ------------------------------------------------------------------ #

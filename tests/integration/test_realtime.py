@@ -32,8 +32,10 @@ def test_unmodified_stack_switches_protocols_over_real_udp():
     backend = RealtimeBackend(config.nodes, seed=3)
     backend.start()
     soak = build_soak_system(config, backend)
-    for at, protocol in soak.switch_times:
-        soak.manager.request_change(protocol, from_stack=0, at=at)
+    for fraction, protocol in config.plan:
+        soak.manager.request_change(
+            protocol, from_stack=0, at=fraction * config.duration
+        )
     try:
         backend.run(config.duration)
         # Drain: every node must deliver every send within the budget.

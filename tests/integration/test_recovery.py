@@ -22,7 +22,7 @@ from repro.scenarios import (
     run_campaign,
     run_scenario,
 )
-from repro.scenarios.engine import _collect_rejoined
+from repro.experiments.common import collect_rejoined
 
 RECOVERY_SCENARIOS = (
     "recover-during-switch",
@@ -50,7 +50,7 @@ class TestRestartProtocol:
         gcs.run_to_quiescence(
             extra=spec.quiescence_extra,
             exempt=set(injector.crashed_ever()),
-            rejoined=lambda: _collect_rejoined(gcs),
+            rejoined=lambda: collect_rejoined(gcs),
         )
         return gcs
 

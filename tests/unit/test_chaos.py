@@ -1,6 +1,6 @@
-"""Realtime chaos layer units: injector surface and transport faults.
+"""Realtime chaos units: the one fault injector on a live cluster.
 
-Covers the :class:`RealtimeFaultInjector` contract on a live (loopback)
+Covers :class:`~repro.sim.faults.FaultInjector` on a live (loopback)
 :class:`RealtimeBackend` — crash/recover with records, partitions both
 symmetric and one-way, link impairments, latency spikes, scenario
 fault-plan scheduling — plus the transport-level trust boundary: garbage
@@ -14,13 +14,15 @@ file stays CI-fast.
 from __future__ import annotations
 
 import socket
+from collections import Counter
 
 import pytest
 
 from repro.net.message import NetMessage
-from repro.runtime import RealtimeBackend, RealtimeFaultInjector
+from repro.runtime import RealtimeBackend
 from repro.runtime.codec import encode_datagram
 from repro.scenarios.spec import Crash, Heal, ImpairLink, LatencySpike, Partition, Recover
+from repro.sim.faults import FaultInjector
 
 TICK = 0.02
 
@@ -37,6 +39,14 @@ def _sink(backend, machine_id):
     got = []
     backend.network.attach(machine_id, lambda m, at: got.append(m.payload))
     return got
+
+
+def _injector(backend):
+    return FaultInjector(backend.sim, backend.nodes, network=backend.network, name="chaos")
+
+
+def _kinds(injector):
+    return Counter(record.kind for record in injector.records)
 
 
 def _send(backend, src, dst, payload):
@@ -89,19 +99,19 @@ def test_valid_codec_datagram_from_foreign_socket_delivers(backend):
 # Injector surface
 # --------------------------------------------------------------------- #
 def test_injector_crash_recover_records_and_node_state(backend):
-    injector = RealtimeFaultInjector(backend)
+    injector = _injector(backend)
     injector.crash(1)
     assert backend.nodes[1].crashed
     injector.crash(1)  # idempotent: no duplicate record
     injector.recover(1)
     assert not backend.nodes[1].crashed and backend.nodes[1].epoch == 1
     assert [r.kind for r in injector.records] == ["crash", "recover"]
-    assert injector.counters() == {"crash": 1, "recover": 1}
+    assert _kinds(injector) == {"crash": 1, "recover": 1}
     assert injector.crashed_ever() == {1: injector.records[0].time}
 
 
 def test_injector_partition_blocks_and_heal_restores(backend):
-    injector = RealtimeFaultInjector(backend)
+    injector = _injector(backend)
     got0, got1 = _sink(backend, 0), _sink(backend, 1)
     injector.partition([0], [1, 2])
     _send(backend, 0, 1, "a-to-b")
@@ -116,7 +126,7 @@ def test_injector_partition_blocks_and_heal_restores(backend):
 
 
 def test_injector_oneway_partition_blocks_one_direction(backend):
-    injector = RealtimeFaultInjector(backend)
+    injector = _injector(backend)
     got0, got1 = _sink(backend, 0), _sink(backend, 1)
     injector.partition_oneway([0], [1])
     _send(backend, 0, 1, "silenced")
@@ -127,7 +137,7 @@ def test_injector_oneway_partition_blocks_one_direction(backend):
 
 
 def test_injector_impair_link_full_loss_and_clear(backend):
-    injector = RealtimeFaultInjector(backend)
+    injector = _injector(backend)
     got1 = _sink(backend, 1)
     injector.impair_link(0, 1, loss_rate=1.0)
     _send(backend, 0, 1, "lost")
@@ -143,38 +153,38 @@ def test_injector_impair_link_full_loss_and_clear(backend):
 
 
 def test_injector_latency_spike_delays_then_reverts(backend):
-    injector = RealtimeFaultInjector(backend)
+    injector = _injector(backend)
     got1 = _sink(backend, 1)
     injector.latency_spike(10 * TICK, duration=20 * TICK)
-    assert backend.network.extra_latency == pytest.approx(10 * TICK)
+    assert backend.network.links.extra_latency == pytest.approx(10 * TICK)
     _send(backend, 0, 1, "delayed")
     backend.run(3 * TICK)
     assert got1 == []  # still in the delay window
     backend.run(30 * TICK)
     assert got1 == ["delayed"]
-    assert backend.network.extra_latency == 0.0  # spike reverted itself
+    assert backend.network.links.extra_latency == 0.0  # spike reverted itself
     assert backend.network.stats()["delayed"] == 1
 
 
 def test_scenario_fault_plan_schedules_against_realtime(backend):
-    injector = RealtimeFaultInjector(backend)
-    count = injector.schedule_plan([
+    injector = _injector(backend)
+    for action in (
         Crash(at=2 * TICK, machine=2),
         Recover(at=6 * TICK, machine=2),
         Partition(at=8 * TICK, groups=((0, 1), (2,))),
         ImpairLink(at=8 * TICK, src=0, dst=1, loss_rate=0.5, until=10 * TICK),
         Heal(at=10 * TICK),
         LatencySpike(at=10 * TICK, extra=TICK, duration=2 * TICK),
-    ])
-    assert count == 6
+    ):
+        action.schedule(injector)
     backend.run(16 * TICK)
-    counters = injector.counters()
+    counters = _kinds(injector)
     assert counters["crash"] == 1 and counters["recover"] == 1
     assert counters["partition"] == 1 and counters["heal"] == 1
     assert counters["impair-link"] == 1 and counters["clear-link"] == 1
     assert counters["latency-spike"] == 2  # begin + auto-revert
     assert not backend.nodes[2].crashed
-    assert backend.network.extra_latency == 0.0
+    assert backend.network.links.extra_latency == 0.0
     # The record log is JSON-able for the health endpoint.
-    dicts = injector.records_as_dicts()
+    dicts = [record.to_dict() for record in injector.records]
     assert all(set(d) == {"time", "kind", "detail"} for d in dicts)

@@ -43,7 +43,7 @@ def blast(net, sim, count=400, src=0, dst=1):
 class TestNetworkCorruption:
     def test_checksum_on_detects_and_drops(self, sim):
         _machines, net = make_net(sim)
-        net.corrupt_rate = 0.25
+        net.links.corrupt_rate = 0.25
         got = blast(net, sim)
         stats = net.stats()
         # Seeded draws: deterministic counts, all corrupted frames dropped.
@@ -55,8 +55,8 @@ class TestNetworkCorruption:
 
     def test_checksum_off_delivers_wrapped_garbage(self, sim):
         _machines, net = make_net(sim)
-        net.corrupt_rate = 0.25
-        net.checksum = False
+        net.links.corrupt_rate = 0.25
+        net.links.checksum = False
         got = blast(net, sim)
         stats = net.stats()
         assert stats["corrupted"] > 0
@@ -74,7 +74,7 @@ class TestNetworkCorruption:
         def run():
             sim = Simulator(seed=42)
             _machines, net = make_net(sim)
-            net.corrupt_rate = 0.1
+            net.links.corrupt_rate = 0.1
             blast(net, sim)
             return net.stats()
 
@@ -82,8 +82,8 @@ class TestNetworkCorruption:
 
     def test_per_link_rate_composes_with_floor(self, sim):
         _machines, net = make_net(sim)
-        net.corrupt_rate = 0.05
-        net.impair_link(0, 1, corrupt_rate=0.2)
+        net.links.corrupt_rate = 0.05
+        net.links.impair_link(0, 1, corrupt_rate=0.2)
         got_impaired = blast(net, sim)
         corrupted_01 = net.stats()["corrupted"]
         assert corrupted_01 > 0
@@ -104,7 +104,7 @@ class TestNetworkCorruption:
 
         _machines, net = make_net(sim)
         with pytest.raises(NetworkError):
-            net.impair_link(0, 1, corrupt_rate=1.5)
+            net.links.impair_link(0, 1, corrupt_rate=1.5)
 
 
 class UdpApp(Module):
@@ -128,8 +128,8 @@ class TestUdpDoorway:
         net = SimNetwork(
             sys_.sim, sys_.machines, SwitchedLan(latency=ConstantLatency(0.001))
         )
-        net.corrupt_rate = 0.5
-        net.checksum = False
+        net.links.corrupt_rate = 0.5
+        net.links.checksum = False
         udps = []
         apps = []
         for st in sys_.stacks:

@@ -75,10 +75,10 @@ class TestNetworkFaults:
         inj = FaultInjector(sim, machines, network=net)
         inj.partition_at(1.0, (0, 1), (2, 3))
         sim.run(until=1.5)
-        assert net.is_partitioned(0, 2)
-        assert net.is_partitioned(1, 3)
-        assert not net.is_partitioned(0, 1)
-        assert not net.is_partitioned(2, 3)
+        assert net.links.is_partitioned(0, 2)
+        assert net.links.is_partitioned(1, 3)
+        assert not net.links.is_partitioned(0, 1)
+        assert not net.links.is_partitioned(2, 3)
 
     def test_heal_removes_partitions_and_records(self):
         sim, machines, net = make_world(n=4)
@@ -86,7 +86,7 @@ class TestNetworkFaults:
         inj.partition_at(1.0, (0,), (1, 2, 3))
         inj.heal_at(2.0)
         sim.run(until=3.0)
-        assert not net.is_partitioned(0, 1)
+        assert not net.links.is_partitioned(0, 1)
         assert [r.kind for r in inj.records] == ["partition", "heal"]
 
     def test_impair_and_clear_link(self):
@@ -95,19 +95,19 @@ class TestNetworkFaults:
         inj.impair_link_at(1.0, 0, 1, loss_rate=0.5)
         inj.clear_link_at(2.0, 0, 1)
         sim.run(until=1.5)
-        assert net.link_impairment(0, 1).loss_rate == 0.5
-        assert net.link_impairment(1, 0).loss_rate == 0.5  # symmetric
+        assert net.links.link_impairment(0, 1).loss_rate == 0.5
+        assert net.links.link_impairment(1, 0).loss_rate == 0.5  # symmetric
         sim.run(until=3.0)
-        assert net.link_impairment(0, 1) is None
+        assert net.links.link_impairment(0, 1) is None
 
     def test_latency_spike_sets_and_clears(self):
         sim, machines, net = make_world()
         inj = FaultInjector(sim, machines, network=net)
         inj.latency_spike_at(1.0, 0.005, duration=1.0)
         sim.run(until=1.5)
-        assert net.extra_latency == 0.005
+        assert net.links.extra_latency == 0.005
         sim.run(until=3.0)
-        assert net.extra_latency == 0.0
+        assert net.links.extra_latency == 0.0
 
     def test_network_faults_require_network(self):
         sim, machines, _net = make_world()
@@ -185,11 +185,11 @@ class TestOverlappingSpikes:
         inj.latency_spike_at(1.0, 0.005, duration=2.0)   # 1.0 .. 3.0
         inj.latency_spike_at(2.0, 0.010, duration=2.0)   # 2.0 .. 4.0
         sim.run(until=2.5)
-        assert net.extra_latency == pytest.approx(0.015)
+        assert net.links.extra_latency == pytest.approx(0.015)
         sim.run(until=3.5)      # first spike ended, second still active
-        assert net.extra_latency == pytest.approx(0.010)
+        assert net.links.extra_latency == pytest.approx(0.010)
         sim.run(until=4.5)
-        assert net.extra_latency == 0.0
+        assert net.links.extra_latency == 0.0
 
     def test_immediate_and_scheduled_spikes_share_additive_semantics(self):
         """Satellite regression: the immediate form used to *set* the
@@ -201,11 +201,11 @@ class TestOverlappingSpikes:
         inj.latency_spike_at(1.0, 0.005, duration=2.0)   # 1.0 .. 3.0
         sim.run(until=1.5)
         inj.latency_spike(0.010, duration=1.0)           # 1.5 .. 2.5
-        assert net.extra_latency == pytest.approx(0.015)  # composes
+        assert net.links.extra_latency == pytest.approx(0.015)  # composes
         sim.run(until=2.7)      # immediate spike reverted its own delta
-        assert net.extra_latency == pytest.approx(0.005)
+        assert net.links.extra_latency == pytest.approx(0.005)
         sim.run(until=3.5)      # scheduled spike reverted too: clean zero
-        assert net.extra_latency == 0.0
+        assert net.links.extra_latency == 0.0
 
     def test_spike_records_carry_delta_and_total(self):
         sim, machines, net = make_world()
@@ -226,24 +226,24 @@ class TestOverlappingSpikes:
         sim.run(until=2.0)
         inj.latency_spike(0.010, duration=2.0)           # 2.0 .. 4.0
         sim.run(until=3.5)   # the stale t=3.0 revert must be a no-op
-        assert net.extra_latency == pytest.approx(0.010)
+        assert net.links.extra_latency == pytest.approx(0.010)
         sim.run(until=4.5)   # the new spike's own revert still works
-        assert net.extra_latency == 0.0
+        assert net.links.extra_latency == 0.0
 
     def test_clear_latency_spikes_reverts_everything(self):
         sim, machines, net = make_world()
         inj = FaultInjector(sim, machines, network=net)
         inj.latency_spike(0.005)
         inj.latency_spike(0.003)
-        assert net.extra_latency == pytest.approx(0.008)
+        assert net.links.extra_latency == pytest.approx(0.008)
         inj.clear_latency_spikes()
-        assert net.extra_latency == 0.0
+        assert net.links.extra_latency == 0.0
         # A stale scheduled revert after the wholesale clear is a no-op.
         inj.latency_spike_at(1.0, 0.002, duration=0.5)
         sim.run(until=1.2)
         inj.clear_latency_spikes()
         sim.run(until=2.0)
-        assert net.extra_latency == 0.0
+        assert net.links.extra_latency == 0.0
 
 
 class TestOneWayPartitionFaults:
@@ -252,10 +252,10 @@ class TestOneWayPartitionFaults:
         inj = FaultInjector(sim, machines, network=net)
         inj.partition_oneway_at(1.0, (2, 3), (0, 1))
         sim.run(until=1.5)
-        assert net.is_partitioned(2, 0)
-        assert net.is_partitioned(3, 1)
-        assert not net.is_partitioned(0, 2)
-        assert not net.is_partitioned(1, 3)
+        assert net.links.is_partitioned(2, 0)
+        assert net.links.is_partitioned(3, 1)
+        assert not net.links.is_partitioned(0, 2)
+        assert not net.links.is_partitioned(1, 3)
         record = inj.records[0]
         assert record.kind == "partition-oneway"
         assert record.detail == ((2, 3), (0, 1))
@@ -267,7 +267,7 @@ class TestOneWayPartitionFaults:
         inj.partition_oneway_at(1.0, (0,), (1, 2))
         inj.heal_at(2.0)
         sim.run(until=2.5)
-        assert not net.is_partitioned(0, 1)
+        assert not net.links.is_partitioned(0, 1)
         assert [r.kind for r in inj.records] == ["partition-oneway", "heal"]
 
     def test_requires_network(self):

@@ -79,8 +79,8 @@ class TestHeartbeatFd:
         # grab the network from the udp module
         udp = next(m for m in sys_.stack(0).modules.values() if m.protocol == "udp")
         network = udp.network
-        sys_.sim.schedule(1.0, network.partition, {0}, {1, 2})
-        sys_.sim.schedule(1.5, network.heal)
+        sys_.sim.schedule(1.0, network.links.partition, {0}, {1, 2})
+        sys_.sim.schedule(1.5, network.links.heal)
         sys_.run(until=4.0)
         fd0 = fds[0]
         assert fd0.false_suspicions > 0

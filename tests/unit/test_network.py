@@ -170,12 +170,12 @@ class TestImpairments:
         machines, net = make_net(sim)
         got = []
         net.attach(1, lambda m, t: got.append(m))
-        net.partition({0}, {1})
-        assert net.is_partitioned(0, 1) and net.is_partitioned(1, 0)
+        net.links.partition({0}, {1})
+        assert net.links.is_partitioned(0, 1) and net.links.is_partitioned(1, 0)
         net.send(NetMessage(0, 1, "x", 10))
         sim.run()
         assert got == []
-        net.heal()
+        net.links.heal()
         net.send(NetMessage(0, 1, "y", 10))
         sim.run()
         assert len(got) == 1
@@ -211,7 +211,7 @@ class TestLinkImpairments:
     def test_link_loss_one_drops_everything(self, sim):
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 1)
-        net.impair_link(0, 1, loss_rate=1.0)
+        net.links.impair_link(0, 1, loss_rate=1.0)
         for _ in range(10):
             net.send(NetMessage(0, 1, "p", 100))
         sim.run()
@@ -222,7 +222,7 @@ class TestLinkImpairments:
         _machines, net = make_net(sim)
         got0 = self._attach_counter(net, 0)
         got1 = self._attach_counter(net, 1)
-        net.impair_link(0, 1, loss_rate=1.0, symmetric=False)
+        net.links.impair_link(0, 1, loss_rate=1.0, symmetric=False)
         net.send(NetMessage(0, 1, "p", 100))
         net.send(NetMessage(1, 0, "p", 100))
         sim.run()
@@ -231,7 +231,7 @@ class TestLinkImpairments:
     def test_link_duplication_delivers_twice(self, sim):
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 1)
-        net.impair_link(0, 1, duplicate_rate=1.0)
+        net.links.impair_link(0, 1, duplicate_rate=1.0)
         net.send(NetMessage(0, 1, "p", 100))
         sim.run()
         assert len(received) == 2
@@ -240,7 +240,7 @@ class TestLinkImpairments:
     def test_link_extra_latency_delays_arrival(self, sim):
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 1)
-        net.impair_link(0, 1, extra_latency=0.050)
+        net.links.impair_link(0, 1, extra_latency=0.050)
         net.send(NetMessage(0, 1, "p", 100))
         sim.run()
         ((_msg, arrival),) = received
@@ -249,7 +249,7 @@ class TestLinkImpairments:
     def test_reorder_holds_messages_back(self, sim):
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 1)
-        net.impair_link(0, 1, reorder_rate=1.0, reorder_delay=0.050)
+        net.links.impair_link(0, 1, reorder_rate=1.0, reorder_delay=0.050)
         net.send(NetMessage(0, 1, "p", 100))
         sim.run()
         ((_msg, arrival),) = received
@@ -259,25 +259,25 @@ class TestLinkImpairments:
     def test_clear_link_restores_delivery(self, sim):
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 1)
-        net.impair_link(0, 1, loss_rate=1.0)
-        net.clear_link(0, 1)
-        assert net.link_impairment(0, 1) is None
+        net.links.impair_link(0, 1, loss_rate=1.0)
+        net.links.clear_link(0, 1)
+        assert net.links.link_impairment(0, 1) is None
         net.send(NetMessage(0, 1, "p", 100))
         sim.run()
         assert len(received) == 1
 
     def test_clear_links_removes_all(self, sim):
         _machines, net = make_net(sim)
-        net.impair_link(0, 1, loss_rate=0.5)
-        net.impair_link(1, 2, loss_rate=0.5)
-        net.clear_links()
-        assert net.link_impairment(0, 1) is None
-        assert net.link_impairment(1, 2) is None
+        net.links.impair_link(0, 1, loss_rate=0.5)
+        net.links.impair_link(1, 2, loss_rate=0.5)
+        net.links.clear_links()
+        assert net.links.link_impairment(0, 1) is None
+        assert net.links.link_impairment(1, 2) is None
 
     def test_link_rates_compose_with_lan_rates(self, sim):
         _machines, net = make_net(sim, loss_rate=0.5)
         self._attach_counter(net, 1)
-        net.impair_link(0, 1, loss_rate=0.5)
+        net.links.impair_link(0, 1, loss_rate=0.5)
         for _ in range(200):
             net.send(NetMessage(0, 1, "p", 10))
         sim.run()
@@ -286,16 +286,16 @@ class TestLinkImpairments:
     def test_invalid_impairment_rejected(self, sim):
         _machines, net = make_net(sim)
         with pytest.raises(NetworkError):
-            net.impair_link(0, 1, loss_rate=1.5)
+            net.links.impair_link(0, 1, loss_rate=1.5)
         with pytest.raises(NetworkError):
-            net.impair_link(0, 1, reorder_delay=-1.0)
+            net.links.impair_link(0, 1, reorder_delay=-1.0)
         with pytest.raises(UnknownDestinationError):
-            net.impair_link(0, 99, loss_rate=0.1)
+            net.links.impair_link(0, 99, loss_rate=0.1)
 
     def test_global_extra_latency_applies_everywhere(self, sim):
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 2)
-        net.extra_latency = 0.030
+        net.links.extra_latency = 0.030
         net.send(NetMessage(0, 2, "p", 100))
         sim.run()
         ((_msg, arrival),) = received
@@ -305,7 +305,7 @@ class TestLinkImpairments:
         """A duplicate crosses the same impaired link as the original."""
         _machines, net = make_net(sim)
         received = self._attach_counter(net, 1)
-        net.impair_link(0, 1, duplicate_rate=1.0, extra_latency=0.050)
+        net.links.impair_link(0, 1, duplicate_rate=1.0, extra_latency=0.050)
         net.send(NetMessage(0, 1, "p", 100))
         sim.run()
         assert len(received) == 2
@@ -318,7 +318,7 @@ class TestOneWayPartitions:
         fwd, back = [], []
         net.attach(1, lambda m, t: fwd.append(m.payload))
         net.attach(0, lambda m, t: back.append(m.payload))
-        net.partition_oneway({0}, {1})
+        net.links.partition_oneway({0}, {1})
         net.send(NetMessage(0, 1, "lost", 10))
         net.send(NetMessage(1, 0, "heard", 10))
         sim.run()
@@ -328,18 +328,18 @@ class TestOneWayPartitions:
 
     def test_is_partitioned_is_directional(self, sim):
         machines, net = make_net(sim)
-        net.partition_oneway({0, 2}, {1})
-        assert net.is_partitioned(0, 1)
-        assert net.is_partitioned(2, 1)
-        assert not net.is_partitioned(1, 0)
-        assert not net.is_partitioned(1, 2)
-        assert not net.is_partitioned(0, 2)
+        net.links.partition_oneway({0, 2}, {1})
+        assert net.links.is_partitioned(0, 1)
+        assert net.links.is_partitioned(2, 1)
+        assert not net.links.is_partitioned(1, 0)
+        assert not net.links.is_partitioned(1, 2)
+        assert not net.links.is_partitioned(0, 2)
 
     def test_heal_clears_oneway_too(self, sim):
         machines, net = make_net(sim)
-        net.partition_oneway({0}, {1, 2})
-        net.partition({0}, {2})
-        net.heal()
+        net.links.partition_oneway({0}, {1, 2})
+        net.links.partition({0}, {2})
+        net.links.heal()
         got = []
         net.attach(1, lambda m, t: got.append(m.payload))
         net.send(NetMessage(0, 1, "post-heal", 10))
@@ -348,6 +348,6 @@ class TestOneWayPartitions:
 
     def test_symmetric_partition_still_blocks_both_ways(self, sim):
         machines, net = make_net(sim)
-        net.partition({0}, {1})
-        assert net.is_partitioned(0, 1)
-        assert net.is_partitioned(1, 0)
+        net.links.partition({0}, {1})
+        assert net.links.is_partitioned(0, 1)
+        assert net.links.is_partitioned(1, 0)

@@ -108,14 +108,14 @@ class TestRp2pRestart:
         retransmission timers on recovery instead of never retrying."""
         sys_, net, rp2ps = self._world()
         # Partition so the send stays unacked, then crash the sender.
-        net.partition({0}, {1})
+        net.links.partition({0}, {1})
         sys_.sim.schedule_at(0.1, rp2ps[0].call, ("rp2p", "send", 1, ("hello",), 10))
         sys_.sim.schedule_at(0.2, sys_.machines[0].crash)
         sys_.run(until=1.0)
         assert rp2ps[0].unacked_count(1) == 1
         retx_before = rp2ps[0].counters.get("retransmissions")
         sys_.machines[0].recover()
-        net.heal()
+        net.links.heal()
         sys_.run(until=3.0)
         assert rp2ps[0].counters.get("retransmissions") > retx_before
         assert rp2ps[0].unacked_count(1) == 0  # delivered and acked

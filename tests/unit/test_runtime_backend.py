@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import NetworkError, SimulationError, UnknownDestinationError
 from repro.kernel.module import Module
 from repro.kernel.trace import TraceRecorder
+from repro.net.links import LinkPolicy
 from repro.net.message import NetMessage
 from repro.net.network import SimNetwork
 from repro.runtime import (
     Backend,
     NodeBackend,
     RealtimeBackend,
-    RealtimeFaultInjector,
     RealtimeNode,
     RealtimeScheduler,
     RealtimeUdpTransport,
@@ -75,9 +75,7 @@ def test_abstract_surface_is_one_spelling_per_operation():
         "now", "events_processed", "schedule_at", "cancel", "peek_time",
     }
     assert NodeBackend.__abstractmethods__ == {"execute"}
-    assert Transport.__abstractmethods__ == {
-        "attach", "detach", "send", "send_local", "stats",
-    }
+    assert Transport.__abstractmethods__ == {"send", "send_local", "stats"}
 
 
 @pytest.mark.parametrize(
@@ -93,6 +91,19 @@ def test_no_public_twin_suffixes(cls):
         and name.endswith(("_fast", "_packed", "_burst", "_many"))
     ]
     assert twins == []
+
+
+FAULT_SURFACE = (
+    "partition", "partition_oneway", "heal", "is_partitioned",
+    "impair_link", "clear_link", "clear_links", "link_impairment",
+)
+
+
+@pytest.mark.parametrize("cls", [SimNetwork, RealtimeUdpTransport], ids=lambda c: c.__name__)
+def test_fault_surface_lives_on_the_link_policy_only(cls):
+    assert [name for name in FAULT_SURFACE if hasattr(cls, name)] == []
+    assert all(callable(getattr(LinkPolicy, name)) for name in FAULT_SURFACE)
+    assert "attach" not in vars(cls) and "detach" not in vars(cls)
 
 
 def test_incarnation_state_machine_lives_on_the_base_only():
@@ -236,6 +247,17 @@ def test_datagram_dropped_when_receiver_crashed(backend):
     assert got == ["y"]
 
 
+def test_attach_rejects_unknown_node_and_second_hook(backend):
+    network = backend.network
+    with pytest.raises(UnknownDestinationError):
+        network.attach(99, lambda message, at: None)
+    network.attach(0, lambda message, at: None)
+    with pytest.raises(NetworkError):
+        network.attach(0, lambda message, at: None)
+    network.detach(0)
+    network.attach(0, lambda message, at: None)  # a detached node may re-attach
+
+
 def test_send_local_loopback(backend):
     got = _attach_sink(backend, 0)
     backend.network.send_local(NetMessage(src=0, dst=0, payload="self", size_bytes=16))
@@ -258,9 +280,7 @@ def test_scheduler_clock_and_counters(backend):
 # Fault-surface contract: one FaultInjector behaviour on both twins
 # --------------------------------------------------------------------- #
 def make_injector(backend):
-    """The right injector flavour for *backend* (same contract either way)."""
-    if isinstance(backend, RealtimeBackend):
-        return RealtimeFaultInjector(backend)
+    """The one injector, on either twin: it mutates ``network.links``."""
     return FaultInjector(backend.sim, backend.nodes, network=backend.network)
 
 
@@ -301,8 +321,8 @@ def test_injector_oneway_partition_blocks_exactly_one_direction(backend):
     backend.network.send(NetMessage(src=1, dst=0, payload="flows", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == [] and got0 == ["flows"]
-    assert backend.network.is_partitioned(0, 1)
-    assert not backend.network.is_partitioned(1, 0)
+    assert backend.network.links.is_partitioned(0, 1)
+    assert not backend.network.links.is_partitioned(1, 0)
     injector.heal()
 
 
@@ -318,3 +338,24 @@ def test_injector_full_loss_link_drops_until_cleared(backend):
     backend.network.send(NetMessage(src=0, dst=1, payload="kept", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == ["kept"]
+
+
+def test_injector_corrupt_link_drops_the_frame_on_both_twins(backend):
+    injector = make_injector(backend)
+    got1 = _attach_sink(backend, 1)
+    injector.impair_link(0, 1, corrupt_rate=1.0)
+    backend.network.send(NetMessage(src=0, dst=1, payload="garbled", size_bytes=32))
+    run_ticks(backend, 3)
+    assert got1 == []
+    stats = backend.network.stats()
+    assert stats["corrupted"] == 1
+    if isinstance(backend, RealtimeBackend):
+        # Sent with a mangled magic; the receiver's codec drops it.
+        assert stats["malformed"] == 1
+    else:
+        # The receiver NIC's checksum drops it (the sim default).
+        assert stats["corrupted_dropped"] == 1
+    injector.clear_links()
+    backend.network.send(NetMessage(src=0, dst=1, payload="clean", size_bytes=32))
+    run_ticks(backend, 3)
+    assert got1 == ["clean"]
