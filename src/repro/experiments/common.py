@@ -13,8 +13,9 @@ any :class:`~repro.runtime.api.Backend` — the simulated twin by default,
 the real-socket one for the soak.
 
 :func:`collect_rejoined` and :func:`pending_deliveries` are the one
-re-join rule and the one quiescence rule every drain uses: the simulated
-:meth:`GroupCommSystem.run_to_quiescence` and the soak's wall-clock drain.
+re-join rule and the one quiescence rule, and
+:meth:`GroupCommSystem.run_to_quiescence` is the one drain, on either
+backend.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class GroupCommSystem:
     app_service: str = WellKnown.R_ABCAST
 
     def run(self, until: float) -> None:
-        self.system.run(until=until)
+        """Run the backend up to instant *until*."""
+        self.backend.run(until)
 
     def run_to_quiescence(
         self,
@@ -162,24 +164,31 @@ class GroupCommSystem:
         step: float = 0.5,
         exempt: Sequence[int] = (),
         rejoined: Optional[Callable[[], Mapping[int, float]]] = None,
-    ) -> None:
+    ) -> Dict[int, int]:
         """Run until nothing is pending (:func:`pending_deliveries`) or
-        the budget of *extra* simulated seconds is exhausted.
+        the budget of *extra* more seconds of backend time is exhausted;
+        return the last pending dict (empty = quiescent).
 
         *exempt* stacks (known-faulty: crashed, churned, or isolated) are
         held to no obligation.  *rejoined*, when given, is polled each
         step for the stacks whose crash-recovery re-join handshake has
         completed (``stack -> re-join instant``), which narrows their
-        exemption back.  Simulated backend only: the realtime soak
-        drains on the wall clock with the same rule.
+        exemption back.
         """
         exempt_set = set(exempt)
-        deadline = self.system.sim.now + extra
-        while self.system.sim.now < deadline:
-            self.system.run(until=min(deadline, self.system.sim.now + step))
+
+        def owed() -> Dict[int, int]:
             rejoin_times = dict(rejoined()) if rejoined is not None else {}
-            if not pending_deliveries(self, exempt_set, rejoin_times):
-                return
+            return pending_deliveries(self, exempt_set, rejoin_times)
+
+        sim = self.backend.sim
+        deadline = sim.now + extra
+        while sim.now < deadline:
+            self.backend.run(min(deadline, sim.now + step))
+            pending = owed()
+            if not pending:
+                return pending
+        return owed()
 
     def stacks(self) -> List:
         return self.system.stacks

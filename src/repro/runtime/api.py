@@ -376,7 +376,7 @@ class Backend(ABC):
 
     The lifecycle is ``start()`` → populate the stacks (normally
     :func:`~repro.experiments.common.build_group_comm_system`) →
-    ``run(duration)`` (repeatable) → ``stop()``.  ``start()`` comes
+    ``run(until)`` (repeatable) → ``stop()``.  ``start()`` comes
     *first* because module ``on_start`` hooks arm timers and send
     datagrams immediately — the transport must already be bound.
 
@@ -399,8 +399,9 @@ class Backend(ABC):
         """Bind the transport and make the scheduler ready (idempotent)."""
 
     @abstractmethod
-    def run(self, duration: float) -> None:
-        """Advance the runtime by *duration* seconds (blocking)."""
+    def run(self, until: float) -> None:
+        """Advance the runtime to absolute instant *until* of
+        :attr:`Scheduler.now` (blocking); a past instant returns at once."""
 
     @abstractmethod
     def stop(self) -> None:

@@ -31,11 +31,11 @@ event loop's monotonic clock and datagrams travel through real
   :class:`~repro.sim.faults.FaultInjector` degrades either.
 * :class:`RealtimeBackend` — bundles the three behind the
   :class:`~repro.runtime.api.Backend` lifecycle, with one kernel stack
-  per node, and doubles as the duck-typed "system" (``stacks`` /
-  ``machine(i)`` / ``sim`` / ``registry``) that
-  :class:`~repro.dpu.manager.ReplacementManager` and the property
-  checkers already consume, so the *unmodified* dpu/gm/fd/abcast
-  modules run on it.
+  per node and a structural trace, and doubles as the duck-typed
+  "system" (``stacks`` / ``machine(i)`` / ``sim`` / ``registry`` /
+  ``trace``) that :class:`~repro.dpu.manager.ReplacementManager` and
+  the property checkers already consume, so the *unmodified*
+  dpu/gm/fd/abcast modules run on it and the scenario engine checks it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import asyncio
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import CodecError, SimulationError
+from ..kernel.events import STRUCTURAL_TRACE_KINDS
 from ..kernel.registry import ProtocolRegistry
 from ..kernel.stack import Stack
 from ..kernel.trace import TraceRecorder
@@ -333,7 +334,9 @@ class RealtimeBackend(Backend):
     """A bootable wall-clock cluster: scheduler + *n* nodes + UDP sockets.
 
     Creates one kernel stack per node, a shared protocol registry and a
-    disabled trace recorder, the way :class:`~repro.kernel.system.System`
+    trace recorder keeping :data:`~repro.kernel.events.
+    STRUCTURAL_TRACE_KINDS` (everything the trace checkers read, none of
+    the per-call rows), the way :class:`~repro.kernel.system.System`
     does, and exposes the duck-typed "system" surface
     (``stacks``/``machine(i)``/``sim``/``registry``/``network``/``trace``)
     the replacement manager and experiment helpers consume, so
@@ -362,7 +365,7 @@ class RealtimeBackend(Backend):
         #: Alias for experiment helpers that expect ``system.network``.
         self.network = self.transport
         self.registry = ProtocolRegistry()
-        self.trace = TraceRecorder(enabled=False)
+        self.trace = TraceRecorder(keep=STRUCTURAL_TRACE_KINDS)
         self.stacks: List[Stack] = [Stack(node, self.trace) for node in self.nodes]
         self._started = False
         self._stopped = False
@@ -384,11 +387,12 @@ class RealtimeBackend(Backend):
         self._loop.run_until_complete(self.transport.open())
         self._started = True
 
-    def run(self, duration: float) -> None:
-        """Run the event loop for *duration* wall-clock seconds."""
+    def run(self, until: float) -> None:
+        """Run the event loop until instant *until* of :attr:`sim`'s clock
+        (a past instant spins the loop once and returns)."""
         if not self._started:
             raise SimulationError("RealtimeBackend.run() before start()")
-        self._loop.run_until_complete(asyncio.sleep(duration))
+        self._loop.run_until_complete(asyncio.sleep(max(0.0, until - self.sim.now)))
 
     def run_coro(self, coro: Any) -> Any:
         """Run one coroutine to completion on the owned loop."""

@@ -114,9 +114,9 @@ class SimBackend(Backend):
     def start(self) -> None:
         """No-op: the simulated network needs no binding step."""
 
-    def run(self, duration: float) -> None:
-        """Advance simulated time by *duration* seconds."""
-        self.system.sim.run(until=self.system.sim.now + duration)
+    def run(self, until: float) -> None:
+        """Run the simulation up to instant *until*, where the clock lands."""
+        self.system.run(until=until)
 
     def stop(self) -> None:
         """No-op: ``Simulator.run`` already fires the ``at_end`` hooks."""

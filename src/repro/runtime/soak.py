@@ -1,83 +1,73 @@
 """Soak harness: the Figure 4 stack on real sockets, switching live.
 
-``python -m repro.runtime.soak`` boots *n* complete group-communication
-stacks — UDP, RP2P, heartbeat FD, reliable broadcast, consensus, ABcast,
-and the replacement layer, all the *same unmodified module classes* the
-simulator runs — on a :class:`~repro.runtime.realtime.RealtimeBackend`:
-real asyncio UDP sockets on localhost, wall-clock timers.  It then
-drives constant client traffic through a mid-run protocol-switch chain
-(the paper's experiment, but live), drains to quiescence, checks the
-four ABcast properties on the delivery log, and exits non-zero on any
-violation or incomplete switch.
+``python -m repro.runtime.soak`` is the scenario engine on a
+:class:`~repro.runtime.realtime.RealtimeBackend` — the *same unmodified
+module classes* the simulator runs, over real asyncio UDP sockets on
+localhost and wall-clock timers.  A :class:`SoakConfig` becomes a
+:class:`~repro.scenarios.spec.ScenarioSpec` (:func:`soak_spec`: the
+switch plan as ``SwitchAt`` steps, the chaos fault plan, the drain
+budget), :func:`build_soak_system` builds it on the wall-clock
+calibration below, and the engine's
+:class:`~repro.scenarios.engine.ScenarioRun` arms, drives, drains and
+checks it: the four ABcast properties, recovery liveness, and the trace
+checkers (well-formedness, chain agreement, operationability) on the
+backend's structural trace.  The run exits non-zero on any violation,
+incomplete switch, missed re-join or failed drain.
 
-While running it serves a JSON health/metrics endpoint
-(``--health-port``; port 0 picks a free one) reporting uptime, event
-and datagram counters, per-node delivery counts, wall-clock
-delivery-latency percentiles, and switch progress — the kind of surface
-a long soak is watched through.
-
-``--chaos`` arms a :class:`~repro.sim.faults.FaultInjector` on the live
-cluster — the one injector, mutating the transport's link policy and
-firing at wall-clock instants: a scheduled
-crash → recover → partition → heal plan, with a lossy/duplicating link
-and a latency spike riding along, runs *through* the protocol-switch
-chain while the group-membership module expels and re-admits the
-victim.  Degradation must stay graceful: the ABcast properties hold on
-the survivor log (crash exemptions narrowed by the GM re-join, exactly
-like the scenario engine), every stack traverses an agreeing protocol
-chain, and the run still drains to quiescence after the heal.  A forged
-*stale* change frame is injected mid-chain as a teeth check: the
-guarded algorithm discards it (counted), while ``--unguarded`` runs the
-paper-literal algorithm and is expected to FAIL the chain-agreement
-check — proving the chaos gate can actually reject a bad run.
-
-The stack set is :func:`~repro.experiments.common.build_group_comm_system`
-on the soak's calibration (:func:`build_soak_system`), and the drain
-uses that module's re-join and quiescence rules — the simulator's
-builder and rules, on real sockets.  ``tests/integration/
-test_cross_backend.py`` builds the stack set on both twins and compares
-the outcomes.
+What is the soak's own: a JSON health/metrics endpoint
+(``--health-port``; port 0 picks a free one) with event and datagram
+counters, per-node delivery counts, wall-clock latency percentiles and
+switch progress; and, under ``--chaos`` (crash → recover → partition →
+heal, a lossy link and a latency spike through the switch chain, GM
+expelling and re-admitting the victim), a forged *stale* change frame
+injected mid-chain as a teeth check: the guarded algorithm discards it,
+while ``--unguarded`` runs the paper-literal algorithm and is expected
+to FAIL chain agreement.  ``tests/integration/test_cross_backend.py``
+runs the same configs on both twins and compares the outcomes.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..dpu import DeliveryLog, ReplacementManager
-from ..dpu.abcast_checker import (
-    chain_agreement_violations,
-    check_all_abcast_properties,
-    check_recovery_liveness,
-    is_post_rejoin_send,
-)
+from ..dpu import DeliveryLog
 from ..dpu.repl import NEW_ABCAST
 from ..experiments.common import (
-    GroupCommConfig,
     GroupCommSystem,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
     build_group_comm_system,
-    collect_rejoined,
-    pending_deliveries,
 )
-from ..scenarios.spec import Crash, Heal, ImpairLink, LatencySpike, Partition, Recover
-from ..sim.faults import FaultInjector
+from ..scenarios.engine import ScenarioRun, config_for
+from ..scenarios.spec import (
+    Crash,
+    Heal,
+    ImpairLink,
+    LatencySpike,
+    Partition,
+    Recover,
+    ScenarioSpec,
+)
+from ..scenarios.switchplan import SwitchAt
 from .api import Backend
 from .realtime import RealtimeBackend
 
 __all__ = [
     "SoakConfig",
+    "arm_soak",
     "build_soak_system",
     "default_chaos_faults",
     "run_soak",
+    "soak_spec",
     "main",
 ]
 
@@ -101,19 +91,28 @@ CHAOS_PLAN: Tuple[Tuple[float, str], ...] = (
 #: with a partition window shorter than it (no false suspicion).
 CHAOS_DURATION: float = 10.0
 
+#: Wall-clock calibration of the soak's stack set.  Client load starts
+#: at 0.1 s, once every socket is bound and every module started.  The
+#: failure detector is ~10x coarser than the simulated default, because
+#: scheduling jitter on a loaded CI box would otherwise produce false
+#: suspicions.  Module creation keeps the scenario default of 5 ms.
+LOAD_START: float = 0.1
+FD_PERIOD: float = 0.25
+FD_TIMEOUT: float = 2.0
+
 
 def default_chaos_faults(config: "SoakConfig") -> Tuple[Any, ...]:
     """The default chaos fault plan, scaled to ``config.duration``.
 
-    Calibrated against the soak's failure-detector settings
-    (``fd_period=0.25``, ``fd_timeout=2.0``) at the default 10 s window:
+    Calibrated against the soak's failure detector (:data:`FD_PERIOD`,
+    :data:`FD_TIMEOUT`) at the default 10 s window:
 
     * crash the last node at ``0.18·D`` and recover it at ``0.45·D`` —
-      a 2.7 s outage **exceeds** ``fd_timeout``, so the survivors
+      a 2.7 s outage **exceeds** the FD timeout, so the survivors
       suspect and (with GM) expel the victim, and its recovery must go
       through the full re-join state transfer;
     * a symmetric partition isolates the re-joined victim from
-      ``0.58·D`` to ``0.75·D`` — 1.7 s, **under** ``fd_timeout``, so
+      ``0.58·D`` to ``0.75·D`` — 1.7 s, **under** the FD timeout, so
       delivery stalls and recovers with no membership change;
     * a lossy + duplicating link between nodes 0 and 1 across the first
       switch window, and a network-wide latency spike near the end,
@@ -139,10 +138,8 @@ def default_chaos_faults(config: "SoakConfig") -> Tuple[Any, ...]:
 class SoakConfig:
     """Knobs of one soak run.
 
-    Timer-ish durations are in seconds of backend time (wall-clock on
-    the realtime backend).  The failure-detector calibration is much
-    coarser than the simulated default because wall-clock scheduling
-    jitter on a loaded CI box would otherwise produce false suspicions.
+    Durations are in seconds of backend time (wall-clock on the realtime
+    backend); the protocol starts on ``abcast-ct``.
     """
 
     nodes: int = 3
@@ -151,62 +148,134 @@ class SoakConfig:
     #: Aggregate client rate over all nodes (messages per second).
     rate_per_sec: float = 60.0
     payload_bytes: int = 256
-    initial_protocol: str = PROTOCOL_CT
     #: Switch chain as ``(fraction_of_duration, protocol)`` pairs.
     plan: Tuple[Tuple[float, str], ...] = DEFAULT_PLAN
     host: str = "127.0.0.1"
     #: Health endpoint port (``0`` = OS-assigned, ``None`` = no server).
     health_port: Optional[int] = 0
-    fd_period: float = 0.25
-    fd_timeout: float = 2.0
-    creation_cost: float = 5e-3
     #: Post-load budget to drain in-flight messages to quiescence.
     drain_extra: float = 5.0
     drain_step: float = 0.25
-    #: Arm the realtime chaos layer (fault plan + degradation checks).
+    #: Arm :func:`default_chaos_faults` and the stale probe.
     chaos: bool = False
     #: Add the group-membership module (expel/re-join); implied by chaos.
     with_gm: bool = False
     #: Algorithm 1's stale-change guard; ``False`` runs the
     #: paper-literal variant the chaos teeth check expects to fail.
     guard_change_sn: bool = True
-    #: Chaos fault plan (scenario ``FaultAction``s with absolute times);
-    #: ``None`` selects :func:`default_chaos_faults`.
-    fault_plan: Optional[Tuple[Any, ...]] = None
 
 
-def build_soak_system(config: SoakConfig, backend: Backend) -> GroupCommSystem:
-    """Assemble the Figure 4 stack set on an already-started *backend*:
-    :func:`~repro.experiments.common.build_group_comm_system` on the
-    soak's calibration (load from 0.1 s, no kernel trace, GM with chaos)."""
-    return build_group_comm_system(
-        GroupCommConfig(
-            n=config.nodes,
-            seed=config.seed,
-            load_msgs_per_sec=config.rate_per_sec,
-            payload_bytes=config.payload_bytes,
-            load_start=0.1,
-            load_stop=config.duration,
-            initial_protocol=config.initial_protocol,
-            creation_cost=config.creation_cost,
-            guard_change_sn=config.guard_change_sn,
-            with_gm=config.with_gm or config.chaos,
-            fd_period=config.fd_period,
-            fd_timeout=config.fd_timeout,
-            trace="off",
+def soak_spec(config: SoakConfig) -> ScenarioSpec:
+    """The soak as a scenario: the plan as :class:`SwitchAt` steps from
+    stack 0, the chaos fault plan when armed, the drain budget as the
+    quiescence budget."""
+    return ScenarioSpec(
+        name="chaos",
+        n=config.nodes,
+        duration=config.duration,
+        load_msgs_per_sec=config.rate_per_sec,
+        payload_bytes=config.payload_bytes,
+        with_gm=config.with_gm or config.chaos,
+        guard_change_sn=config.guard_change_sn,
+        faults=default_chaos_faults(config) if config.chaos else (),
+        switches=tuple(
+            SwitchAt(protocol, at=fraction * config.duration)
+            for fraction, protocol in config.plan
         ),
-        backend,
+        quiescence_extra=config.drain_extra,
+        quiescence_step=config.drain_step,
     )
 
 
-def _snapshot(gcs: GroupCommSystem, manager: ReplacementManager,
-              injector: Optional[FaultInjector]) -> Dict[str, Any]:
+def build_soak_system(spec: ScenarioSpec, seed: int, backend: Backend) -> GroupCommSystem:
+    """Assemble *spec*'s Figure 4 stack set on an already-started
+    *backend*: the scenario engine's config on the soak's wall-clock
+    calibration (:data:`LOAD_START`, :data:`FD_PERIOD`, :data:`FD_TIMEOUT`)."""
+    config = dataclasses.replace(
+        config_for(spec, seed),
+        load_start=LOAD_START,
+        fd_period=FD_PERIOD,
+        fd_timeout=FD_TIMEOUT,
+    )
+    return build_group_comm_system(config, backend)
+
+
+def _arm_stale_probe(gcs: GroupCommSystem) -> None:
+    """Arm the chaos teeth check: one forged stale change frame.
+
+    The moment version 1 closes cluster-wide, a fabricated
+    ``(NEW_ABCAST, sn=0, ...)`` frame — a change message whose sequence
+    number is one version stale, the paper's Section 5 anomaly — is fed
+    to one stack's Adeliver interceptor.  Algorithm 1 with the
+    sequence-number guard discards it (``stale_changes_discarded`` in
+    the health snapshot); the paper-literal ``--unguarded`` variant
+    accepts it, that stack's protocol chain diverges, and the
+    chain-agreement check fails the run — proving the chaos gate
+    rejects a genuinely inconsistent update.
+    """
+    manager, backend = gcs.manager, gcs.backend
+    assert manager is not None
+    target = 1 if backend.n > 1 else 0
+    forged = (NEW_ABCAST, 0, (999, 0), gcs.config.initial_protocol)
+
+    def inject(version: int, protocol: str, when: float) -> None:
+        if version != 1:
+            return
+        module = manager.module(target)
+        backend.nodes[target].execute(0.0, module._on_adeliver, (target, forged, 64))
+
+    manager.on_version_closed.append(inject)
+
+
+def arm_soak(config: SoakConfig, backend: Backend) -> ScenarioRun:
+    """Build the soak on a started *backend* and arm it: the spec's
+    faults and switches, plus the stale probe under chaos."""
+    spec = soak_spec(config)
+    run = ScenarioRun(spec, build_soak_system(spec, config.seed, backend))
+    if config.chaos:
+        _arm_stale_probe(run.gcs)
+    return run
+
+
+def _latency_percentiles(log: DeliveryLog) -> Dict[str, Any]:
+    """Wall-clock send→deliver latency percentiles over every delivery.
+
+    Each ``(key, t_deliver)`` pairs with its send instant; on the
+    realtime backend both stamps come from the loop's monotonic clock,
+    so these are honest end-to-end ABcast latencies through the real
+    UDP sockets.
+    """
+    samples = sorted(
+        t_deliver - log.sends[key][1]
+        for seq in log.deliveries.values()
+        for key, t_deliver in seq
+        if key in log.sends
+    )
+    if not samples:
+        return {"count": 0}
+
+    def pct(p: float) -> float:
+        return samples[min(len(samples) - 1, int(p / 100.0 * len(samples)))]
+
+    return {
+        "count": len(samples),
+        "p50": pct(50.0),
+        "p95": pct(95.0),
+        "p99": pct(99.0),
+        "max": samples[-1],
+    }
+
+
+def _snapshot(run: ScenarioRun, chaos: bool) -> Dict[str, Any]:
     """One JSON-able health/metrics snapshot of the running soak."""
-    system, log, n = gcs.system, gcs.log, gcs.config.n
+    gcs, injector = run.gcs, run.injector
+    manager, log, n = gcs.manager, gcs.log, gcs.config.n
+    assert manager is not None  # the soak's stack set has the replacement layer
+    sim = gcs.backend.sim
     out: Dict[str, Any] = {
-        "now": system.sim.now,
+        "now": sim.now,
         "nodes": n,
-        "events_processed": system.sim.events_processed,
+        "events_processed": sim.events_processed,
         "sends": len(log.sends),
         "deliveries": {s: len(log.delivered_set(s)) for s in range(n)},
         "protocols": manager.current_protocols(),
@@ -217,7 +286,7 @@ def _snapshot(gcs: GroupCommSystem, manager: ReplacementManager,
         "stale": manager.stale_classification(),
         "transport": gcs.network.stats(),
     }
-    if injector is not None:
+    if chaos:
         kinds = Counter(record.kind for record in injector.records)
         out["chaos"] = {
             "counters": dict(sorted(kinds.items())),
@@ -225,9 +294,7 @@ def _snapshot(gcs: GroupCommSystem, manager: ReplacementManager,
             "crashed_ever": {
                 str(k): v for k, v in sorted(injector.crashed_ever().items())
             },
-            "rejoined": {
-                str(k): v for k, v in sorted(collect_rejoined(gcs).items())
-            },
+            "rejoined": {str(k): v for k, v in sorted(run.rejoined().items())},
             "stale_changes_discarded": sum(
                 manager.module(s).counters.get("stale_changes_discarded")
                 for s in range(n)
@@ -282,200 +349,49 @@ def _probe_health(server: Any, backend: RealtimeBackend) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Measurement helpers
-# --------------------------------------------------------------------- #
-def _latency_percentiles(log: DeliveryLog) -> Dict[str, Any]:
-    """Wall-clock send→deliver latency percentiles over every delivery.
-
-    Each ``(key, t_deliver)`` pairs with its send instant; on the
-    realtime backend both stamps come from the loop's monotonic clock,
-    so these are honest end-to-end ABcast latencies through the real
-    UDP sockets.
-    """
-    samples: List[float] = []
-    for seq in log.deliveries.values():
-        for key, t_deliver in seq:
-            send = log.sends.get(key)
-            if send is not None:
-                samples.append(t_deliver - send[1])
-    if not samples:
-        return {"count": 0}
-    samples.sort()
-    last = len(samples) - 1
-
-    def pct(p: float) -> float:
-        return samples[min(last, int(p / 100.0 * len(samples)))]
-
-    return {
-        "count": len(samples),
-        "p50": pct(50.0),
-        "p95": pct(95.0),
-        "p99": pct(99.0),
-        "max": samples[-1],
-    }
-
-
-# --------------------------------------------------------------------- #
 # Driving
 # --------------------------------------------------------------------- #
-def _pending(gcs: GroupCommSystem, backend: RealtimeBackend) -> Dict[str, int]:
-    """The quiescence rule of :func:`~repro.experiments.common.
-    pending_deliveries`, every ever-crashed stack exempt (re-joined ones
-    narrowed back), keyed by stack id as a string for the report."""
-    exempt = {s for s in range(backend.n) if backend.machine(s).ever_crashed}
-    pending = pending_deliveries(gcs, exempt, collect_rejoined(gcs))
-    return {str(s): count for s, count in pending.items()}
-
-
-def _drain(gcs: GroupCommSystem, backend: RealtimeBackend,
-           config: SoakConfig) -> Tuple[bool, Dict[str, int]]:
-    """Run past the load window until every obligation is delivered.
-
-    Returns ``(drained, pending)`` where *pending* names the stacks that
-    failed to quiesce and how many deliveries each still owes — so a
-    chaos-soak failure is diagnosable straight from the CI artifact.
-    """
-    deadline = backend.sim.now + config.drain_extra
-    pending = _pending(gcs, backend)
-    while backend.sim.now < deadline:
-        backend.run(config.drain_step)
-        pending = _pending(gcs, backend)
-        if not pending:
-            return True, {}
-    return False, pending
-
-
-def _arm_stale_probe(gcs: GroupCommSystem, manager: ReplacementManager,
-                     backend: RealtimeBackend) -> None:
-    """Arm the chaos teeth check: one forged stale change frame.
-
-    The moment version 1 closes cluster-wide, a fabricated
-    ``(NEW_ABCAST, sn=0, ...)`` frame — a change message whose sequence
-    number is one version stale, the paper's Section 5 anomaly — is fed
-    to one stack's Adeliver interceptor.  Algorithm 1 with the
-    sequence-number guard discards it (``stale_changes_discarded`` in
-    the health snapshot); the paper-literal ``--unguarded`` variant
-    accepts it, that stack's protocol chain diverges, and the
-    chain-agreement check fails the run — proving the chaos gate
-    rejects a genuinely inconsistent update.
-    """
-    target = 1 if backend.n > 1 else 0
-    forged = (NEW_ABCAST, 0, (999, 0), gcs.config.initial_protocol)
-
-    def inject(version: int, protocol: str, when: float) -> None:
-        if version != 1:
-            return
-        module = manager.module(target)
-        backend.machine(target).execute(
-            0.0, module._on_adeliver, (target, forged, 64)
-        )
-
-    manager.on_version_closed.append(inject)
-
-
 def run_soak(config: SoakConfig) -> Dict[str, Any]:
     """Run one full soak on a fresh realtime backend; return the report."""
     backend = RealtimeBackend(config.nodes, seed=config.seed, host=config.host)
     backend.start()
-    gcs = build_soak_system(config, backend)
-    manager = gcs.manager
-    assert manager is not None  # the soak's stack set has the replacement layer
-    log = gcs.log
-    injector: Optional[FaultInjector] = None
-    if config.chaos:
-        injector = FaultInjector(
-            backend.sim, backend.nodes, network=backend.network, name="chaos"
-        )
-        faults = (
-            config.fault_plan
-            if config.fault_plan is not None
-            else default_chaos_faults(config)
-        )
-        for action in faults:
-            action.schedule(injector)
-        _arm_stale_probe(gcs, manager, backend)
+    run = arm_soak(config, backend)
     server = None
     if config.health_port is not None:
-        server = _start_health_server(
-            lambda: _snapshot(gcs, manager, injector), config, backend
-        )
-    for fraction, protocol in config.plan:
-        manager.request_change(protocol, from_stack=0, at=fraction * config.duration)
+        server = _start_health_server(lambda: _snapshot(run, config.chaos), config, backend)
 
     wall_start = time.monotonic()
-    backend.run(config.duration)
-    drained, drain_pending = _drain(gcs, backend, config)
+    pending = run.drive()
     wall_elapsed = time.monotonic() - wall_start
 
     health_ok = _probe_health(server, backend) if server is not None else None
-    snapshot = _snapshot(gcs, manager, injector)
-
-    stacks = list(range(backend.n))
-    crashed: Dict[int, float] = (
-        dict(injector.crashed_ever()) if injector is not None else {}
-    )
-    rejoined = collect_rejoined(gcs)
-    in_flight = {
-        key
-        for key, (sender, t_send) in log.sends.items()
-        if sender in crashed and not is_post_rejoin_send(sender, t_send, rejoined)
-    }
-    violations = check_all_abcast_properties(
-        log, crashed=crashed, stacks=stacks, in_flight_ok=in_flight or None
-    )
-    violations["recovery liveness"] = check_recovery_liveness(log, rejoined, crashed)
-    chains = {
-        sid: [protocol for _version, protocol in trajectory]
-        for sid, trajectory in manager.protocol_trajectories().items()
-    }
-    violations["chain agreement"] = chain_agreement_violations(
-        chains, crashed=crashed
-    )
-    # Every stack that crashed and is back up must have completed its
-    # re-join handshake, or the recovery path silently degraded.
-    rejoin_ok = all(
-        s in rejoined for s in crashed if not backend.machine(s).crashed
-    )
-    switches_ok = all(snapshot["switches_complete"].values()) and len(
-        snapshot["switches_complete"]
-    ) == len(config.plan)
-
+    snapshot = _snapshot(run, config.chaos)
+    result = run.check()
     if server is not None:
         server.close()
     backend.stop()
 
-    ok = (
-        drained
-        and switches_ok
-        and rejoin_ok
-        and not any(violations.values())
-        and health_ok is not False
+    # Every stack that crashed and is back up must have completed its
+    # re-join handshake, or the recovery path silently degraded.
+    rejoin_ok = all(
+        s in result.rejoined for s in result.crashed if not backend.machine(s).crashed
     )
+    switches = snapshot["switches_complete"]
+    switches_ok = all(switches.values()) and len(switches) == len(config.plan)
+    ok = not pending and switches_ok and rejoin_ok and result.ok and health_ok is not False
     return {
         "ok": ok,
         "backend": "realtime",
         "chaos_mode": config.chaos,
         "wall_elapsed": wall_elapsed,
-        "drained": drained,
-        "drain_pending": drain_pending,
+        "drained": not pending,
+        "drain_pending": {str(s): count for s, count in pending.items()},
         "switches_ok": switches_ok,
         "rejoin_ok": rejoin_ok,
         "health_ok": health_ok,
-        "violations": {k: v for k, v in violations.items() if v},
+        "violations": {k: v for k, v in result.violations.items() if v},
         **snapshot,
     }
-
-
-def _parse_plan(text: str, default: Tuple[Tuple[float, str], ...]
-                ) -> Tuple[Tuple[float, str], ...]:
-    """Parse ``"0.25:abcast-seq,0.5:abcast-token"`` into a switch plan."""
-    if not text:
-        return default
-    plan: List[Tuple[float, str]] = []
-    for part in text.split(","):
-        fraction, _, protocol = part.partition(":")
-        plan.append((float(fraction), protocol.strip()))
-    return tuple(plan)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -491,9 +407,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--rate", type=float, default=60.0,
                         help="aggregate client messages per second")
     parser.add_argument("--payload-bytes", type=int, default=256)
-    parser.add_argument("--plan", type=str, default="",
-                        help="switch chain, e.g. '0.25:abcast-seq,0.5:abcast-ct'"
-                        " (fractions of --duration)")
     parser.add_argument("--chaos", action="store_true",
                         help="arm the fault plan (crash/recover/partition/"
                         "heal through the switch chain) and the graceful-"
@@ -517,7 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         rate_per_sec=args.rate,
         payload_bytes=args.payload_bytes,
-        plan=_parse_plan(args.plan, CHAOS_PLAN if args.chaos else DEFAULT_PLAN),
+        plan=CHAOS_PLAN if args.chaos else DEFAULT_PLAN,
         health_port=None if args.health_port < 0 else args.health_port,
         chaos=args.chaos,
         guard_change_sn=not args.unguarded,

@@ -1,17 +1,20 @@
-"""The campaign engine: run scenarios, check properties, emit JSON.
+"""The campaign engine and the one run harness: arm, run, drain, check.
 
-:func:`run_scenario` is a pure function ``(spec, seed) → ScenarioResult``:
-it builds the paper's Figure 4 stack, arms the fault schedule on a
+A :class:`ScenarioRun` takes a :class:`ScenarioSpec` and a Figure 4
+stack set built on any backend, arms the fault schedule on a
 :class:`~repro.sim.faults.FaultInjector` and the switch plan on a
-:class:`~repro.scenarios.switchplan.SwitchPlan`, runs the workload for
-``spec.duration`` simulated seconds, drains to quiescence, and then runs
-every property checker the repo has:
+:class:`~repro.scenarios.switchplan.SwitchPlan`, runs the workload to
+``spec.duration``, drains to quiescence, and then runs every property
+checker the repo has:
 
 * the four ABcast properties across replacements (Section 5.2.2), with
   the usual exemptions for faulty machines and their in-flight sends;
 * weak stack-well-formedness (Section 3);
 * weak protocol-operationability for every protocol the scenario binds.
 
+:func:`run_scenario` is those steps on a fresh simulated system, a pure
+function ``(spec, seed) → ScenarioResult``; the realtime soak
+(:mod:`repro.runtime.soak`) is the same steps on real sockets.
 :func:`run_campaign` maps a :class:`Campaign` (a named set of scenarios)
 across a seed matrix.  Everything serialises to **deterministic JSON**
 (sorted keys, no wall-clock timestamps): the same ``(campaign, seeds)``
@@ -47,6 +50,7 @@ from ..errors import ScenarioError
 from ..experiments.common import (
     TRACE_MODES,
     GroupCommConfig,
+    GroupCommSystem,
     build_group_comm_system,
     collect_rejoined,
 )
@@ -57,8 +61,10 @@ from .switchplan import SwitchPlan
 
 __all__ = [
     "ScenarioResult",
+    "ScenarioRun",
     "Campaign",
     "CampaignResult",
+    "config_for",
     "run_scenario",
     "run_campaign",
     "result_from_dict",
@@ -207,7 +213,7 @@ class CampaignResult:
 # --------------------------------------------------------------------------- #
 # Running one scenario
 # --------------------------------------------------------------------------- #
-def _config_for(spec: ScenarioSpec, seed: int, trace: str = "full") -> GroupCommConfig:
+def config_for(spec: ScenarioSpec, seed: int, trace: str = "full") -> GroupCommConfig:
     """The builder config for one ``(spec, seed)`` cell at *trace* depth."""
     return GroupCommConfig(
         n=spec.n,
@@ -230,13 +236,146 @@ def _config_for(spec: ScenarioSpec, seed: int, trace: str = "full") -> GroupComm
     )
 
 
+class ScenarioRun:
+    """One scenario on a built system, on either backend: constructing
+    it arms the fault schedule and the switch plan on *gcs*; then
+    :meth:`drive` and :meth:`check`."""
+
+    def __init__(self, spec: ScenarioSpec, gcs: GroupCommSystem) -> None:
+        self.spec = spec
+        self.gcs = gcs
+        backend = gcs.backend
+        self.injector = FaultInjector(
+            backend.sim, backend.nodes, network=gcs.network, name=spec.name
+        )
+        for action in spec.faults:
+            action.schedule(self.injector)
+        self.plan = SwitchPlan(spec.switches)
+        self.plan.arm(gcs, self.injector)
+
+    def rejoined(self) -> Dict[int, float]:
+        """The stacks whose re-join completed, by the spec's rule."""
+        return collect_rejoined(self.gcs, self.spec.kernel_rejoin_marker)
+
+    def drive(self) -> Dict[int, int]:
+        """Run to ``spec.duration``, then drain; return the deliveries
+        each stack still owes (empty = quiescent)."""
+        spec, gcs = self.spec, self.gcs
+        gcs.run(until=spec.duration)
+        return gcs.run_to_quiescence(
+            extra=spec.quiescence_extra,
+            step=spec.quiescence_step,
+            exempt=set(spec.declared_faulty()) | set(self.injector.crashed_ever()),
+            rejoined=self.rejoined,
+        )
+
+    def check(self) -> ScenarioResult:
+        """Run every property checker on what the run left behind."""
+        spec, gcs = self.spec, self.gcs
+        trace, log, manager = gcs.system.trace, gcs.log, gcs.manager
+
+        # ----- fault/crash accounting --------------------------------- #
+        crashed: Dict[int, float] = dict(self.injector.crashed_ever())
+        for machine_id in spec.expected_faulty:
+            crashed.setdefault(machine_id, spec.duration)
+        stacks = list(range(spec.n))
+        correct = [s for s in stacks if s not in crashed]
+        # Stacks that recovered AND completed the GM re-join handshake are
+        # correct again from their re-join instant: their post-re-join
+        # sends leave the in-flight exemption (everyone must deliver them)
+        # and the recovery-liveness checker holds the rejoined stack
+        # itself to every post-re-join message.
+        rejoined = self.rejoined()
+        in_flight = {
+            key
+            for key, (sender, t_send) in log.sends.items()
+            if sender in crashed and not is_post_rejoin_send(sender, t_send, rejoined)
+        }
+
+        # ----- property checks ---------------------------------------- #
+        violations = check_all_abcast_properties(
+            log, crashed, stacks, in_flight_ok=in_flight
+        )
+        violations["recovery liveness"] = check_recovery_liveness(
+            log, rejoined, crashed
+        )
+        violations["weak stack-well-formedness"] = check_weak_stack_well_formedness(trace)
+        violations["chain agreement"] = check_chain_agreement(
+            trace, stacks, crashed=crashed
+        )
+        if spec.uses_corruption():
+            # Key added only for corruption-armed scenarios: corruption-free
+            # campaign reports (and the pinned goldens) keep their shape.
+            violations["corruption containment"] = check_corruption_containment(
+                gcs.network.stats(), checksum=spec.checksum
+            )
+        protocols_bound = {spec.initial_protocol}
+        protocols_bound.update(step.protocol for step in spec.switches)
+        for protocol in sorted(protocols_bound):
+            violations[f"weak operationability[{protocol}]"] = (
+                check_weak_protocol_operationability(trace, protocol, stacks)
+            )
+
+        # ----- metrics ------------------------------------------------- #
+        common: Optional[set] = None
+        for stack_id in correct:
+            delivered = log.delivered_set(stack_id)
+            common = delivered if common is None else (common & delivered)
+        windows: List[Dict[str, Any]] = []
+        switch_chain: Dict[str, Any] = {}
+        if manager is not None:
+            windows = [
+                {
+                    "version": window.version,
+                    "protocol": window.protocol,
+                    "start": window.start,
+                    "end": window.end,
+                    "duration": window.duration,
+                    "stacks_completed": len(window.completed),
+                    "overlap_with_previous": window.overlap_with_prev,
+                }
+                for _version, window in sorted(manager.windows.items())
+            ]
+            switch_chain = manager.chain_metrics()
+            switch_chain["trajectories"] = {
+                str(sid): [[version, prot] for version, prot in traj]
+                for sid, traj in sorted(manager.protocol_trajectories().items())
+            }
+            switch_chain["stale_discards"] = manager.stale_classification()
+        latency = mean_latency(log, stacks=correct) if correct else None
+
+        sim = gcs.backend.sim
+        return ScenarioResult(
+            name=spec.name,
+            seed=gcs.config.seed,
+            n=spec.n,
+            sim_time_end=sim.now,
+            events_processed=sim.events_processed,
+            sent_total=len(log.sends),
+            delivered_per_stack={s: log.delivered_count(s) for s in stacks},
+            ordered_common=len(common or ()),
+            mean_latency_s=latency,
+            faults=[record.to_dict() for record in self.injector.records],
+            switches_fired=list(self.plan.fired),
+            switch_windows=windows,
+            switch_chain=switch_chain,
+            final_protocols=manager.current_protocols() if manager is not None else {},
+            crashed=crashed,
+            rejoined=rejoined,
+            correct_stacks=correct,
+            violations=violations,
+            network=gcs.network.stats(),
+        )
+
+
 def run_scenario(
     spec: ScenarioSpec, seed: int = 0, trace: str = "structural"
 ) -> ScenarioResult:
     """Run one scenario at one seed; never raises on property violations
     (they are returned in the result, so a campaign always completes).
 
-    *trace* selects the kernel trace depth.  The default,
+    Builds the simulated stack set and runs the :class:`ScenarioRun`
+    steps on it.  *trace* selects the kernel trace depth.  The default,
     ``"structural"``, records exactly the kinds the property checkers
     consume — module add/remove, bind/unbind, blocked/unblocked calls,
     crash/recover — and skips the per-call/per-response firehose, so the
@@ -249,121 +388,9 @@ def run_scenario(
         raise ScenarioError(
             f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}"
         )
-    gcs = build_group_comm_system(_config_for(spec, seed, trace))
-    system = gcs.system
-    injector = FaultInjector(
-        system.sim, system.machines, network=gcs.network, name=spec.name
-    )
-    for action in spec.faults:
-        action.schedule(injector)
-    plan = SwitchPlan(spec.switches)
-    plan.arm(gcs, injector)
-
-    system.run(until=spec.duration)
-    declared = set(spec.declared_faulty())
-    gcs.run_to_quiescence(
-        extra=spec.quiescence_extra,
-        step=spec.quiescence_step,
-        exempt=declared | set(injector.crashed_ever()),
-        rejoined=lambda: collect_rejoined(gcs, spec.kernel_rejoin_marker),
-    )
-
-    # ----- fault/crash accounting ------------------------------------- #
-    crashed: Dict[int, float] = dict(injector.crashed_ever())
-    for machine_id in spec.expected_faulty:
-        crashed.setdefault(machine_id, spec.duration)
-    stacks = list(range(spec.n))
-    correct = [s for s in stacks if s not in crashed]
-    # Stacks that recovered AND completed the GM re-join handshake are
-    # correct again from their re-join instant: their post-re-join sends
-    # leave the in-flight exemption (everyone must deliver them) and the
-    # recovery-liveness checker holds the rejoined stack itself to every
-    # post-re-join message.
-    rejoined = collect_rejoined(gcs, spec.kernel_rejoin_marker)
-    in_flight = {
-        key
-        for key, (sender, t_send) in gcs.log.sends.items()
-        if sender in crashed and not is_post_rejoin_send(sender, t_send, rejoined)
-    }
-
-    # ----- property checks -------------------------------------------- #
-    violations = check_all_abcast_properties(
-        gcs.log, crashed, stacks, in_flight_ok=in_flight
-    )
-    violations["recovery liveness"] = check_recovery_liveness(
-        gcs.log, rejoined, crashed
-    )
-    violations["weak stack-well-formedness"] = check_weak_stack_well_formedness(
-        system.trace
-    )
-    violations["chain agreement"] = check_chain_agreement(
-        system.trace, stacks, crashed=crashed
-    )
-    if spec.uses_corruption():
-        # Key added only for corruption-armed scenarios: corruption-free
-        # campaign reports (and the pinned goldens) keep their shape.
-        violations["corruption containment"] = check_corruption_containment(
-            gcs.network.stats(), checksum=spec.checksum
-        )
-    protocols_bound = {spec.initial_protocol}
-    protocols_bound.update(step.protocol for step in spec.switches)
-    for protocol in sorted(protocols_bound):
-        violations[f"weak operationability[{protocol}]"] = (
-            check_weak_protocol_operationability(system.trace, protocol, stacks)
-        )
-
-    # ----- metrics ----------------------------------------------------- #
-    common: Optional[set] = None
-    for stack_id in correct:
-        delivered = gcs.log.delivered_set(stack_id)
-        common = delivered if common is None else (common & delivered)
-    windows = []
-    switch_chain: Dict[str, Any] = {}
-    if gcs.manager is not None:
-        for version in sorted(gcs.manager.windows):
-            window = gcs.manager.windows[version]
-            windows.append(
-                {
-                    "version": window.version,
-                    "protocol": window.protocol,
-                    "start": window.start,
-                    "end": window.end,
-                    "duration": window.duration,
-                    "stacks_completed": len(window.completed),
-                    "overlap_with_previous": window.overlap_with_prev,
-                }
-            )
-        switch_chain = gcs.manager.chain_metrics()
-        switch_chain["trajectories"] = {
-            str(sid): [[version, prot] for version, prot in traj]
-            for sid, traj in sorted(gcs.manager.protocol_trajectories().items())
-        }
-        switch_chain["stale_discards"] = gcs.manager.stale_classification()
-    latency = mean_latency(gcs.log, stacks=correct) if correct else None
-
-    return ScenarioResult(
-        name=spec.name,
-        seed=seed,
-        n=spec.n,
-        sim_time_end=system.sim.now,
-        events_processed=system.sim.events_processed,
-        sent_total=len(gcs.log.sends),
-        delivered_per_stack={s: gcs.log.delivered_count(s) for s in stacks},
-        ordered_common=len(common or ()),
-        mean_latency_s=latency,
-        faults=[record.to_dict() for record in injector.records],
-        switches_fired=list(plan.fired),
-        switch_windows=windows,
-        switch_chain=switch_chain,
-        final_protocols=(
-            gcs.manager.current_protocols() if gcs.manager is not None else {}
-        ),
-        crashed=crashed,
-        rejoined=rejoined,
-        correct_stacks=correct,
-        violations=violations,
-        network=gcs.network.stats(),
-    )
+    run = ScenarioRun(spec, build_group_comm_system(config_for(spec, seed, trace)))
+    run.drive()
+    return run.check()
 
 
 # --------------------------------------------------------------------------- #
@@ -492,16 +519,8 @@ def compare_reports(
         name, seed = run_key
         base, cur = base_runs[run_key], cur_runs[run_key]
         # Property/checker drift first: the signal CI cares most about.
-        for field_name in ("ok", "violations"):
-            if base.get(field_name) != cur.get(field_name):
-                drift.append(
-                    f"run [{name} seed={seed}] {field_name}: "
-                    f"baseline {base.get(field_name)!r} -> "
-                    f"current {cur.get(field_name)!r}"
-                )
-        for field_name in sorted(set(base) | set(cur)):
-            if field_name in ("ok", "violations"):
-                continue
+        first = ("ok", "violations")
+        for field_name in first + tuple(sorted((set(base) | set(cur)) - set(first))):
             if base.get(field_name) != cur.get(field_name):
                 drift.append(
                     f"run [{name} seed={seed}] {field_name}: "

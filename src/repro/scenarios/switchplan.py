@@ -283,8 +283,9 @@ class SwitchPlan:
         """Request the change (from a fallback stack if the requester died)."""
         if from_stack is None:
             from_stack = getattr(step, "from_stack", None)
-        if from_stack is None or gcs.system.machine(from_stack).crashed:
-            alive = gcs.system.alive_ids()
+        nodes = gcs.backend.nodes
+        if from_stack is None or nodes[from_stack].crashed:
+            alive = [node.machine_id for node in nodes if not node.crashed]
             if not alive:
                 return  # nobody left to request the switch
             from_stack = alive[0]

@@ -22,7 +22,8 @@ from repro.scenarios import (
     run_campaign,
     run_scenario,
 )
-from repro.experiments.common import collect_rejoined
+from repro.experiments.common import build_group_comm_system
+from repro.scenarios.engine import ScenarioRun, config_for
 
 RECOVERY_SCENARIOS = (
     "recover-during-switch",
@@ -33,26 +34,11 @@ RECOVERY_SCENARIOS = (
 
 class TestRestartProtocol:
     def _run(self, spec, seed=0):
-        from repro.experiments.common import build_group_comm_system
-        from repro.scenarios.engine import _config_for
-        from repro.scenarios.switchplan import SwitchPlan
-        from repro.sim.faults import FaultInjector
-
-        gcs = build_group_comm_system(_config_for(spec, seed))
-        injector = FaultInjector(
-            gcs.system.sim, gcs.system.machines, network=gcs.network, name=spec.name
-        )
-        for action in spec.faults:
-            action.schedule(injector)
-        plan = SwitchPlan(spec.switches)
-        plan.arm(gcs, injector)
-        gcs.system.run(until=spec.duration)
-        gcs.run_to_quiescence(
-            extra=spec.quiescence_extra,
-            exempt=set(injector.crashed_ever()),
-            rejoined=lambda: collect_rejoined(gcs),
-        )
-        return gcs
+        """The engine's arm + drive on a full-trace build; the system is
+        returned for inspection."""
+        run = ScenarioRun(spec, build_group_comm_system(config_for(spec, seed)))
+        run.drive()
+        return run.gcs
 
     def test_recovered_stack_rejoins_and_delivers_post_recovery_traffic(self):
         spec = get_scenario("recover-during-switch")

@@ -49,6 +49,10 @@ def _kinds(injector):
     return Counter(record.kind for record in injector.records)
 
 
+def _run(backend, seconds):
+    backend.run(backend.sim.now + seconds)
+
+
 def _send(backend, src, dst, payload):
     backend.network.send(
         NetMessage(src=src, dst=dst, payload=payload, size_bytes=32)
@@ -68,13 +72,13 @@ def test_garbage_datagram_on_live_socket_is_counted_not_raised(backend):
         probe.sendto(b"RW" + b"\xff" * 20, address)     # right magic, junk rest
     finally:
         probe.close()
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     stats = backend.network.stats()
     assert stats["malformed"] == 3
     assert got == []
     # The loop survived: a well-formed datagram still delivers.
     _send(backend, 1, 0, "still-alive")
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got == ["still-alive"]
     assert backend.network.stats()["malformed"] == 3
 
@@ -91,7 +95,7 @@ def test_valid_codec_datagram_from_foreign_socket_delivers(backend):
         )
     finally:
         probe.close()
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got == [("external", 1)]
 
 
@@ -116,11 +120,11 @@ def test_injector_partition_blocks_and_heal_restores(backend):
     injector.partition([0], [1, 2])
     _send(backend, 0, 1, "a-to-b")
     _send(backend, 1, 0, "b-to-a")
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got0 == [] and got1 == []
     injector.heal()
     _send(backend, 0, 1, "healed")
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got1 == ["healed"]
     assert backend.network.stats()["dropped_partition"] == 2
 
@@ -131,7 +135,7 @@ def test_injector_oneway_partition_blocks_one_direction(backend):
     injector.partition_oneway([0], [1])
     _send(backend, 0, 1, "silenced")
     _send(backend, 1, 0, "heard")
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got1 == [] and got0 == ["heard"]
     injector.heal()
 
@@ -141,12 +145,12 @@ def test_injector_impair_link_full_loss_and_clear(backend):
     got1 = _sink(backend, 1)
     injector.impair_link(0, 1, loss_rate=1.0)
     _send(backend, 0, 1, "lost")
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got1 == []
     assert backend.network.stats()["dropped_loss"] == 1
     injector.clear_links()
     _send(backend, 0, 1, "through")
-    backend.run(5 * TICK)
+    _run(backend, 5 * TICK)
     assert got1 == ["through"]
     kinds = [r.kind for r in injector.records]
     assert kinds == ["impair-link", "clear-links"]
@@ -158,9 +162,9 @@ def test_injector_latency_spike_delays_then_reverts(backend):
     injector.latency_spike(10 * TICK, duration=20 * TICK)
     assert backend.network.links.extra_latency == pytest.approx(10 * TICK)
     _send(backend, 0, 1, "delayed")
-    backend.run(3 * TICK)
+    _run(backend, 3 * TICK)
     assert got1 == []  # still in the delay window
-    backend.run(30 * TICK)
+    _run(backend, 30 * TICK)
     assert got1 == ["delayed"]
     assert backend.network.links.extra_latency == 0.0  # spike reverted itself
     assert backend.network.stats()["delayed"] == 1
@@ -177,7 +181,7 @@ def test_scenario_fault_plan_schedules_against_realtime(backend):
         LatencySpike(at=10 * TICK, extra=TICK, duration=2 * TICK),
     ):
         action.schedule(injector)
-    backend.run(16 * TICK)
+    _run(backend, 16 * TICK)
     counters = _kinds(injector)
     assert counters["crash"] == 1 and counters["recover"] == 1
     assert counters["partition"] == 1 and counters["heal"] == 1

@@ -14,6 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import NetworkError, SimulationError, UnknownDestinationError
+from repro.experiments.common import (
+    PROTOCOL_SEQ,
+    GroupCommConfig,
+    build_group_comm_system,
+)
 from repro.kernel.module import Module
 from repro.kernel.trace import TraceRecorder
 from repro.net.links import LinkPolicy
@@ -30,6 +35,7 @@ from repro.runtime import (
     SimBackend,
     Transport,
 )
+from repro.scenarios.switchplan import SwitchAt, SwitchPlan
 from repro.sim import Machine, Simulator
 from repro.sim.faults import FaultInjector
 
@@ -52,7 +58,7 @@ def backend(request):
 
 def run_ticks(backend, ticks: float) -> None:
     """Advance backend time far enough for *ticks* quanta to elapse."""
-    backend.run(ticks * TICK + TICK)
+    backend.run(backend.sim.now + ticks * TICK + TICK)
 
 
 def test_implements_the_api(backend):
@@ -265,6 +271,27 @@ def test_send_local_loopback(backend):
     assert got == ["self"]
 
 
+def test_run_until_lands_the_sim_clock_exactly_on_the_instant():
+    backend = SimBackend(n=2, seed=7, trace_enabled=False)
+    backend.start()
+    until = 0.1 + 0.2  # not a "round" float: the clock must land on it as is
+    backend.nodes[0].set_timer(0.05, lambda: None)
+    backend.run(until)
+    assert backend.sim.now == until
+    backend.run(until + 3 * TICK)  # repeatable, still absolute
+    assert backend.sim.now == until + 3 * TICK
+
+
+def test_run_to_a_past_instant_returns_at_once(backend):
+    fired = []
+    run_ticks(backend, 1)
+    backend.nodes[0].set_timer(5 * TICK, fired.append, ("later",))
+    t0 = backend.sim.now
+    backend.run(t0 - 1.0)
+    assert backend.sim.now - t0 < TICK
+    assert fired == []
+
+
 def test_scheduler_clock_and_counters(backend):
     sim = backend.sim
     t0 = sim.now
@@ -359,3 +386,38 @@ def test_injector_corrupt_link_drops_the_frame_on_both_twins(backend):
     backend.network.send(NetMessage(src=0, dst=1, payload="clean", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == ["clean"]
+
+
+# --------------------------------------------------------------------- #
+# The harness on both twins: the Figure-4 stack set driven through the
+# system-level run/drain and a switch plan
+# --------------------------------------------------------------------- #
+def build_group(backend):
+    """A small Figure-4 stack set on *backend*, on the soak's FD timing."""
+    return build_group_comm_system(
+        GroupCommConfig(
+            n=backend.n, seed=7, load_msgs_per_sec=40.0, payload_bytes=64,
+            load_stop=0.3, fd_period=0.25, fd_timeout=2.0,
+        ),
+        backend,
+    )
+
+
+def test_group_run_and_drain_go_through_the_backend(backend):
+    gcs = build_group(backend)
+    gcs.run(until=0.3)
+    assert backend.sim.now >= 0.3
+    pending = gcs.run_to_quiescence(extra=5.0, step=0.05)
+    assert pending == {}
+    assert gcs.log.sends
+    for s in range(backend.n):
+        assert set(gcs.log.sends) <= gcs.log.delivered_set(s)
+
+
+def test_switch_plan_falls_back_to_a_live_requester(backend):
+    gcs = build_group(backend)
+    backend.nodes[0].crash()
+    plan = SwitchPlan([SwitchAt(PROTOCOL_SEQ, at=backend.sim.now + TICK, from_stack=0)])
+    plan.arm(gcs, make_injector(backend))
+    run_ticks(backend, 3)
+    assert [fired["from_stack"] for fired in plan.fired] == [1]

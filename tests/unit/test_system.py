@@ -6,7 +6,7 @@ from repro.errors import KernelError
 from repro.experiments import GroupCommConfig, build_group_comm_system
 from repro.kernel import Module, Stack, System
 from repro.runtime import RealtimeBackend
-from repro.runtime.soak import SoakConfig, build_soak_system
+from repro.runtime.soak import SoakConfig, build_soak_system, soak_spec
 
 
 class Simple(Module):
@@ -109,7 +109,7 @@ class TestIdentityAttributes:
         backend = RealtimeBackend(config.nodes, seed=0)
         backend.start()
         try:
-            soak = build_soak_system(config, backend)
+            soak = build_soak_system(soak_spec(config), config.seed, backend)
             _assert_identities(soak.backend.stacks)
         finally:
             backend.stop()
