@@ -23,9 +23,10 @@ event loop's monotonic clock and datagrams travel through real
   in-process.  The wire format is the safe, versioned codec of
   :mod:`repro.runtime.codec` (struct header + restricted-tag payload
   encoding).  **Trust boundary**: decoding never executes anything —
-  unknown tags, unknown wire versions, and truncated or corrupted
-  datagrams are counted (``malformed`` in :meth:`~RealtimeUdpTransport.
-  stats`) and dropped, never raised into the event loop.  Its fault
+  unknown tags, unknown wire versions, truncated or corrupted
+  datagrams, and datagrams whose header names another rank as ``dst``
+  are counted (``malformed`` in :meth:`~RealtimeUdpTransport.stats`)
+  and dropped, never raised into the event loop.  Its fault
   surface is the same :class:`~repro.net.links.LinkPolicy` the
   simulated network consults, so one
   :class:`~repro.sim.faults.FaultInjector` degrades either.
@@ -179,7 +180,8 @@ class RealtimeUdpTransport(Transport):
     ``(host, port)`` map is shared in-process, so N stacks coexist in
     one process with zero port configuration.  Wire format is the safe
     codec of :mod:`repro.runtime.codec` — header + restricted-tag
-    payload; malformed datagrams are counted and dropped at
+    payload; malformed datagrams, and datagrams addressed to another
+    rank than the socket's, are counted and dropped at
     :meth:`_on_datagram`, never raised.
 
     Crash semantics match :class:`~repro.net.network.SimNetwork`:
@@ -286,6 +288,10 @@ class RealtimeUdpTransport(Transport):
         try:
             src, dst, payload, size_bytes = decode_datagram(data)
         except CodecError:
+            self._c_malformed += 1
+            return
+        if dst != node_id:
+            # Addressed to another rank: never deliver it as our own.
             self._c_malformed += 1
             return
         if self.links.is_partitioned(src, node_id):

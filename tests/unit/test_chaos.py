@@ -14,13 +14,14 @@ file stays CI-fast.
 from __future__ import annotations
 
 import socket
+import struct
 from collections import Counter
 
 import pytest
 
 from repro.net.message import NetMessage
 from repro.runtime import RealtimeBackend
-from repro.runtime.codec import encode_datagram
+from repro.runtime.codec import HEADER, MAGIC, WIRE_VERSION, encode_datagram, encode_value
 from repro.scenarios.spec import Crash, Heal, ImpairLink, LatencySpike, Partition, Recover
 from repro.sim.faults import FaultInjector
 
@@ -97,6 +98,39 @@ def test_valid_codec_datagram_from_foreign_socket_delivers(backend):
         probe.close()
     _run(backend, 5 * TICK)
     assert got == [("external", 1)]
+
+
+def _send_raw(address, *frames):
+    probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        for frame in frames:
+            probe.sendto(frame, address)
+    finally:
+        probe.close()
+
+
+def test_misaddressed_datagram_from_foreign_socket_is_dropped(backend):
+    # Addressed to rank 1 in the header, landed on rank 2's socket: it
+    # is neither rank 2's to deliver nor rerouted to rank 1.
+    got = {rank: _sink(backend, rank) for rank in (1, 2)}
+    _send_raw(backend.network.addresses[2],
+              encode_datagram(0, 1, ("misaddressed", 1), 16))
+    _run(backend, 5 * TICK)
+    assert got == {1: [], 2: []}
+    assert backend.network.stats()["malformed"] == 1
+
+
+def test_unhashable_set_member_on_live_socket_is_counted_not_raised(backend):
+    got = _sink(backend, 0)
+    crafted = (HEADER.pack(MAGIC, WIRE_VERSION, 0, 1, 0, 16)
+               + b"e" + struct.pack("!I", 1) + encode_value([1]))
+    _send_raw(backend.network.addresses[0], crafted)
+    _run(backend, 5 * TICK)
+    assert backend.network.stats()["malformed"] == 1
+    assert got == []
+    _send(backend, 1, 0, "still-alive")
+    _run(backend, 5 * TICK)
+    assert got == ["still-alive"]
 
 
 # --------------------------------------------------------------------- #

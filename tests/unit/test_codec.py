@@ -79,7 +79,15 @@ ROUND_TRIP_VALUES = REAL_FRAMES + [
 ]
 
 
-@pytest.mark.parametrize("value", ROUND_TRIP_VALUES, ids=repr)
+def _value_id(value):
+    """``repr``, except that a frozenset lists its members sorted: their
+    order follows str hashing, which changes with ``PYTHONHASHSEED``."""
+    if type(value) is frozenset:
+        return f"frozenset({sorted(value)!r})"
+    return repr(value)
+
+
+@pytest.mark.parametrize("value", ROUND_TRIP_VALUES, ids=_value_id)
 def test_value_round_trip(value):
     decoded = decode_value(encode_value(value))
     assert decoded == value
@@ -216,3 +224,105 @@ def test_bitflip_fuzz_on_valid_datagrams():
             decode_datagram(bytes(corrupted))
         except CodecError:
             pass  # drop is the contract; any other exception fails the test
+
+
+# --------------------------------------------------------------------- #
+# Unhashable members: a set / frozenset / dict the decoder cannot build
+# --------------------------------------------------------------------- #
+def _u32(count):
+    return struct.pack("!I", count)
+
+
+def _frame(payload):
+    return HEADER.pack(MAGIC, WIRE_VERSION, 0, 0, 1, 8) + payload
+
+
+UNHASHABLE_PAYLOADS = {
+    "set holding a list": b"e" + _u32(1) + encode_value([1]),
+    "frozenset holding a dict": b"z" + _u32(1) + encode_value({"k": 1}),
+    "dict keyed by a list": b"d" + _u32(1) + encode_value([1]) + encode_value(0),
+}
+
+
+@pytest.mark.parametrize("payload", UNHASHABLE_PAYLOADS.values(),
+                         ids=UNHASHABLE_PAYLOADS.keys())
+def test_unhashable_member_is_a_codec_error(payload):
+    with pytest.raises(CodecError, match="unhashable"):
+        decode_datagram(_frame(payload))
+
+
+# --------------------------------------------------------------------- #
+# Grammar-aware hostile fuzz: valid header, random tag streams
+# --------------------------------------------------------------------- #
+_VALID_TAGS = b"NTFifIsbxtlezd"
+_INVALID_TAGS = bytes(b for b in range(256) if b not in _VALID_TAGS)
+
+
+def _hostile_length(rng, honest):
+    """Usually the honest length or count; sometimes a lie."""
+    roll = rng.random()
+    if roll < 0.8:
+        return honest
+    if roll < 0.9:
+        return max(0, honest + rng.choice((-2, -1, 1, 2)))
+    return rng.choice((0, 1, 255, 2**31, 2**32 - 1))
+
+
+def _hostile_unhashable(rng):
+    return encode_value(rng.choice((
+        [1, "a"], {"k": (1,)}, {2, 3},
+        NetMessage(src=0, dst=1, payload=("x",), size_bytes=8, msg_id=5),
+    )))
+
+
+def _hostile_leaf(rng):
+    tag = rng.choice(b"NTFifsbI")
+    if tag in b"NTF":
+        return bytes([tag])
+    if tag in b"if":
+        return bytes([tag]) + rng.randbytes(8)
+    raw = rng.choice((b"ok", "hé".encode(), b"\xff\xfe", rng.randbytes(3)))
+    return bytes([tag]) + _u32(_hostile_length(rng, len(raw))) + raw
+
+
+def _hostile_stream(rng, depth=0):
+    """One value's tag stream: mostly well formed, with invalid tags,
+    lying length prefixes and unhashable members of sets and dict keys."""
+    roll = rng.random()
+    if roll < 0.04:
+        return bytes([rng.choice(_INVALID_TAGS)])
+    if depth > MAX_DEPTH or roll < 0.4:
+        return _hostile_leaf(rng)
+    tag = rng.choice(b"tlezdx")
+    if tag == b"x"[0]:
+        name = rng.choice((b"net.NetMessage", b"net.NetMessage", b"not.registered"))
+        fields = (b"t" + _u32(_hostile_length(rng, 5)) + encode_value(0)
+                  + encode_value(1) + _hostile_stream(rng, depth + 2)
+                  + encode_value(rng.choice((8, -1, "8"))) + encode_value(3))
+        return b"x" + _u32(_hostile_length(rng, len(name))) + name + fields
+    count = rng.randrange(4)
+    items = []
+    for _ in range(count * 2 if tag == b"d"[0] else count):
+        hashed = tag in b"ez" or (tag == b"d"[0] and len(items) % 2 == 0)
+        if hashed and rng.random() < 0.3:
+            items.append(_hostile_unhashable(rng))
+        else:
+            items.append(_hostile_stream(rng, depth + 1))
+    return bytes([tag]) + _u32(_hostile_length(rng, count)) + b"".join(items)
+
+
+def test_grammar_fuzz_only_codec_error_escapes():
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for _ in range(3000):
+        stream = _hostile_stream(rng)
+        if rng.random() < 0.1:
+            stream = stream[: rng.randrange(len(stream) + 1)]
+        try:
+            decode_datagram(_frame(stream))
+            accepted += 1
+        except CodecError:
+            rejected += 1
+    # Both outcomes are common, so the stream reaches past the first
+    # bad byte into the container, string and wire-type paths.
+    assert accepted > 300 and rejected > 300
