@@ -31,7 +31,7 @@ def measure(protocol: str, load: float) -> float:
         load_stop=STOP,
         initial_protocol=protocol,
         with_repl_layer=False,
-        trace_enabled=False,
+        trace="off",
     )
     gcs = build_group_comm_system(cfg)
     gcs.run(until=STOP + 2.0)

@@ -123,12 +123,11 @@ class GroupCommConfig:
     fd_period: Duration = ms(50.0)
     fd_timeout: Duration = ms(200.0)
     token_idle_hold: Duration = ms(1.0)
-    trace_enabled: bool = True
     #: Trace depth: ``"full"`` records every kernel event (tests,
     #: debugging), ``"structural"`` drops the per-call/per-response
     #: firehose but keeps everything the property checkers consume
     #: (campaign default — reports are byte-identical to full), ``"off"``
-    #: records nothing.  ``trace_enabled=False`` equals ``"off"``.
+    #: records nothing.
     trace: str = "full"
 
     def per_stack_rate(self) -> float:
@@ -335,7 +334,7 @@ def build_group_comm_system(
                 loss_rate=config.loss_rate,
                 duplicate_rate=config.duplicate_rate,
             ),
-            trace_enabled=config.trace_enabled and config.trace != "off",
+            trace_enabled=config.trace != "off",
             trace_kinds=(
                 STRUCTURAL_TRACE_KINDS if config.trace == "structural" else None
             ),

@@ -133,7 +133,7 @@ def run_one_config(
         load_msgs_per_sec=load,
         load_stop=duration,
         with_repl_layer=configuration != "normal_without_layer",
-        trace_enabled=False,  # pure measurement runs
+        trace="off",  # pure measurement runs
     )
     gcs = build_group_comm_system(cfg)
 

@@ -39,10 +39,10 @@ through it), so the common case — bound service, no blocked-call backlog
   recorder's ``keep`` filter plus a live ``enabled`` check mean a
   trace-off call never packs a record (``Stack(machine)`` and
   ``Stack(machine, trace=False)`` use the shared
-  :data:`~repro.kernel.trace.NULL_TRACE` sink); a kept record is one
-  positional ``record`` call carrying the call's int seq, which the
-  recorder renders as ``"<stack>:<seq>"`` only when a query builds the
-  record;
+  :data:`~repro.kernel.trace.NULL_TRACE` sink); a kept call, dispatch or
+  response is one bound hot-log ``extend`` carrying the call's int seq,
+  which the recorder renders as ``"<stack>:<seq>"`` only when a query
+  builds the record;
 * response fan-out is served from a cached per ``(service, event)``
   subscriber list, invalidated when the module set changes.
 
@@ -140,6 +140,7 @@ class Stack:
         "_trace_unblocked",
         "_trace_response",
         "_trace_response_buffered",
+        "_hot_log",
     )
 
     def __init__(
@@ -197,13 +198,16 @@ class Stack:
         self._response_cache: Dict[Tuple[str, str], List[Callable[..., Any]]] = {}
         # Per-kind keep-filter flags, paired with a live `trace.enabled`
         # check on use (the keep filter is fixed at recorder construction).
-        wants = trace.wants
-        self._trace_call = wants(TraceKind.CALL)
-        self._trace_dispatch = wants(TraceKind.CALL_DISPATCHED)
-        self._trace_blocked = wants(TraceKind.CALL_BLOCKED)
-        self._trace_unblocked = wants(TraceKind.CALL_UNBLOCKED)
-        self._trace_response = wants(TraceKind.RESPONSE)
-        self._trace_response_buffered = wants(TraceKind.RESPONSE_BUFFERED)
+        # A kept firehose flag is the kind itself, read from the slot at the
+        # hot-log site: ``TraceKind.X`` is a slow lookup (EnumType.__getattr__).
+        wants, kinds = trace.wants, TraceKind
+        self._trace_call = wants(kinds.CALL) and kinds.CALL
+        self._trace_dispatch = wants(kinds.CALL_DISPATCHED) and kinds.CALL_DISPATCHED
+        self._trace_blocked = wants(kinds.CALL_BLOCKED)
+        self._trace_unblocked = wants(kinds.CALL_UNBLOCKED)
+        self._trace_response = wants(kinds.RESPONSE) and kinds.RESPONSE
+        self._trace_response_buffered = wants(kinds.RESPONSE_BUFFERED) and kinds.RESPONSE_BUFFERED
+        self._hot_log = trace._hot.extend  # see repro.kernel.trace
         machine.on_crash.append(self._on_machine_crash)
         machine.on_recover.append(self._on_machine_recover)
 
@@ -384,11 +388,13 @@ class Stack:
         self._call_seq = seq
         trace = self.trace
         if self._trace_call and trace.enabled:
-            trace.record(
-                self._sim.now, TraceKind.CALL, self.stack_id, service,
+            self._hot_log((
+                self._sim.now, self._trace_call, self.stack_id, service,
                 caller.name if caller is not None else "<external>", None,
                 method, seq,
-            )
+            ))
+            if trace.subscribers:
+                trace._publish_hot()
         machine.execute(
             self.call_cost if cost is None else cost,
             self._dispatch_call, (seq, caller, service, method, args),
@@ -409,10 +415,12 @@ class Stack:
                 trace = self.trace
                 if self._trace_dispatch and trace.enabled:
                     provider = entry[0]
-                    trace.record(
-                        self._sim.now, TraceKind.CALL_DISPATCHED, self.stack_id,
+                    self._hot_log((
+                        self._sim.now, self._trace_dispatch, self.stack_id,
                         service, provider.name, provider.protocol, method, seq,
-                    )
+                    ))
+                    if trace.subscribers:
+                        trace._publish_hot()
                 entry[1](*args)
                 return
         provider = self.bindings.bound(service)
@@ -457,10 +465,12 @@ class Stack:
             self._dispatch_cache[key] = (provider, handler)
         trace = self.trace
         if self._trace_dispatch and trace.enabled:
-            trace.record(
-                self._sim.now, TraceKind.CALL_DISPATCHED, self.stack_id,
+            self._hot_log((
+                self._sim.now, self._trace_dispatch, self.stack_id,
                 service, provider.name, provider.protocol, method, seq,
-            )
+            ))
+            if trace.subscribers:
+                trace._publish_hot()
         handler(*args)
 
     def _release_blocked_calls(self, service: str) -> None:
@@ -610,10 +620,12 @@ class Stack:
         self._responses_issued += 1
         trace = self.trace
         if self._trace_response and trace.enabled:
-            trace.record(
-                self._sim.now, TraceKind.RESPONSE, self.stack_id, service,
-                provider.name, provider.protocol, None, None, event,
-            )
+            self._hot_log((
+                self._sim.now, self._trace_response, self.stack_id, service,
+                provider.name, provider.protocol, event, None,
+            ))
+            if trace.subscribers:
+                trace._publish_hot()
         machine.execute(
             self.response_cost if cost is None else cost,
             self._deliver_response,
@@ -662,10 +674,12 @@ class Stack:
             queue.append((event, args, provider_name, provider_protocol))
             trace = self.trace
             if self._trace_response_buffered and trace.enabled:
-                trace.record(
-                    self._sim.now, TraceKind.RESPONSE_BUFFERED, self.stack_id,
-                    service, provider_name, provider_protocol, None, None, event,
-                )
+                self._hot_log((
+                    self._sim.now, self._trace_response_buffered, self.stack_id,
+                    service, provider_name, provider_protocol, event, None,
+                ))
+                if trace.subscribers:
+                    trace._publish_hot()
 
     def _flush_buffered_responses(self, new_module: Module) -> None:
         """Deliver responses that were waiting for a subscriber like *new_module*."""

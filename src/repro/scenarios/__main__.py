@@ -167,12 +167,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         result.summary_rows(),
         title=f"Campaign {result.campaign!r} over seeds {seeds}",
     ))
+    report = result.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
+            fh.write(report + "\n")
         print(f"report written to {args.out}")
     if args.json:
-        print(result.to_json())
+        print(report)
 
     if args.compare:
         try:
@@ -182,7 +183,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: cannot read baseline {args.compare!r}: {exc}",
                   file=sys.stderr)
             return 2
-        drift = compare_reports(baseline, result.to_dict())
+        # Compare the report --out writes, not to_dict(): JSON turns the
+        # tuples a fault detail carries into lists.
+        drift = compare_reports(baseline, json.loads(report))
         if drift:
             for line in drift:
                 print(f"DRIFT {line}", file=sys.stderr)

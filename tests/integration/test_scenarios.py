@@ -26,6 +26,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.__main__ import main as cli_main
+from repro.scenarios.library import SCENARIOS
 
 # Small, fast specs used across the tests.
 TINY = ScenarioSpec(
@@ -147,3 +148,24 @@ class TestCli:
         assert blob["ok"] is True
         assert blob["campaign"] == "adhoc:latency-spike-switch"
         assert len(blob["runs"]) == 1
+
+    def test_compare_against_own_report_has_no_drift(self, tmp_path, monkeypatch):
+        """A rerun compared with its own ``--out`` report exits 0.
+
+        A ``Partition`` fault's detail carries tuples, which the written
+        JSON turns into lists; the comparison must see the same report
+        the file holds.
+        """
+        spec = ScenarioSpec(
+            name="tiny-partition-compare",
+            n=3,
+            duration=1.5,
+            load_msgs_per_sec=60.0,
+            faults=(Partition(at=0.5, groups=((0, 1), (2,))), Heal(at=1.0)),
+            quiescence_extra=6.0,
+        )
+        monkeypatch.setitem(SCENARIOS, spec.name, spec)
+        out_file = tmp_path / "report.json"
+        argv = ["--scenario", spec.name, "--seed", "0"]
+        assert cli_main(argv + ["--out", str(out_file)]) == 0
+        assert cli_main(argv + ["--compare", str(out_file)]) == 0
