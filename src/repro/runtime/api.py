@@ -22,7 +22,7 @@ behalf) actually uses:
   (``set_timer``), CPU execution (``execute``), crash/recover state and
   hooks.  The incarnation state machine is implemented here;
   :class:`~repro.sim.process.Machine` adds the serial CPU and
-  :class:`~repro.runtime.realtime.RealtimeNode` the loop hop.
+  :class:`~repro.runtime.realtime.RealtimeNode` a run queue per node.
 * :class:`Transport` — datagram I/O between nodes: ``attach`` /
   ``detach`` delivery hooks (implemented on the base), ``send`` /
   ``send_local``, counters.  Implemented by

@@ -7,26 +7,28 @@ event loop's monotonic clock and datagrams travel through real
 ``AF_INET`` UDP sockets on localhost:
 
 * :class:`RealtimeScheduler` — the :class:`~repro.runtime.api.Scheduler`
-  contract on ``loop.call_later`` / ``loop.call_soon``.  asyncio's timer
+  contract on ``loop.call_later``.  asyncio's timer
   wheel is FIFO for equal deadlines, preserving the determinism contract
   modules rely on (to the extent wall-clock equality ever happens).
 * :class:`RealtimeNode` — the :class:`~repro.runtime.api.NodeBackend`
   contract without a modelled CPU: ``execute`` ignores the declared cost
-  (real CPUs charge for themselves) but still defers the invocation
-  through the loop, so kernel dispatch keeps its asynchronous shape.
+  (real CPUs charge for themselves) but still defers the invocation,
+  onto a run queue that one loop callback drains, so a chain of kernel
+  dispatches costs one loop turn, not one per hop.
   Crash/recover are *software* crash-stop — a crashed node stops
   processing timers and datagrams (epoch-guarded, exactly like
   :class:`~repro.sim.process.Machine`) — which is what chaos-testing a
   single-process soak needs.
-* :class:`RealtimeUdpTransport` — one UDP socket per node, bound to an
-  OS-assigned port on localhost; the node-rank → address map is shared
-  in-process.  The wire format is the safe, versioned codec of
-  :mod:`repro.runtime.codec` (struct header + restricted-tag payload
-  encoding).  **Trust boundary**: decoding never executes anything —
-  unknown tags, unknown wire versions, truncated or corrupted
-  datagrams, and datagrams whose header names another rank as ``dst``
-  are counted (``malformed`` in :meth:`~RealtimeUdpTransport.stats`)
-  and dropped, never raised into the event loop.  Its fault
+* :class:`RealtimeUdpTransport` — one non-blocking UDP socket per node,
+  bound to an OS-assigned port on localhost and read until empty; the
+  node-rank → address map is shared in-process.  The wire format is the
+  safe, versioned codec of :mod:`repro.runtime.codec` (struct header +
+  restricted-tag payload encoding).  **Trust boundary**: decoding never
+  executes anything — unknown tags, unknown wire versions, truncated or
+  corrupted datagrams, and datagrams whose header names another rank as
+  ``dst`` are counted (``malformed`` in
+  :meth:`~RealtimeUdpTransport.stats`) and dropped, never raised into
+  the event loop.  Its fault
   surface is the same :class:`~repro.net.links.LinkPolicy` the
   simulated network consults, so one
   :class:`~repro.sim.faults.FaultInjector` degrades either.
@@ -42,7 +44,9 @@ event loop's monotonic clock and datagrams travel through real
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional
+import socket
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import CodecError, SimulationError
 from ..kernel.events import STRUCTURAL_TRACE_KINDS
@@ -61,6 +65,11 @@ __all__ = [
     "RealtimeUdpTransport",
     "RealtimeBackend",
 ]
+
+#: Most tasks one node's drain runs, and most datagrams one socket read
+#: takes, in one event-loop turn; the rest waits for the next turn, so a
+#: runaway chain or a flood cannot starve timers and other sockets.
+TURN_BUDGET = 256
 
 
 class RealtimeScheduler(Scheduler):
@@ -109,17 +118,6 @@ class RealtimeScheduler(Scheduler):
                                        callback, args)
         return handle if cancellable else None
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
-        """Fire on the next loop iteration (after everything queued).
-
-        Overrides the ``schedule_at(now)`` default: ``loop.call_soon``
-        appends straight to the loop's ready queue, whereas a zero-delay
-        ``call_later`` detours through the timer heap (a ``TimerHandle``
-        and a heap push/pop per kernel dispatch — every ``execute`` lands
-        here).
-        """
-        self._loop.call_soon(self._fire, callback, args)
-
     def cancel(self, handle: Any) -> None:
         """Cancel an asyncio handle (no-op once it fired)."""
         if not isinstance(handle, asyncio.Handle):
@@ -144,33 +142,46 @@ class RealtimeNode(NodeBackend):
 
     The base class's incarnation state machine and epoch-guarded timers,
     without :class:`~repro.sim.process.Machine`'s serial-CPU queue:
-    declared costs are ignored, work runs on the next loop iteration,
-    and ``_busy_until`` never moves past ``sim.now`` (always idle).
-    Crash/recover are *software* crash-stop.
+    declared costs are ignored, work runs from the node's run queue
+    (never inside ``execute``), and ``_busy_until`` never moves past
+    ``sim.now`` (always idle).  Crash/recover are *software* crash-stop.
     """
 
-    __slots__ = ()
+    __slots__ = ("_scheduler", "_queue", "_drain_armed")
+
+    def __init__(self, sim: RealtimeScheduler, machine_id: int) -> None:
+        super().__init__(sim, machine_id)
+        self._scheduler = sim
+        self._queue: Deque[Tuple[int, Callable[..., Any], tuple]] = deque()
+        self._drain_armed = False
 
     def execute(self, cost: float, fn: Callable[..., Any], args: tuple = ()) -> None:
-        """Run ``fn(*args)`` on the next loop iteration (cost ignored:
-        the real CPU charges for itself); dropped if the node is down."""
+        """Queue ``fn(*args)`` on the node's run queue (cost ignored: the
+        real CPU charges for itself); dropped if the node is down."""
         if cost < 0:
             raise SimulationError(f"negative CPU cost {cost!r}")
         if self._crashed_at is not None:
             return
-        self.sim.call_soon(self._run_task, self._epoch, fn, args)
+        self._queue.append((self._epoch, fn, args))
+        if not self._drain_armed:
+            self._drain_armed = True
+            self._scheduler._loop.call_soon(self._drain)
 
-
-class _NodeDatagramProtocol(asyncio.DatagramProtocol):
-    """Per-node receive protocol: forwards raw datagrams to the transport."""
-
-    def __init__(self, owner: "RealtimeUdpTransport", node_id: int) -> None:
-        self._owner = owner
-        self._node_id = node_id
-
-    def datagram_received(self, data: bytes, addr: Any) -> None:
-        """asyncio callback: one raw datagram arrived on this node's socket."""
-        self._owner._on_datagram(self._node_id, data)
+    def _drain(self) -> None:
+        """Run queued tasks in order — each one scheduler event — up to
+        :data:`TURN_BUDGET`; a rest (also after a raise) re-arms."""
+        queue = self._queue
+        ran = 0
+        try:
+            while queue and ran < TURN_BUDGET:
+                ran += 1
+                self._run_task(*queue.popleft())
+        finally:
+            self._scheduler._events_processed += ran
+            if queue:
+                self._scheduler._loop.call_soon(self._drain)
+            else:
+                self._drain_armed = False
 
 
 class RealtimeUdpTransport(Transport):
@@ -178,8 +189,10 @@ class RealtimeUdpTransport(Transport):
 
     Sockets bind to OS-assigned ports (``port 0``), and the rank →
     ``(host, port)`` map is shared in-process, so N stacks coexist in
-    one process with zero port configuration.  Wire format is the safe
-    codec of :mod:`repro.runtime.codec` — header + restricted-tag
+    one process with zero port configuration.  A failed ``recv`` or
+    ``sendto`` is counted (``socket_errors``), the datagram lost as UDP
+    may lose it.  Wire format is the safe codec of
+    :mod:`repro.runtime.codec` — header + restricted-tag
     payload; malformed datagrams, and datagrams addressed to another
     rank than the socket's, are counted and dropped at
     :meth:`_on_datagram`, never raised.
@@ -205,7 +218,7 @@ class RealtimeUdpTransport(Transport):
         self.host = host
         self._nodes: Dict[int, RealtimeNode] = {n.machine_id: n for n in nodes}
         self._hooks: Dict[int, Callable[..., None]] = {}
-        self._endpoints: Dict[int, asyncio.DatagramTransport] = {}
+        self._sockets: Dict[int, socket.socket] = {}
         #: Rank -> bound (host, port); filled by :meth:`open`.
         self.addresses: Dict[int, Any] = {}
         #: The fault surface, on its own stream: chaos draws never
@@ -220,25 +233,29 @@ class RealtimeUdpTransport(Transport):
         self._c_dropped_unknown = 0
         self._c_malformed = 0
         self._c_delayed = 0
+        self._c_socket_errors = 0
 
-    async def open(self) -> None:
-        """Bind one UDP socket per node (must run inside the loop)."""
-        loop = asyncio.get_running_loop()
+    def open(self) -> None:
+        """Bind one non-blocking UDP socket per node and register its
+        reader on the scheduler's loop (idempotent)."""
+        loop = self.sim._loop
         for node_id in sorted(self._nodes):
-            if node_id in self._endpoints:
+            if node_id in self._sockets:
                 continue
-            transport, _protocol = await loop.create_datagram_endpoint(
-                lambda node_id=node_id: _NodeDatagramProtocol(self, node_id),
-                local_addr=(self.host, 0),
-            )
-            self._endpoints[node_id] = transport
-            self.addresses[node_id] = transport.get_extra_info("sockname")
+            # Owned from creation, so close() releases it if bind fails.
+            sock = self._sockets[node_id] = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.setblocking(False)
+            sock.bind((self.host, 0))
+            loop.add_reader(sock.fileno(), self._read, node_id, sock)
+            self.addresses[node_id] = sock.getsockname()
 
     def close(self) -> None:
-        """Close every socket (idempotent)."""
-        for transport in self._endpoints.values():
-            transport.close()
-        self._endpoints.clear()
+        """Unregister the readers and close every socket (idempotent)."""
+        loop = self.sim._loop
+        for sock in self._sockets.values():
+            loop.remove_reader(sock.fileno())
+            sock.close()
+        self._sockets.clear()
         self.addresses.clear()
 
     # ------------------------------------------------------------------ #
@@ -251,8 +268,8 @@ class RealtimeUdpTransport(Transport):
             self._c_dropped_crashed += 1
             return
         addr = self.addresses.get(message.dst)
-        endpoint = self._endpoints.get(message.src)
-        if addr is None or endpoint is None:
+        sock = self._sockets.get(message.src)
+        if addr is None or sock is None:
             self._c_dropped_unknown += 1
             return
         verdict = self.links.verdict(message.src, message.dst)
@@ -264,25 +281,44 @@ class RealtimeUdpTransport(Transport):
         if mangled:
             # Mangled where the receiver's codec is guaranteed to notice.
             data = b"\x00" + data[1:]
-        self._transmit(endpoint, data, addr, delay)
+        self._transmit(sock, data, addr, delay)
         if duplicate_delay is not None:
-            self._transmit(endpoint, data, addr, duplicate_delay)
+            self._transmit(sock, data, addr, duplicate_delay)
 
-    def _transmit(self, endpoint: asyncio.DatagramTransport, data: bytes,
-                  addr: Any, delay: float) -> None:
+    def _transmit(self, sock: socket.socket, data: bytes, addr: Any,
+                  delay: float) -> None:
         if delay > 0.0:
             self._c_delayed += 1
-            self.sim.schedule(delay, self._transmit, endpoint, data, addr, 0.0)
+            self.sim.schedule(delay, self._transmit, sock, data, addr, 0.0)
             return
-        endpoint.sendto(data, addr)
+        try:
+            sock.sendto(data, addr)
+        except OSError:
+            # Refused, a full buffer, or a delayed copy firing after close().
+            self._c_socket_errors += 1
+            return
         self._c_sent += 1
         self._c_bytes_sent += len(data)
 
     def send_local(self, message: Any) -> None:
         """Loopback: skip the socket — and the link policy, exactly like
-        ``SimNetwork.send_local`` (no loss, no partition, no latency)."""
-        self.sim.call_soon(self._deliver, message.dst, message.src,
-                           message.payload, message.size_bytes)
+        ``SimNetwork.send_local`` (no loss, no partition, no latency) —
+        onto the node's run queue, after the work it already holds."""
+        self._nodes[message.dst].execute(0.0, self._deliver, (
+            message.dst, message.src, message.payload, message.size_bytes))
+
+    def _read(self, node_id: int, sock: socket.socket) -> None:
+        """Loop reader: take datagrams until the socket is empty, at most
+        :data:`TURN_BUDGET` (the rest wait for the next turn)."""
+        for _ in range(TURN_BUDGET):
+            try:
+                data = sock.recv(65535)  # the largest UDP payload
+            except BlockingIOError:
+                return
+            except OSError:
+                self._c_socket_errors += 1
+                continue
+            self._on_datagram(node_id, data)
 
     def _on_datagram(self, node_id: int, data: bytes) -> None:
         try:
@@ -329,9 +365,11 @@ class RealtimeUdpTransport(Transport):
             "reordered": links.reordered,
             "delayed": self._c_delayed,
         }
+        if self._c_socket_errors:
+            out["socket_errors"] = self._c_socket_errors
         if links.corrupted:
-            # Conditional, like SimNetwork: corruption-free runs keep the
-            # historical stats shape.
+            # Conditional, like SimNetwork (and socket_errors): clean runs
+            # keep the historical stats shape.
             out["corrupted"] = links.corrupted
         return out
 
@@ -349,6 +387,10 @@ class RealtimeBackend(Backend):
     :func:`~repro.experiments.common.build_group_comm_system` populates
     it exactly as it populates a simulated system.
 
+    Error transparency, as in the simulator: the first exception a loop
+    callback raises stops the loop and is raised by :meth:`run` /
+    :meth:`run_coro`; the backend stays runnable and stoppable.
+
     Parameters
     ----------
     n:
@@ -363,6 +405,8 @@ class RealtimeBackend(Backend):
         if n < 1:
             raise SimulationError(f"a backend needs at least one node, got n={n}")
         self._loop = asyncio.new_event_loop()
+        self._loop.set_exception_handler(self._on_loop_error)
+        self._error: Optional[Exception] = None
         self.sim = RealtimeScheduler(self._loop, seed=seed)
         self.nodes: List[RealtimeNode] = [
             RealtimeNode(self.sim, i) for i in range(n)
@@ -390,7 +434,7 @@ class RealtimeBackend(Backend):
         modules: their ``on_start`` hooks send datagrams immediately."""
         if self._started:
             return
-        self._loop.run_until_complete(self.transport.open())
+        self.transport.open()
         self._started = True
 
     def run(self, until: float) -> None:
@@ -398,11 +442,32 @@ class RealtimeBackend(Backend):
         (a past instant spins the loop once and returns)."""
         if not self._started:
             raise SimulationError("RealtimeBackend.run() before start()")
-        self._loop.run_until_complete(asyncio.sleep(max(0.0, until - self.sim.now)))
+        self._run_until(asyncio.sleep(max(0.0, until - self.sim.now)))
 
     def run_coro(self, coro: Any) -> Any:
         """Run one coroutine to completion on the owned loop."""
-        return self._loop.run_until_complete(coro)
+        return self._run_until(coro)
+
+    def _run_until(self, awaitable: Any) -> Any:
+        try:
+            result = self._loop.run_until_complete(awaitable)
+        except RuntimeError:
+            if self._error is None:  # else: stopped by _on_loop_error
+                raise
+            result = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error  # a callback's exception ends the run
+        return result
+
+    def _on_loop_error(self, loop: asyncio.AbstractEventLoop,
+                       context: Dict[str, Any]) -> None:
+        error = context.get("exception")
+        if isinstance(error, Exception):
+            self._error = self._error or error  # the first one wins
+            loop.stop()
+        else:
+            loop.default_exception_handler(context)
 
     def stop(self) -> None:
         """Run the ``at_end`` hooks, close the sockets and the loop."""
@@ -412,6 +477,8 @@ class RealtimeBackend(Backend):
         for hook in self.sim.at_end:
             hook()
         self.transport.close()
-        # One last spin so asyncio processes the transport closes.
-        self._loop.run_until_complete(asyncio.sleep(0))
-        self._loop.close()
+        try:
+            # One last spin so asyncio finishes closing stream transports.
+            self._run_until(asyncio.sleep(0))
+        finally:
+            self._loop.close()

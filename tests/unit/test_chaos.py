@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.net.message import NetMessage
-from repro.runtime import RealtimeBackend
+from repro.runtime import RealtimeBackend, realtime
 from repro.runtime.codec import HEADER, MAGIC, WIRE_VERSION, encode_datagram, encode_value
 from repro.scenarios.spec import Crash, Heal, ImpairLink, LatencySpike, Partition, Recover
 from repro.sim.faults import FaultInjector
@@ -131,6 +131,120 @@ def test_unhashable_set_member_on_live_socket_is_counted_not_raised(backend):
     _send(backend, 1, 0, "still-alive")
     _run(backend, 5 * TICK)
     assert got == ["still-alive"]
+
+
+# --------------------------------------------------------------------- #
+# One loop turn per burst: the run queue and the socket reader
+# --------------------------------------------------------------------- #
+def _count_turns(backend):
+    """A callback that re-arms itself every loop turn; its count names
+    the current turn, so deliveries can be grouped by the turn they ran in."""
+    turns = [0]
+    loop = backend.sim._loop
+
+    def tick():
+        turns[0] += 1
+        loop.call_soon(tick)
+
+    loop.call_soon(tick)
+    return turns
+
+
+def _sink_by_turn(backend, machine_id, turns):
+    got = []
+    backend.network.attach(machine_id, lambda m, at: got.append((turns[0], m.payload)))
+    return got
+
+
+def test_frames_queued_before_the_loop_spins_are_read_in_one_turn(backend):
+    turns = _count_turns(backend)
+    got = _sink_by_turn(backend, 1, turns)
+    frames = [encode_datagram(0, 1, ("burst", i), 16) for i in range(20)]
+    _send_raw(backend.network.addresses[1], *frames)
+    _run(backend, 2 * TICK)
+    assert [payload for _, payload in got] == [("burst", i) for i in range(20)]
+    assert len({turn for turn, _ in got}) == 1
+
+
+def test_a_flood_is_read_at_most_one_budget_per_turn(backend, monkeypatch):
+    monkeypatch.setattr(realtime, "TURN_BUDGET", 4)
+    turns = _count_turns(backend)
+    got = _sink_by_turn(backend, 1, turns)
+    _send_raw(backend.network.addresses[1],
+              *[encode_datagram(0, 1, i, 16) for i in range(10)])
+    _run(backend, 2 * TICK)
+    assert [payload for _, payload in got] == list(range(10))  # all, in order
+    assert sorted(Counter(turn for turn, _ in got).values()) == [2, 4, 4]
+
+
+def test_a_task_that_re_executes_itself_does_not_starve_a_timer(backend):
+    node = backend.nodes[0]
+    spins = [0]
+    fired_at = []
+
+    def again():
+        spins[0] += 1
+        if not fired_at and spins[0] < 1_000_000:
+            node.execute(0.0, again)
+
+    node.set_timer(0.01, lambda: fired_at.append(spins[0]))
+    node.execute(0.0, again)
+    _run(backend, 5 * TICK)
+    # The timer fired while the chain was still spinning, and ended it.
+    assert fired_at and fired_at[0] == spins[0] - 1
+    assert spins[0] < 1_000_000
+
+
+# --------------------------------------------------------------------- #
+# Socket errors are counted, never raised or lost
+# --------------------------------------------------------------------- #
+class _RefusingSocket:
+    """Stands in for a node socket whose peer's port is closed: the
+    kernel reports the refusal on the next ``recv`` or ``sendto``."""
+
+    def __init__(self, frames=()):
+        self._recv = [ConnectionRefusedError(111, "refused"), *frames]
+
+    def recv(self, size):
+        if not self._recv:
+            raise BlockingIOError
+        item = self._recv.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    def sendto(self, data, addr):
+        raise ConnectionRefusedError(111, "refused")
+
+
+def test_refused_recv_is_counted_and_reading_continues(backend):
+    got = _sink(backend, 0)
+    assert "socket_errors" not in backend.network.stats()  # clean shape
+    refusing = _RefusingSocket([encode_datagram(1, 0, "after-refusal", 16)])
+    backend.network._read(0, refusing)
+    assert backend.network.stats()["socket_errors"] == 1
+    assert got == ["after-refusal"]
+
+
+def test_refused_sendto_is_counted_not_sent(backend, monkeypatch):
+    monkeypatch.setitem(backend.network._sockets, 0, _RefusingSocket())
+    _send(backend, 0, 1, "refused")
+    stats = backend.network.stats()
+    assert stats["socket_errors"] == 1 and stats["sent"] == 0
+
+
+def test_close_unregisters_readers_and_a_later_delayed_copy_is_counted(backend):
+    got = _sink(backend, 1)
+    _injector(backend).latency_spike(2 * TICK, duration=10 * TICK)
+    _send(backend, 0, 1, "late")
+    fds = [sock.fileno() for sock in backend.network._sockets.values()]
+    backend.network.close()  # the copy is still waiting for its delay
+    assert not any(backend.sim._loop.remove_reader(fd) for fd in fds)
+    _run(backend, 5 * TICK)
+    stats = backend.network.stats()
+    assert stats["delayed"] == 1 and stats["sent"] == 0
+    assert stats["socket_errors"] == 1
+    assert got == []
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,8 @@ CI-fast while leaving generous jitter margins.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.errors import NetworkError, SimulationError, UnknownDestinationError
@@ -215,6 +217,86 @@ def test_execute_dropped_on_crashed_node(backend):
     node.execute(0.0, ran.append, ("never",))
     run_ticks(backend, 1)
     assert ran == []
+
+
+def test_one_nodes_work_runs_in_execute_order_loopback_included(backend):
+    order = []
+    node = backend.nodes[0]
+    backend.network.attach(0, lambda message, at: order.append(message.payload))
+
+    def first():
+        order.append("a")
+        node.execute(0.0, order.append, ("queued-by-a",))
+
+    node.execute(0.0, first)
+    backend.network.send_local(NetMessage(src=0, dst=0, payload="loopback", size_bytes=16))
+    node.execute(0.0, order.append, ("b",))
+    run_ticks(backend, 1)
+    assert order == ["a", "loopback", "b", "queued-by-a"]
+
+
+def test_crash_mid_drain_drops_the_old_incarnation_and_recovered_work_runs(backend):
+    ran = []
+    node = backend.nodes[0]
+
+    def crash_and_recover():
+        ran.append("crash")
+        node.crash()
+        node.recover()
+        node.execute(0.0, ran.append, ("new-epoch",))
+
+    node.execute(0.0, crash_and_recover)
+    node.execute(0.0, ran.append, ("old-epoch",))  # queued behind the crash
+    run_ticks(backend, 1)
+    assert ran == ["crash", "new-epoch"]
+
+
+def test_events_processed_rises_by_one_per_task(backend):
+    before = backend.sim.events_processed
+    for _ in range(5):
+        backend.nodes[0].execute(0.0, lambda: None)
+    backend.nodes[1].execute(0.0, lambda: None)
+    run_ticks(backend, 1)
+    assert backend.sim.events_processed - before == 6
+
+
+class Boom(Exception):
+    """A module handler's bug."""
+
+
+def test_a_raising_task_aborts_run_and_the_backend_carries_on(backend):
+    # Error transparency: a handler's exception ends run() with that
+    # exception on both twins, instead of being logged and swallowed.
+    ran = []
+    node = backend.nodes[0]
+
+    def boom():
+        raise Boom("handler failed")
+
+    node.execute(0.0, boom)
+    node.execute(0.0, ran.append, ("queued-after",))
+    node.set_timer(3 * TICK, ran.append, ("timer",))
+    with pytest.raises(Boom, match="handler failed"):
+        run_ticks(backend, 5)
+    assert ran == []  # the run stopped at the exception
+    run_ticks(backend, 5)  # still runnable: nothing queued was lost
+    assert ran == ["queued-after", "timer"]
+
+
+def test_realtime_run_coro_raises_a_timers_exception():
+    backend = RealtimeBackend(n=1)
+    backend.start()
+    try:
+        backend.nodes[0].set_timer(TICK, _raise, (Boom("from a timer"),))
+        with pytest.raises(Boom, match="from a timer"):
+            backend.run_coro(asyncio.sleep(10 * TICK))
+        assert backend.run_coro(asyncio.sleep(0, "next")) == "next"
+    finally:
+        backend.stop()
+
+
+def _raise(error):
+    raise error
 
 
 def _attach_sink(backend, machine_id):
