@@ -375,7 +375,7 @@ class Stack:
         service *at dispatch time*.  If none is bound, it joins the
         blocked-call queue and is released by the next :meth:`bind`.
         """
-        if cost is not None and cost < 0:
+        if cost is not None and not cost >= 0:  # NaN fails too
             raise KernelError(f"negative call cost {cost!r}")
         machine = self.machine
         # Hot path reads Machine internals (_crashed_at here, _busy_until
@@ -607,7 +607,7 @@ class Stack:
         Deliberately **not** gated on the binding table: an unbound module
         may still respond (paper, Section 2).
         """
-        if cost is not None and cost < 0:
+        if cost is not None and not cost >= 0:  # NaN fails too
             raise KernelError(f"negative response cost {cost!r}")
         machine = self.machine
         if machine._crashed_at is not None:
@@ -657,7 +657,10 @@ class Stack:
     ) -> None:
         """CPU-completion half of a response: fan out to subscribers."""
         claimed = False
-        for handler in self._subscribers(service, event):
+        handlers = self._response_cache.get((service, event))
+        if handlers is None:
+            handlers = self._subscribers(service, event)
+        for handler in handlers:
             if handler(*args) is not NOT_MINE:
                 claimed = True
         if not claimed:

@@ -99,7 +99,7 @@ class Scheduler(ABC):
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire ``callback(*args)`` after *delay* seconds."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise ScheduleInPastError(f"negative delay {delay!r}")
         self.schedule_at(self.now + delay, callback, args)
 
@@ -270,16 +270,25 @@ class NodeBackend(ABC):
     @abstractmethod
     def execute(self, cost: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Run ``fn(*args)`` after the node's CPU spent *cost* seconds
-        on it, through :meth:`_run_task` under the current epoch.
+        on it, under the current epoch and the guard of :meth:`_run_task`.
 
         Backends without a modelled CPU may ignore *cost* but must still
         defer the invocation — callers rely on not being re-entered
-        synchronously.  A negative *cost* raises
+        synchronously.  A negative or NaN *cost* raises
         :class:`~repro.errors.SimulationError`; on a crashed node the
         work is silently dropped.
         """
 
     def _run_task(self, epoch: int, fn: Callable[..., Any], args: tuple) -> None:
+        """The incarnation guard of executed work: run ``fn(*args)``
+        only while the node is up and still in *epoch*, counting it.
+
+        The realtime run queue calls this per task.  The simulator's
+        :meth:`~repro.sim.engine.Simulator.run` loop applies the same
+        guard inline to a :class:`~repro.sim.process.Machine`'s CPU-task
+        heap entries, and its other paths (``step``, the budgeted or
+        traced loop) fire such an entry through this method.
+        """
         if self._crashed_at is not None or epoch != self._epoch:
             return
         self._tasks_executed += 1
@@ -300,7 +309,7 @@ class NodeBackend(ABC):
         """
         if self._crashed_at is not None:
             return None
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise ScheduleInPastError(f"negative delay {delay!r}")
         sim = self.sim
         return sim.schedule_at(sim.now + delay, self._run_timer,

@@ -158,7 +158,7 @@ class RealtimeNode(NodeBackend):
     def execute(self, cost: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Queue ``fn(*args)`` on the node's run queue (cost ignored: the
         real CPU charges for itself); dropped if the node is down."""
-        if cost < 0:
+        if not cost >= 0:  # NaN fails too
             raise SimulationError(f"negative CPU cost {cost!r}")
         if self._crashed_at is not None:
             return

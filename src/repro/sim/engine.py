@@ -17,10 +17,16 @@ Design notes
   identical, which property-based tests exploit.
 * Error transparency: exceptions raised inside callbacks abort the run and
   propagate to the caller; a simulation that swallows errors hides bugs.
-* The engine knows nothing about machines, networks or protocols — those
-  live in higher layers and only use :meth:`Simulator.schedule_at` (with
-  the inherited ``schedule`` / ``call_soon`` conveniences) and
-  :meth:`Simulator.cancel`.
+* The engine knows nothing about networks or protocols — those live in
+  higher layers and only use :meth:`Simulator.schedule_at` (with the
+  inherited ``schedule`` / ``call_soon`` conveniences) and
+  :meth:`Simulator.cancel`.  It knows one thing about machines: the
+  incarnation-scoped CPU-task entry that
+  :meth:`~repro.sim.process.Machine.execute` pushes (see
+  :mod:`repro.sim.events`), whose guard — fire only while the node is up
+  and in the entry's epoch, then count the task — :meth:`run` applies
+  inline.  Every other path fires such an entry through
+  ``NodeBackend._run_task``, which applies the same guard.
 * Throughput: :meth:`run` dispatches heap entries inline — one heap
   inspection per event, no per-event method calls or handle round-trips —
   because campaign throughput is bounded by this loop.  The readable
@@ -35,7 +41,7 @@ from typing import Any, Callable, List, Optional
 from ..errors import ScheduleInPastError, SimulationError
 from ..runtime.api import Scheduler
 from .clock import Time
-from .events import PRIORITY_NORMAL, EventHandle, EventQueue
+from .events import PRIORITY_NORMAL, EventHandle, EventQueue, entry_callback
 from .random import RngRegistry
 
 __all__ = ["Simulator"]
@@ -153,15 +159,16 @@ class Simulator(Scheduler):
         :class:`~repro.sim.events.EventHandle` for :meth:`cancel`.
         Ordering is identical either way.
         """
-        if time < self._now:
+        if not time >= self._now:  # NaN fails too
             raise ScheduleInPastError(
                 f"cannot schedule at {time!r}; current time is {self._now!r}"
             )
         if cancellable:
             return self._queue.push(time, callback, args, priority)
-        # NOTE: Machine.execute pushes this same 5-tuple entry shape
-        # directly (one fewer call per kernel dispatch) — keep the two in
-        # sync if the heap entry layout ever changes.
+        # NOTE: Machine.execute pushes its own 7-field CPU-task entry
+        # straight onto this heap, with the same (time, priority, seq)
+        # key drawn from the same counter — keep the two in sync if the
+        # heap entry layout ever changes.
         _heappush(self._heap, (time, priority, next(self._seq), callback, args))
         return None
 
@@ -242,6 +249,17 @@ class Simulator(Scheduler):
                     if time > horizon:
                         _heappush(heap, entry)
                         break
+                    if len(entry) == 7:
+                        # A CPU task: NodeBackend._run_task's incarnation
+                        # guard, inlined (a dropped task still counts).
+                        self._now = time
+                        fired += 1
+                        self._events_processed = fired
+                        node = entry[5]
+                        if node._crashed_at is None and entry[6] == node._epoch:
+                            node._tasks_executed += 1
+                            entry[3](*entry[4])
+                        continue
                     if len(entry) == 4:
                         handle = entry[3]
                         if handle.cancelled:
@@ -270,7 +288,7 @@ class Simulator(Scheduler):
                         callback, args = handle.callback, handle.args
                     else:
                         handle = None
-                        callback, args = entry[3], entry[4]
+                        callback, args = entry_callback(entry)
                     time = entry[0]
                     if time > horizon:
                         _heappush(heap, entry)
@@ -288,10 +306,7 @@ class Simulator(Scheduler):
                         if trace is not None:
                             trace(time, handle)
                     elif trace is not None:
-                        trace(
-                            time,
-                            EventHandle(time, entry[1], entry[2], entry[3], entry[4]),
-                        )
+                        trace(time, EventHandle(time, entry[1], entry[2], callback, args))
                     callback(*args)
             if until is not None and self._now < until and not self._stopped:
                 self._now = until

@@ -12,7 +12,7 @@ The queue is a binary heap whose entries are plain tuples, keyed by
   with the same seed **bit-for-bit deterministic**, which the property
   tests rely on to shrink counterexamples.
 
-Two kinds of heap entry coexist:
+Three kinds of heap entry coexist:
 
 * **cancellable** — ``(time, priority, seq, handle)`` where *handle* is a
   slotted :class:`EventHandle` the caller can :meth:`~EventQueue.cancel`,
@@ -20,11 +20,19 @@ Two kinds of heap entry coexist:
 * **fire-and-forget** — ``(time, priority, seq, callback, args)``, pushed
   straight onto the heap by :meth:`Simulator.schedule_at
   <repro.sim.engine.Simulator.schedule_at>` with no handle allocation at
-  all.  The vast majority of events (network deliveries, CPU completions)
-  are never cancelled, so this is the engine's hot path.
+  all.  Most events that are not CPU tasks (network deliveries, one-shot
+  ticks) are never cancelled and take this shape;
+* **CPU task** — ``(time, priority, seq, fn, args, node, epoch)``, pushed
+  by :meth:`Machine.execute <repro.sim.process.Machine.execute>`: an
+  incarnation-scoped entry that fires ``fn(*args)`` only while *node* is
+  up and still in incarnation *epoch*.  :meth:`Simulator.run
+  <repro.sim.engine.Simulator.run>` applies that guard inline; every
+  other reader sees the entry as the equivalent fire-and-forget call
+  ``node._run_task(epoch, fn, args)`` (:func:`entry_callback`).  Kernel
+  calls and responses land here, so this is the engine's hot path.
 
 Because ``seq`` is unique, tuple comparison always terminates within the
-first three elements and the two entry shapes mix freely in one heap.
+first three elements and the three entry shapes mix freely in one heap.
 Cancellation is *lazy*: :meth:`EventQueue.cancel` marks the handle and the
 heap drops cancelled entries when they surface, which keeps both schedule
 and cancel O(log n) amortised.
@@ -38,7 +46,10 @@ from typing import Any, Callable, Optional
 
 from .clock import Time
 
-__all__ = ["EventHandle", "EventQueue", "PRIORITY_CONTROL", "PRIORITY_NORMAL", "PRIORITY_LATE"]
+__all__ = [
+    "EventHandle", "EventQueue", "entry_callback",
+    "PRIORITY_CONTROL", "PRIORITY_NORMAL", "PRIORITY_LATE",
+]
 
 #: Fires before ordinary events at the same instant (crashes, engine control).
 PRIORITY_CONTROL = 0
@@ -46,6 +57,19 @@ PRIORITY_CONTROL = 0
 PRIORITY_NORMAL = 10
 #: Fires after ordinary events at the same instant (probes, sampling).
 PRIORITY_LATE = 20
+
+
+def entry_callback(entry: tuple) -> tuple:
+    """``(callback, args)`` of a handle-less heap entry.
+
+    A fire-and-forget entry names its call directly; a CPU task is the
+    call ``node._run_task(epoch, fn, args)``, which applies the same
+    incarnation guard as :meth:`Simulator.run
+    <repro.sim.engine.Simulator.run>`'s inline dispatch.
+    """
+    if len(entry) == 5:
+        return entry[3], entry[4]
+    return entry[5]._run_task, (entry[6], entry[3], entry[4])
 
 
 class EventHandle:
@@ -137,18 +161,18 @@ class EventQueue:
     def pop(self) -> EventHandle:
         """Remove and return the next active event.
 
-        Fire-and-forget entries are materialised into a transient
-        :class:`EventHandle` for the caller's convenience — :meth:`pop` is
-        the compatibility path; :meth:`Simulator.run` dispatches entries
-        without it.
+        Fire-and-forget and CPU-task entries are materialised into a
+        transient :class:`EventHandle` (see :func:`entry_callback`) for
+        the caller's convenience — :meth:`pop` is the compatibility path;
+        :meth:`Simulator.run` dispatches entries without it.
 
         Raises :class:`IndexError` when the queue holds no active event.
         """
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
-            if len(entry) == 5:
-                handle = EventHandle(entry[0], entry[1], entry[2], entry[3], entry[4])
+            if len(entry) != 4:
+                handle = EventHandle(entry[0], entry[1], entry[2], *entry_callback(entry))
                 handle.fired = True  # already out of the heap: cancel is a no-op
                 return handle
             handle = entry[3]

@@ -99,12 +99,14 @@ class Machine(NodeBackend):
         The task starts when the CPU becomes free, so its completion time
         is ``max(now, busy_until) + cost``.  When the machine is already
         crashed the work is silently dropped — a crashed machine does
-        nothing.  Completions are fire-and-forget events (a crash
-        suppresses them through the incarnation-epoch guard, not through
-        cancellation), pushed straight onto the simulator's heap: the
+        nothing.  Completions are CPU-task heap entries ``(completion,
+        priority, seq, fn, args, self, epoch)`` pushed straight onto the
+        simulator's heap (see :mod:`repro.sim.events`): a crash suppresses
+        them through the incarnation-epoch guard, which the simulator's
+        dispatch loop applies inline, not through cancellation.  The
         kernel's call/response dispatch lands here once per service call.
         """
-        if cost < 0:
+        if not cost >= 0:  # NaN fails too
             raise SimulationError(f"negative CPU cost {cost!r}")
         if self._crashed_at is not None:
             return
@@ -118,6 +120,5 @@ class Machine(NodeBackend):
         self._cpu_busy_total += cost
         _heappush(
             sim._heap,
-            (completion, PRIORITY_NORMAL, next(sim._seq),
-             self._run_task, (self._epoch, fn, args)),
+            (completion, PRIORITY_NORMAL, next(sim._seq), fn, args, self, self._epoch),
         )

@@ -41,6 +41,11 @@ class TestScheduling:
         with pytest.raises(ScheduleInPastError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_schedule_at_nan_rejected(self, sim):
+        with pytest.raises(ScheduleInPastError, match="cannot schedule at nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_call_soon_runs_at_current_instant(self, sim):
         order = []
 

@@ -8,6 +8,7 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     EventQueue,
 )
+from repro.sim.process import Machine
 
 
 def drain(queue):
@@ -142,6 +143,23 @@ class TestFastPath:
         h = q.pop()
         assert (h.time, h.priority) == (1.5, PRIORITY_LATE)
         assert h.callback is print and h.args == ("x",)
+
+    def test_cpu_task_surfaces_as_a_run_task_call(self, sim):
+        """A Machine.execute entry is seen by pop() and a trace hook as
+        the call ``node._run_task(epoch, fn, args)``."""
+        machine = Machine(sim, 0)
+        machine.execute(0.25, print, ("x",))
+        q = sim._queue
+        assert len(q) == 1 and q.peek_time() == 0.25
+        h = q.pop()
+        assert (h.time, h.priority, h.fired) == (0.25, PRIORITY_NORMAL, True)
+        assert h.callback == machine._run_task and h.args == (0, print, ("x",))
+
+        seen = []
+        sim.trace_hook = lambda time, handle: seen.append((handle.callback, handle.args))
+        machine.execute(0.0, seen.append, ("ran",))
+        sim.run()
+        assert seen == [(machine._run_task, (0, seen.append, ("ran",))), "ran"]
 
     def test_len_counts_fast_entries(self, sim):
         q = sim._queue

@@ -1,6 +1,8 @@
 """Unit tests: reliable FIFO point-to-point channels."""
 
 
+import pytest
+
 from repro.kernel import Module, System, WellKnown
 from repro.net import Rp2pModule, SimNetwork, SwitchedLan, UdpModule
 from repro.sim import ConstantLatency
@@ -104,6 +106,22 @@ class TestAcks:
         delayed_acks = rp_del[1].counters.get("acks_sent")
         assert delayed_acks < immediate_acks
         assert rp_del[0].unacked_count() == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the retransmission timer is not restarted when "
+        "an ack makes progress (RFC 6298 section 5.3), so every RTO resends "
+        "the in-flight frames of a loss-free stream (8 here)",
+    )
+    def test_a_loss_free_stream_is_never_retransmitted(self):
+        sys_, net, apps, rp2ps = build(ack_delay=0.001)
+        for i in range(200):
+            apps[0].call(WellKnown.RP2P, "send", 1, i, 64)
+            sys_.run(until=sys_.sim.now + 0.001)
+        sys_.run(until=sys_.sim.now + 1.0)
+        assert [p for _s, p in apps[1].got] == list(range(200))
+        assert rp2ps[0].counters.get("retransmissions") == 0
+        assert rp2ps[1].counters.get("duplicates_dropped") == 0
 
     def test_retransmit_to_crashed_peer_stops_mattering(self):
         sys_, net, apps, rp2ps = build()

@@ -219,6 +219,25 @@ def test_execute_dropped_on_crashed_node(backend):
     assert ran == []
 
 
+NAN = float("nan")
+
+
+def test_execute_rejects_a_nan_cost(backend):
+    with pytest.raises(SimulationError, match="negative CPU cost"):
+        backend.nodes[0].execute(NAN, lambda: None)
+    assert backend.nodes[0].tasks_executed == 0
+
+
+def test_set_timer_rejects_a_nan_delay(backend):
+    with pytest.raises(SimulationError, match="negative delay"):
+        backend.nodes[0].set_timer(NAN, lambda: None)
+
+
+def test_schedule_rejects_a_nan_delay(backend):
+    with pytest.raises(SimulationError, match="negative delay"):
+        backend.sim.schedule(NAN, lambda: None)
+
+
 def test_one_nodes_work_runs_in_execute_order_loopback_included(backend):
     order = []
     node = backend.nodes[0]

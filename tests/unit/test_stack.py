@@ -353,6 +353,18 @@ class TestDispatchFastPath:
         with pytest.raises(KernelError, match="negative call cost"):
             stack.issue_call(None, "echo", "ping", (1,), cost=-1.0)
 
+    def test_nan_call_cost_rejected(self, system, stack):
+        stack.add_module(Echo(stack))
+        with pytest.raises(KernelError, match="negative call cost"):
+            stack.issue_call(None, "echo", "ping", (1,), cost=float("nan"))
+        assert system.sim.pending_events == 0
+
+    def test_nan_response_cost_rejected(self, system, stack):
+        echo = stack.add_module(Echo(stack))
+        with pytest.raises(KernelError, match="negative response cost"):
+            stack.issue_response(echo, "echo", "pong", (1,), cost=float("nan"))
+        assert system.sim.pending_events == 0
+
     def test_dispatch_counters(self, system, stack):
         echo = stack.add_module(Echo(stack))
         listener = stack.add_module(Listener(stack))
