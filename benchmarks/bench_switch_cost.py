@@ -12,9 +12,10 @@ blocked-call time below the indirection, the app-visible blocked calls
 import pytest
 
 from conftest import QUICK, q, report
-from repro.experiments import GroupCommConfig, PROTOCOL_CT, build_group_comm_system
+from repro.experiments.common import PROTOCOL_CT, GroupCommConfig, experiment_run, run_checked
 from repro.kernel import WellKnown
 from repro.metrics import find_perturbation, latency_series
+from repro.scenarios import SwitchAt
 from repro.viz import render_table
 
 DURATION = q(12.0, 4.0)
@@ -23,14 +24,9 @@ DURATION = q(12.0, 4.0)
 @pytest.mark.benchmark(group="switch-cost")
 def test_switch_cost_n7(benchmark):
     def run():
-        cfg = GroupCommConfig(
-            n=7, seed=12, load_msgs_per_sec=200.0, load_stop=DURATION
-        )
-        gcs = build_group_comm_system(cfg)
-        gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=DURATION / 2)
-        gcs.run(until=DURATION)
-        gcs.run_to_quiescence()
-        return gcs
+        cfg = GroupCommConfig(n=7, seed=12, load_msgs_per_sec=200.0)
+        switch = SwitchAt(PROTOCOL_CT, DURATION / 2)
+        return run_checked(experiment_run("switch-cost-c2", cfg, DURATION, (switch,)))
 
     gcs = benchmark.pedantic(run, rounds=1, iterations=1)
     window = gcs.manager.window(1)

@@ -3,7 +3,6 @@
 from .ablation import (
     ConcurrentChangeOutcome,
     CreationCostPoint,
-    render_ablations,
     run_concurrent_change_ablation,
     run_creation_cost_ablation,
 )
@@ -43,5 +42,4 @@ __all__ = [
     "CreationCostPoint",
     "run_concurrent_change_ablation",
     "run_creation_cost_ablation",
-    "render_ablations",
 ]

@@ -8,6 +8,10 @@
 * **A2 (module-creation cost)** — sweeps the creation cost and reports
   the resulting latency-perturbation height and width around a switch:
   the knob behind Figure 5's spike.
+
+Both are scenario runs checked at ``trace="structural"``: A1 reports
+every checker's violation count as its outcome; an A2 point that
+violates a property raises.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..dpu import check_all_abcast_properties
 from ..metrics import find_perturbation, latency_series
-from ..sim.clock import Duration, ms, to_ms
-from ..viz import render_table
-from .common import GroupCommConfig, PROTOCOL_CT, PROTOCOL_SEQ, build_group_comm_system
+from ..scenarios.switchplan import SwitchAt
+from ..sim.clock import Duration, ms
+from .common import GroupCommConfig, PROTOCOL_CT, PROTOCOL_SEQ, experiment_run, run_checked
 
 __all__ = [
     "ConcurrentChangeOutcome",
@@ -35,7 +38,7 @@ class ConcurrentChangeOutcome:
 
     variant: str                      # guarded+drop | guarded+reissue | literal
     switches_total: int               # switches performed across stacks
-    property_violations: Dict[str, int]
+    property_violations: Dict[str, int]  # per checker of the scenario run
     stale_changes_discarded: int
 
     @property
@@ -51,23 +54,17 @@ def _run_concurrent(variant: str, n: int, seed: int, duration: float,
         n=n,
         seed=seed,
         load_msgs_per_sec=60.0,
-        load_stop=duration,
         guard_change_sn=guard,
         reissue_policy=policy,
     )
-    gcs = build_group_comm_system(cfg)
-    assert gcs.manager is not None
     # Two nearly-simultaneous change requests from different stacks: the
     # second is in flight when the first lands.
-    gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=duration / 2.0)
-    gcs.manager.request_change(PROTOCOL_SEQ, from_stack=n - 1, at=duration / 2.0 + gap)
-    gcs.run(until=duration)
-    gcs.run_to_quiescence()
-
-    alive = [s for s in range(n) if not gcs.system.machine(s).crashed]
-    results = check_all_abcast_properties(
-        gcs.log, gcs.system.trace.crashes(), alive
-    )
+    at = duration / 2.0
+    requests = (SwitchAt(PROTOCOL_CT, at), SwitchAt(PROTOCOL_SEQ, at + gap, from_stack=n - 1))
+    run = experiment_run(f"a1-{variant}", cfg, duration, requests)
+    run.drive()
+    result = run.check()
+    gcs = run.gcs
     switches = sum(
         gcs.manager.module(s).counters.get("switches") for s in range(n)
     )
@@ -78,7 +75,7 @@ def _run_concurrent(variant: str, n: int, seed: int, duration: float,
     return ConcurrentChangeOutcome(
         variant=variant,
         switches_total=switches,
-        property_violations={k: len(v) for k, v in results.items()},
+        property_violations={k: len(v) for k, v in result.violations.items()},
         stale_changes_discarded=stale,
     )
 
@@ -114,18 +111,9 @@ def run_creation_cost_ablation(
     """A2: module-creation cost versus switch-time latency perturbation."""
     points = []
     for cost in costs:
-        cfg = GroupCommConfig(
-            n=n,
-            seed=seed,
-            load_msgs_per_sec=load,
-            load_stop=duration,
-            creation_cost=cost,
-        )
-        gcs = build_group_comm_system(cfg)
-        assert gcs.manager is not None
-        gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=duration / 2.0)
-        gcs.run(until=duration)
-        gcs.run_to_quiescence()
+        cfg = GroupCommConfig(n=n, seed=seed, load_msgs_per_sec=load, creation_cost=cost)
+        switch = SwitchAt(PROTOCOL_CT, duration / 2.0)
+        gcs = run_checked(experiment_run("a2-creation-cost", cfg, duration, (switch,)))
         series = [(p.send_time, p.latency) for p in latency_series(gcs.log)]
         perturbation = find_perturbation(series, duration / 2.0)
         points.append(
@@ -139,40 +127,3 @@ def run_creation_cost_ablation(
             )
         )
     return points
-
-
-def render_ablations(
-    concurrent: List[ConcurrentChangeOutcome],
-    creation: List[CreationCostPoint],
-) -> str:
-    """Plain-text report of both ablations."""
-    a1 = render_table(
-        ["variant", "switches", "stale discarded", "violations", "correct"],
-        [
-            (
-                o.variant,
-                o.switches_total,
-                o.stale_changes_discarded,
-                sum(o.property_violations.values()),
-                o.correct,
-            )
-            for o in concurrent
-        ],
-        title="A1 — concurrent replacement requests",
-    )
-    a2 = render_table(
-        ["creation cost [ms]", "peak ×baseline", "perturbation [s]", "blocked [ms]"],
-        [
-            (
-                to_ms(p.creation_cost),
-                p.peak_factor if p.peak_factor is not None else float("nan"),
-                p.perturbation_duration
-                if p.perturbation_duration is not None
-                else float("nan"),
-                to_ms(p.blocked_time_total),
-            )
-            for p in creation
-        ],
-        title="A2 — module-creation cost vs switch perturbation",
-    )
-    return a1 + "\n\n" + a2

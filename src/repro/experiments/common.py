@@ -10,7 +10,8 @@ Every experiment, most integration tests and the realtime soak go
 through this builder, so its :class:`GroupCommConfig` is the single
 place where the simulation is calibrated.  It assembles the stack set on
 any :class:`~repro.runtime.api.Backend` — the simulated twin by default,
-the real-socket one for the soak.
+the real-socket one for the soak.  Every experiment point is a checked
+scenario run on that system (:func:`experiment_run`, :func:`run_checked`).
 
 :func:`collect_rejoined` and :func:`pending_deliveries` are the one
 re-join rule and the one quiescence rule, and
@@ -20,8 +21,10 @@ backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING, AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+)
 
 from ..abcast import CtAbcastModule, SequencerAbcastModule, TokenAbcastModule
 from ..baselines import (
@@ -38,6 +41,7 @@ from ..dpu import (
 )
 from ..dpu.abcast_checker import is_post_rejoin_send
 from ..dpu.probes import is_workload_key
+from ..errors import PropertyViolation
 from ..fd import HeartbeatFd
 from ..gm import GroupMembershipModule
 from ..kernel import STRUCTURAL_TRACE_KINDS, System, WellKnown
@@ -49,11 +53,17 @@ from ..sim.clock import Duration, ms, us
 from ..sim.latency import lan_latency
 from ..workload import FixedPayload, LoadGeneratorModule
 
+if TYPE_CHECKING:
+    from ..scenarios.engine import ScenarioRun
+    from ..scenarios.switchplan import SwitchStep
+
 __all__ = [
     "GroupCommConfig",
     "GroupCommSystem",
     "build_group_comm_system",
     "collect_rejoined",
+    "experiment_run",
+    "run_checked",
     "pending_deliveries",
     "register_standard_protocols",
     "PROTOCOL_CT",
@@ -452,3 +462,36 @@ def build_group_comm_system(
         manager=manager,
         app_service=app_service,
     )
+
+
+def experiment_run(
+    name: str, config: GroupCommConfig, duration: float, switches: Sequence["SwitchStep"] = ()
+) -> "ScenarioRun":
+    """One experiment point as an armed scenario run on a fresh system.
+
+    The spec takes *config*'s workload, stopped at *duration* and then
+    drained for up to 5 s, and the *switches*; the system is *config* at
+    ``trace="structural"``, so what a spec cannot express
+    (``with_repl_layer``, ``baseline``, the calibration) is kept.
+    """
+    # Deferred: the scenario engine imports this module.
+    from ..scenarios import engine
+    from ..scenarios.spec import CONFIG_FIELDS, ScenarioSpec
+
+    shared = {key: getattr(config, key) for key in CONFIG_FIELDS}
+    spec = ScenarioSpec(
+        name=name, duration=duration, switches=tuple(switches), quiescence_extra=5.0, **shared
+    )
+    gcs = build_group_comm_system(replace(config, load_stop=duration, trace="structural"))
+    return engine.ScenarioRun(spec, gcs)
+
+
+def run_checked(run: "ScenarioRun") -> GroupCommSystem:
+    """Drive *run* and return its system; raise
+    :class:`~repro.errors.PropertyViolation` unless every checker passed."""
+    run.drive()
+    violations = run.check().violations
+    lines = [f"{prop}: {line}" for prop, found in sorted(violations.items()) for line in found]
+    if lines:
+        raise PropertyViolation(run.spec.name, "\n".join(lines))
+    return run.gcs

@@ -15,16 +15,16 @@ and ``examples/figure5_replay.py``):
 * the perturbation analysis backing the prose claims — the spike is
   confined to a short window (paper: ≈ 1 s) and latency re-stabilises at
   the pre-switch level;
-* the checked correctness properties (no message lost or reordered
-  across the switch).
+* the checked correctness properties: the run is a scenario run, and
+  every property checker passes at ``trace="structural"`` (no message
+  lost or reordered across the switch) or the harness raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..dpu import assert_abcast_properties
 from ..dpu.manager import ReplacementWindow
 from ..metrics import (
     PerturbationWindow,
@@ -32,9 +32,10 @@ from ..metrics import (
     latency_series,
     windowed_mean_latency,
 )
+from ..scenarios.switchplan import SwitchAt
 from ..sim.clock import to_ms
 from ..viz import ascii_plot
-from .common import GroupCommConfig, PROTOCOL_CT, build_group_comm_system
+from .common import GroupCommConfig, PROTOCOL_CT, experiment_run, run_checked
 
 __all__ = ["Figure5Result", "run_figure5"]
 
@@ -95,26 +96,19 @@ def run_figure5(
     duration: float = 20.0,
     switch_at: Optional[float] = None,
     to_protocol: str = PROTOCOL_CT,
-    check_properties: bool = True,
 ) -> Figure5Result:
     """Run the Figure 5 experiment and return its measurements.
 
     Defaults follow the paper: n = 7, the replacement triggered in the
-    middle of the run, CT-ABcast replaced by the same protocol.
+    middle of the run, CT-ABcast replaced by the same protocol.  The
+    load stops at *duration*, then the run drains so every latency is
+    final.
     """
     cfg = config if config is not None else GroupCommConfig()
     switch_time = switch_at if switch_at is not None else duration / 2.0
-    # Stop the load at `duration`, then drain so every latency is final.
-    cfg = replace(cfg, load_stop=duration)
-    gcs = build_group_comm_system(cfg)
-    assert gcs.manager is not None, "Figure 5 needs the replacement layer"
-    gcs.manager.request_change(to_protocol, from_stack=0, at=switch_time)
-    gcs.run(until=duration)
-    gcs.run_to_quiescence()
-
-    if check_properties:
-        alive = [s for s in range(cfg.n) if not gcs.system.machine(s).crashed]
-        assert_abcast_properties(gcs.log, gcs.system.trace.crashes(), alive)
+    gcs = run_checked(
+        experiment_run("figure5", cfg, duration, (SwitchAt(to_protocol, switch_time),))
+    )
 
     series = latency_series(gcs.log)
     points = [(p.send_time, p.latency) for p in series]
@@ -132,7 +126,7 @@ def run_figure5(
         perturbation = find_perturbation(points, window.start)
 
     return Figure5Result(
-        config=cfg,
+        config=gcs.config,
         points=points,
         replacement_window=window,
         perturbation=perturbation,

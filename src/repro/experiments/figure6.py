@@ -13,6 +13,10 @@ group sizes (3 or 7)", with three configurations per group size:
 The paper's stated reading, which EXPERIMENTS.md checks against this
 harness: the overhead of the replacement layer is ≈ 5 %, and the extra
 latency during replacement is only paid during a short window.
+
+Every point is a scenario run whose property checkers all pass at
+``trace="structural"``; a point that violates one raises instead of
+being plotted.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from ..metrics import mean_latency, windowed_mean_latency
+from ..metrics import windowed_mean_latency
+from ..scenarios.switchplan import SwitchAt
 from ..sim.clock import to_ms
 from ..viz import ascii_plot, render_table
-from .common import GroupCommConfig, PROTOCOL_CT, build_group_comm_system
+from .common import GroupCommConfig, PROTOCOL_CT, experiment_run, run_checked
 
 __all__ = ["Figure6Point", "Figure6Result", "run_figure6", "run_one_config"]
 
@@ -131,20 +136,14 @@ def run_one_config(
         n=n,
         seed=seed,
         load_msgs_per_sec=load,
-        load_stop=duration,
         with_repl_layer=configuration != "normal_without_layer",
-        trace="off",  # pure measurement runs
     )
-    gcs = build_group_comm_system(cfg)
+    during = configuration == "during_replacement"
+    switches = (SwitchAt(PROTOCOL_CT, duration / 2.0),) if during else ()
+    gcs = run_checked(experiment_run(f"figure6-{configuration}", cfg, duration, switches))
 
-    if configuration == "during_replacement":
-        assert gcs.manager is not None
-        gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=duration / 2.0)
-    gcs.run(until=duration)
-    gcs.run_to_quiescence()
-
-    if configuration == "during_replacement":
-        window = gcs.manager.windows.get(1) if gcs.manager else None
+    if during:
+        window = gcs.manager.windows.get(1)
         if window is None or window.start is None or window.end is None:
             latency = None
         else:

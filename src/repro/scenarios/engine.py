@@ -14,7 +14,9 @@ checker the repo has:
 
 :func:`run_scenario` is those steps on a fresh simulated system, a pure
 function ``(spec, seed) → ScenarioResult``; the realtime soak
-(:mod:`repro.runtime.soak`) is the same steps on real sockets.
+(:mod:`repro.runtime.soak`) is the same steps on real sockets, and so is
+every point of the paper's figures, comparison and ablations
+(:func:`~repro.experiments.common.experiment_run`).
 :func:`run_campaign` maps a :class:`Campaign` (a named set of scenarios)
 across a seed matrix.  Everything serialises to **deterministic JSON**
 (sorted keys, no wall-clock timestamps): the same ``(campaign, seeds)``
@@ -56,7 +58,7 @@ from ..experiments.common import (
 )
 from ..metrics import mean_latency
 from ..sim.faults import FaultInjector
-from .spec import ScenarioSpec
+from .spec import CONFIG_FIELDS, ScenarioSpec
 from .switchplan import SwitchPlan
 
 __all__ = [
@@ -215,25 +217,8 @@ class CampaignResult:
 # --------------------------------------------------------------------------- #
 def config_for(spec: ScenarioSpec, seed: int, trace: str = "full") -> GroupCommConfig:
     """The builder config for one ``(spec, seed)`` cell at *trace* depth."""
-    return GroupCommConfig(
-        n=spec.n,
-        seed=seed,
-        trace=trace,
-        load_msgs_per_sec=spec.load_msgs_per_sec,
-        payload_bytes=spec.payload_bytes,
-        load_stop=spec.duration,
-        load_jitter=spec.load_jitter,
-        load_burst=spec.load_burst,
-        initial_protocol=spec.initial_protocol,
-        with_gm=spec.with_gm,
-        loss_rate=spec.loss_rate,
-        duplicate_rate=spec.duplicate_rate,
-        corrupt_rate=spec.corrupt_rate,
-        checksum=spec.checksum,
-        guard_change_sn=spec.guard_change_sn,
-        reissue_policy=spec.reissue_policy,
-        creation_cost=spec.creation_cost,
-    )
+    shared = {key: getattr(spec, key) for key in CONFIG_FIELDS}
+    return GroupCommConfig(seed=seed, trace=trace, load_stop=spec.duration, **shared)
 
 
 class ScenarioRun:

@@ -17,11 +17,11 @@ processes only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple, Union
 
 from ..errors import ScenarioError
-from ..experiments.common import PROTOCOL_CT
+from ..experiments.common import PROTOCOL_CT, GroupCommConfig
 from ..sim.clock import Duration, Time
 from ..sim.faults import FaultInjector
 from .switchplan import SwitchStep
@@ -38,6 +38,7 @@ __all__ = [
     "RandomCrashes",
     "FaultAction",
     "ScenarioSpec",
+    "CONFIG_FIELDS",
 ]
 
 
@@ -353,3 +354,11 @@ class ScenarioSpec:
         for action in self.faults:
             out.update(action.faulty_machines())
         return tuple(sorted(out))
+
+
+#: The workload and stack fields a spec shares, by name, with the build
+#: config: :func:`~repro.scenarios.engine.config_for` copies them from a
+#: spec, and :func:`~repro.experiments.common.experiment_run` into one.
+CONFIG_FIELDS = tuple(
+    sorted({f.name for f in fields(ScenarioSpec)} & {f.name for f in fields(GroupCommConfig)})
+)
