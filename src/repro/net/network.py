@@ -132,10 +132,11 @@ class SimNetwork(Transport):
         self._c_sent += 1
         self._c_bytes_sent += message.size_bytes
 
-        # NIC transmit serialisation (per-sender queue).
-        tx = self.lan.transmission_time(message.size_bytes)
-        start = max(self.sim.now, self._nic_busy_until[src])
-        done = start + tx
+        # NIC transmit serialisation (per-sender queue).  Inlined
+        # SwitchedLan.transmission_time and max(): no call per datagram.
+        now = self.sim.now
+        busy = self._nic_busy_until[src]
+        done = (busy if busy > now else now) + (message.size_bytes * 8.0) / self.lan.bandwidth_bps
         self._nic_busy_until[src] = done
 
         verdict = self.links.verdict(src, dst)
@@ -146,23 +147,24 @@ class SimNetwork(Transport):
             # No checksum: the mangled frame travels on and is delivered.
             message = replace(message, payload=CorruptedPayload(message.payload))
         # Deliveries are never cancelled (crashed receivers are filtered
-        # at delivery time).
-        self.sim.schedule_at(done + delay, self._deliver, (message,))
+        # at delivery time); each carries its instant, the arrival time.
+        self.sim.schedule_at(done + delay, self._deliver, (message, done + delay))
         if duplicate_delay is not None:
-            self.sim.schedule_at(done + duplicate_delay, self._deliver, (message,))
+            at = done + duplicate_delay
+            self.sim.schedule_at(at, self._deliver, (message, at))
 
     def send_local(self, message: NetMessage, loopback_delay: Duration = 0.0) -> None:
         """Self-addressed delivery (loopback): no NIC, no LAN, no loss."""
         if message.src != message.dst:
             raise NetworkError("send_local requires src == dst")
         self._c_loopback += 1
-        sim = self.sim
-        sim.schedule_at(sim.now + loopback_delay, self._deliver, (message,))
+        at = self.sim.now + loopback_delay
+        self.sim.schedule_at(at, self._deliver, (message, at))
 
     # ------------------------------------------------------------------ #
     # Delivery
     # ------------------------------------------------------------------ #
-    def _deliver(self, message: NetMessage) -> None:
+    def _deliver(self, message: NetMessage, arrival: Time) -> None:
         receiver = self._nodes[message.dst]
         if receiver._crashed_at is not None:
             self._c_dropped_crashed_receiver += 1
@@ -176,7 +178,7 @@ class SimNetwork(Transport):
         # the common corruption-free path stays branch-cheap.
         if self.links.corrupted and isinstance(message.payload, CorruptedPayload):
             self._c_corrupted_delivered += 1
-        hook(message, self.sim.now)
+        hook(message, arrival)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -90,12 +90,11 @@ class UdpModule(Module):
             self.garbage_dropped += 1
             return
         # Charge receive processing on this host's CPU, then hand the
-        # payload to whoever requires the udp service.
-        self.respond(
+        # payload to whoever requires the udp service (no Module.respond frame).
+        self.stack.issue_response(
+            self,
             WellKnown.UDP,
             "deliver",
-            message.src,
-            message.payload,
-            message.size_bytes - UDP_HEADER_BYTES,
-            cost=self.recv_cost,
+            (message.src, message.payload, message.size_bytes - UDP_HEADER_BYTES),
+            self.recv_cost,
         )

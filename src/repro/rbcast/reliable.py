@@ -30,7 +30,7 @@ the module into best-effort broadcast for ablations).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from ..kernel.module import Module, NOT_MINE
 from ..kernel.service import WellKnown
@@ -69,11 +69,22 @@ class RbcastModule(Module):
             )
         self.group: Tuple[int, ...] = tuple(sorted(set(group)))
         self.relay = relay
-        self.counters = Counter()
+        # Bumped in place per frame (no Counter.incr call); see counters.
+        self._counts: Dict[str, int] = dict.fromkeys(
+            ("broadcasts", "duplicates_suppressed", "relays", "delivered"), 0
+        )
         self._next_seq = 0
         self._seen: Set[Tuple[int, int]] = set()
         self.export_call(RBCAST_SERVICE, "broadcast", self._broadcast)
         self.subscribe(WellKnown.RP2P, "deliver", self._on_rp2p)
+
+    @property
+    def counters(self) -> Counter:
+        """Snapshot of the statistics (a key is present iff its event occurred)."""
+        counters = Counter()
+        for key in filter(self._counts.get, self._counts):
+            counters.incr(key, self._counts[key])
+        return counters
 
     # ------------------------------------------------------------------ #
     # Broadcasting
@@ -81,10 +92,12 @@ class RbcastModule(Module):
     def _broadcast(self, payload: Any, size_bytes: int) -> None:
         seq = self._next_seq
         self._next_seq += 1
-        self.counters.incr("broadcasts")
+        self._counts["broadcasts"] += 1
         frame = (_TAG, self.stack_id, seq, payload, size_bytes)
+        # Straight to the stack: Module.call would add a frame per send.
+        issue_call = self.stack.issue_call
         for dst in self.group:
-            self.call(WellKnown.RP2P, "send", dst, frame, size_bytes + _RBC_HEADER)
+            issue_call(self, WellKnown.RP2P, "send", (dst, frame, size_bytes + _RBC_HEADER))
 
     # ------------------------------------------------------------------ #
     # Receiving / relaying
@@ -95,16 +108,16 @@ class RbcastModule(Module):
         _, origin, seq, inner, inner_size = payload
         key = (origin, seq)
         if key in self._seen:
-            self.counters.incr("duplicates_suppressed")
+            self._counts["duplicates_suppressed"] += 1
             return
         self._seen.add(key)
         if self.relay:
             frame = (_TAG, origin, seq, inner, inner_size)
             for dst in self.group:
                 if dst != self.stack_id and dst != origin and dst != src:
-                    self.counters.incr("relays")
-                    self.call(
-                        WellKnown.RP2P, "send", dst, frame, inner_size + _RBC_HEADER
+                    self._counts["relays"] += 1
+                    self.stack.issue_call(
+                        self, WellKnown.RP2P, "send", (dst, frame, inner_size + _RBC_HEADER)
                     )
-        self.counters.incr("delivered")
-        self.respond(RBCAST_SERVICE, "deliver", origin, inner, inner_size)
+        self._counts["delivered"] += 1
+        self.stack.issue_response(self, RBCAST_SERVICE, "deliver", (origin, inner, inner_size))

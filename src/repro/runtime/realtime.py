@@ -48,7 +48,7 @@ import socket
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..errors import CodecError, SimulationError
+from ..errors import CodecError, ScheduleInPastError, SimulationError
 from ..kernel.events import STRUCTURAL_TRACE_KINDS
 from ..kernel.registry import ProtocolRegistry
 from ..kernel.stack import Stack
@@ -113,7 +113,10 @@ class RealtimeScheduler(Scheduler):
                     ) -> Optional[asyncio.TimerHandle]:
         """Fire at absolute instant *time* (clock of :attr:`now`); an
         already-past instant fires as soon as possible — wall-clock
-        backends cannot refuse the past, they can only be late."""
+        backends cannot refuse the past, they can only be late.  A NaN
+        instant is refused, as on the simulator."""
+        if time != time:
+            raise ScheduleInPastError(f"cannot schedule at {time!r}; current time is {self.now!r}")
         handle = self._loop.call_later(max(0.0, time - self.now), self._fire,
                                        callback, args)
         return handle if cancellable else None

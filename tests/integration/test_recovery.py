@@ -9,6 +9,11 @@ post-recovery messages again — with the property checkers' exemptions
 narrowed back accordingly.
 """
 
+import json
+import pathlib
+
+import pytest
+
 from repro.experiments import PROTOCOL_SEQ
 from repro.kernel import WellKnown
 from repro.scenarios import (
@@ -23,7 +28,12 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.experiments.common import build_group_comm_system
-from repro.scenarios.engine import ScenarioRun, config_for
+from repro.scenarios.engine import ScenarioRun, compare_reports, config_for
+
+#: ``python -m repro.scenarios --campaign recovery --seeds 2 --out ...``
+RECOVERY_GOLDEN = (
+    pathlib.Path(__file__).parent.parent / "golden" / "recovery_seeds2_structural.json"
+)
 
 RECOVERY_SCENARIOS = (
     "recover-during-switch",
@@ -159,11 +169,17 @@ class TestRecoveryLivenessNarrowing:
 
 class TestRecoveryDeterminism:
     def test_same_seed_byte_identical_reports(self):
-        campaign = get_campaign("recovery")
-        a = run_campaign(campaign, seeds=(0, 1))
-        b = run_campaign(campaign, seeds=(0, 1))
-        assert a.to_json() == b.to_json()
-        assert a.ok
+        """One run against the committed golden pins more than two runs
+        against each other: it also catches drift both runs would share."""
+        golden = RECOVERY_GOLDEN.read_text()
+        result = run_campaign(get_campaign("recovery"), seeds=(0, 1))
+        current = result.to_json() + "\n"
+        if current != golden:
+            drift = compare_reports(json.loads(golden), json.loads(current))
+            pytest.fail(
+                "recovery report drifted from its golden:\n" + "\n".join(drift[:20])
+            )
+        assert result.ok
 
     def test_parallel_jobs_byte_identical(self):
         campaign = Campaign(

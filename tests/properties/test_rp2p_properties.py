@@ -64,3 +64,41 @@ class TestRp2pProperties:
                     continue
                 expected = [(sender, k) for k in range(counts[sender])]
                 assert collectors[receiver].got.get(sender, []) == expected
+
+
+def _sender_pair():
+    """Two stacks with RP2P over UDP; nothing runs, so nothing is acked
+    unless a test feeds ``_on_ack`` by hand."""
+    sys_ = System(n=2, seed=0)
+    net = SimNetwork(sys_.sim, sys_.machines, SwitchedLan(latency=ConstantLatency(0.0002)))
+    rp2ps = []
+    for stck in sys_.stacks:
+        stck.add_module(UdpModule(stck, net))
+        rp = Rp2pModule(stck)
+        stck.add_module(rp)
+        rp2ps.append(rp)
+    return rp2ps[0]
+
+
+class TestCumulativeAckScan:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exactly_the_frames_above_the_ack_stay_pending(self, data):
+        """Stale, duplicate, out-of-order and beyond-the-window cumulative
+        acks, interleaved with sends: after every ack exactly the frames
+        in flight above it stay pending, and the timer runs iff any do."""
+        rp = _sender_pair()
+        sent, pending = 0, []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+            if data.draw(st.booleans()):
+                for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+                    rp._send(1, ("frame", sent), 64)
+                    pending.append(sent)
+                    sent += 1
+            else:
+                cum_ack = data.draw(st.integers(min_value=-2, max_value=sent + 2))
+                rp._on_ack(1, cum_ack)
+                pending = [s for s in pending if s > cum_ack]
+            assert list(rp._unacked.get(1, {})) == pending
+            assert rp.unacked_count(1) == len(pending)
+            assert (1 in rp._retx_timer) == bool(pending)

@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.errors import NetworkError, UnknownDestinationError
+from repro.errors import NetworkError, ScheduleInPastError, UnknownDestinationError
 from repro.net import NetMessage, SimNetwork, SwitchedLan, estimate_payload_size
 from repro.runtime.codec import decode_value, encode_value
-from repro.sim import ConstantLatency, Machine
+from repro.sim import ConstantLatency, LatencyModel, Machine, UniformLatency
 
 
 def make_net(sim, n=3, **lan_kwargs):
@@ -144,6 +144,63 @@ class TestDelivery:
         machines, net = make_net(sim)
         with pytest.raises(NetworkError):
             net.send_local(NetMessage(0, 1, "x", 10))
+
+
+class NanLatency(LatencyModel):
+    """A broken latency model: every draw is NaN."""
+
+    def sample(self, rng):
+        return float("nan")
+
+    def mean(self):
+        return float("nan")
+
+
+class TestDeliveryInstant:
+    """Each delivery is scheduled with its own instant as an argument; the
+    hook's arrival argument must be the clock at delivery, and a NaN
+    instant must still hit the simulator's scheduling guard."""
+
+    def _arrivals(self, sim, net, mid):
+        seen = []
+        net.attach(mid, lambda m, t: seen.append((t, sim.now)))
+        return seen
+
+    def test_nan_latency_still_rejected(self, sim):
+        machines, net = make_net(sim, latency=NanLatency())
+        net.attach(1, lambda m, t: None)
+        with pytest.raises(ScheduleInPastError):
+            net.send(NetMessage(0, 1, "x", 10))
+
+    def test_direct_delivery_arrives_at_now(self, sim):
+        machines, net = make_net(sim, latency=UniformLatency(0.0005, 0.002))
+        seen = self._arrivals(sim, net, 1)
+        for i in range(20):
+            net.send(NetMessage(0, 1, i, 500))
+        sim.run()
+        assert len(seen) == 20
+        assert all(arrival == now for arrival, now in seen)
+
+    def test_duplicate_delivery_arrives_at_now(self, sim):
+        machines, net = make_net(
+            sim, latency=UniformLatency(0.0005, 0.002), duplicate_rate=0.5
+        )
+        seen = self._arrivals(sim, net, 1)
+        for i in range(40):
+            net.send(NetMessage(0, 1, i, 500))
+        sim.run()
+        assert net.stats()["duplicated"] > 0
+        assert len(seen) == 40 + net.stats()["duplicated"]
+        assert all(arrival == now for arrival, now in seen)
+
+    def test_loopback_delivery_arrives_at_now(self, sim):
+        machines, net = make_net(sim)
+        seen = self._arrivals(sim, net, 0)
+        sim.run(until=0.25)
+        net.send_local(NetMessage(0, 0, "x", 10))
+        net.send_local(NetMessage(0, 0, "y", 10), loopback_delay=0.003)
+        sim.run()
+        assert seen == [(0.25, 0.25), (0.253, 0.253)]
 
 
 class TestImpairments:

@@ -15,7 +15,12 @@ import asyncio
 
 import pytest
 
-from repro.errors import NetworkError, SimulationError, UnknownDestinationError
+from repro.errors import (
+    NetworkError,
+    ScheduleInPastError,
+    SimulationError,
+    UnknownDestinationError,
+)
 from repro.experiments.common import (
     PROTOCOL_SEQ,
     GroupCommConfig,
@@ -236,6 +241,14 @@ def test_set_timer_rejects_a_nan_delay(backend):
 def test_schedule_rejects_a_nan_delay(backend):
     with pytest.raises(SimulationError, match="negative delay"):
         backend.sim.schedule(NAN, lambda: None)
+
+
+def test_schedule_at_rejects_a_nan_instant(backend):
+    fired = []
+    with pytest.raises(ScheduleInPastError, match="cannot schedule at nan"):
+        backend.sim.schedule_at(NAN, fired.append, ("nan",))
+    run_ticks(backend, 1)
+    assert fired == []
 
 
 def test_one_nodes_work_runs_in_execute_order_loopback_included(backend):
