@@ -1,7 +1,7 @@
 """Benchmark A1 — ablation: the change-message sn guard and re-issue policy.
 
-DESIGN.md §4: the printed Algorithm 1 does not guard change messages by
-sequence number.  This ablation runs near-concurrent replacement requests
+The printed Algorithm 1 does not guard change messages by sequence number
+(the deviations are listed in ``repro.dpu.repl``'s module docstring).  This ablation runs near-concurrent replacement requests
 under the three variants and reports correctness outcomes and switch
 counts.  (The deterministic anomaly reproduction lives in
 ``tests/unit/test_repl_algorithm.py``; end-to-end runs may or may not hit

@@ -8,18 +8,21 @@ stabilizes"; the perturbation lasts "a short period (approximately one
 second)"; there is no interruption in the service availability.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import QUICK, q, report
-from repro.experiments import GroupCommConfig, PROTOCOL_CT, run_figure5
+from repro.experiments import PROTOCOL_CT, run_figure5
+from repro.scenarios.spec import PAPER_SPEC
 
 
 @pytest.mark.benchmark(group="figure5")
 def test_figure5_n7_ct_to_ct(benchmark):
-    cfg = GroupCommConfig(n=7, seed=5, load_msgs_per_sec=200.0)
+    spec = replace(PAPER_SPEC, load_msgs_per_sec=200.0)
 
     result = benchmark.pedantic(
-        lambda: run_figure5(cfg, duration=q(12.0, 4.0), to_protocol=PROTOCOL_CT),
+        lambda: run_figure5(spec, seed=5, duration=q(12.0, 4.0), to_protocol=PROTOCOL_CT),
         rounds=1,
         iterations=1,
     )
@@ -45,9 +48,9 @@ def test_figure5_n7_ct_to_ct(benchmark):
 @pytest.mark.benchmark(group="figure5")
 def test_figure5_n3_variant(benchmark):
     """The same experiment at n = 3 (the paper's smaller group size)."""
-    cfg = GroupCommConfig(n=3, seed=5, load_msgs_per_sec=200.0)
+    spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=200.0)
     result = benchmark.pedantic(
-        lambda: run_figure5(cfg, duration=q(12.0, 4.0), to_protocol=PROTOCOL_CT),
+        lambda: run_figure5(spec, seed=5, duration=q(12.0, 4.0), to_protocol=PROTOCOL_CT),
         rounds=1,
         iterations=1,
     )

@@ -7,12 +7,15 @@ message path.  They guard the simulator's performance, which bounds how
 large the figure benchmarks can afford to be.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import q
-from repro.experiments import GroupCommConfig, build_group_comm_system
+from repro.experiments import build_group_comm_system
 from repro.kernel import Module, System, WellKnown
 from repro.net import Rp2pModule, SimNetwork, SwitchedLan, UdpModule
+from repro.scenarios.spec import PAPER_SPEC
 from repro.sim import ConstantLatency, Machine, Simulator
 
 N_EVENTS = q(10_000, 1_000)
@@ -154,10 +157,8 @@ def run_full_stack_calls(sim_seconds=None, trace="off"):
     """
     if sim_seconds is None:
         sim_seconds = FULLSTACK_SIM_SECONDS
-    gcs = build_group_comm_system(GroupCommConfig(
-        n=3, seed=7, load_msgs_per_sec=120.0, load_stop=sim_seconds,
-        trace=trace,
-    ))
+    spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=120.0, duration=sim_seconds)
+    gcs = build_group_comm_system(spec, seed=7, trace=trace)
     gcs.run(until=sim_seconds)
     return sum(st.calls_issued + st.responses_issued for st in gcs.system.stacks)
 

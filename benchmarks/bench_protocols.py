@@ -6,17 +6,19 @@ them at run time is worth the machinery.  Reports steady-state latency of
 each protocol at a light and a heavy load (n = 5).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import QUICK, q, report
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
     build_group_comm_system,
 )
 from repro.metrics import windowed_mean_latency
+from repro.scenarios.spec import PAPER_SPEC
 from repro.viz import render_table
 
 PROTOCOLS = (PROTOCOL_CT, PROTOCOL_SEQ, PROTOCOL_TOKEN)
@@ -24,16 +26,10 @@ STOP = q(6.0, 2.0)
 
 
 def measure(protocol: str, load: float) -> float:
-    cfg = GroupCommConfig(
-        n=5,
-        seed=17,
-        load_msgs_per_sec=load,
-        load_stop=STOP,
-        initial_protocol=protocol,
-        with_repl_layer=False,
-        trace="off",
+    spec = replace(
+        PAPER_SPEC, n=5, load_msgs_per_sec=load, duration=STOP, initial_protocol=protocol
     )
-    gcs = build_group_comm_system(cfg)
+    gcs = build_group_comm_system(spec, seed=17, trace="off", with_repl_layer=False)
     gcs.run(until=STOP + 2.0)
     return windowed_mean_latency(gcs.log, 1.0, STOP)
 

@@ -9,13 +9,16 @@ blocked-call time below the indirection, the app-visible blocked calls
 (must be zero), and the perturbation of the latency series.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import QUICK, q, report
-from repro.experiments.common import PROTOCOL_CT, GroupCommConfig, experiment_run, run_checked
+from repro.experiments.common import PROTOCOL_CT, experiment_run, run_checked
 from repro.kernel import WellKnown
 from repro.metrics import find_perturbation, latency_series
 from repro.scenarios import SwitchAt
+from repro.scenarios.spec import PAPER_SPEC
 from repro.viz import render_table
 
 DURATION = q(12.0, 4.0)
@@ -24,9 +27,14 @@ DURATION = q(12.0, 4.0)
 @pytest.mark.benchmark(group="switch-cost")
 def test_switch_cost_n7(benchmark):
     def run():
-        cfg = GroupCommConfig(n=7, seed=12, load_msgs_per_sec=200.0)
-        switch = SwitchAt(PROTOCOL_CT, DURATION / 2)
-        return run_checked(experiment_run("switch-cost-c2", cfg, DURATION, (switch,)))
+        spec = replace(
+            PAPER_SPEC,
+            name="switch-cost-c2",
+            load_msgs_per_sec=200.0,
+            duration=DURATION,
+            switches=(SwitchAt(PROTOCOL_CT, DURATION / 2),),
+        )
+        return run_checked(experiment_run(spec, seed=12))
 
     gcs = benchmark.pedantic(run, rounds=1, iterations=1)
     window = gcs.manager.window(1)

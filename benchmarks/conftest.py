@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's evaluation artefacts (see
-DESIGN.md §5) and writes its rendered rows/series to
-``benchmarks/out/<name>.txt`` so the reproduction record in
-EXPERIMENTS.md can be refreshed from the files.
+Every benchmark regenerates one of the paper's evaluation artefacts (the
+harnesses in ``repro.experiments``) and writes its rendered rows/series
+to ``benchmarks/out/<name>.txt``, so a change to any figure shows as a
+diff of those files.
 """
 
 from __future__ import annotations

@@ -18,15 +18,17 @@ global update takes place."
 Run:  python examples/adaptive_middleware.py
 """
 
+from dataclasses import replace
+
 from repro.dpu import assert_abcast_properties
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_TOKEN,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
 from repro.metrics import windowed_mean_latency
+from repro.scenarios.spec import PAPER_SPEC
 from repro.sim import to_ms
 
 
@@ -37,10 +39,8 @@ def gm_of(gcs, stack_id):
 
 
 def main() -> None:
-    config = GroupCommConfig(
-        n=5, seed=7, load_msgs_per_sec=100.0, load_stop=12.0, with_gm=True
-    )
-    gcs = build_group_comm_system(config)
+    spec = replace(PAPER_SPEC, n=5, load_msgs_per_sec=100.0, duration=12.0, with_gm=True)
+    gcs = build_group_comm_system(spec, seed=7)
 
     # Two adaptations while the system serves traffic.
     gcs.manager.request_change(PROTOCOL_TOKEN, from_stack=2, at=4.0)

@@ -9,20 +9,20 @@ membership must expel the dead machine.
 Run:  python examples/crash_during_switch.py
 """
 
+from dataclasses import replace
+
 from repro.dpu import assert_abcast_properties
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     build_group_comm_system,
 )
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def main() -> None:
     crash_stack, crash_at = 3, 4.002
-    cfg = GroupCommConfig(
-        n=5, seed=11, load_msgs_per_sec=80.0, load_stop=9.0, with_gm=True
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=5, load_msgs_per_sec=80.0, duration=9.0, with_gm=True)
+    gcs = build_group_comm_system(spec, seed=11)
     gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=4.0)
     gcs.system.crash_at(crash_stack, crash_at)
     gcs.run(until=9.0)

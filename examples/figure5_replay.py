@@ -14,14 +14,17 @@ Run:  python examples/figure5_replay.py [--fast]
 
 import sys
 
-from repro.experiments import GroupCommConfig, PROTOCOL_CT, run_figure5
+from dataclasses import replace
+
+from repro.experiments import PROTOCOL_CT, run_figure5
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def main() -> None:
     fast = "--fast" in sys.argv
-    cfg = GroupCommConfig(n=7, seed=5, load_msgs_per_sec=200.0)
+    spec = replace(PAPER_SPEC, load_msgs_per_sec=200.0)
     duration = 8.0 if fast else 16.0
-    result = run_figure5(cfg, duration=duration, to_protocol=PROTOCOL_CT)
+    result = run_figure5(spec, seed=5, duration=duration, to_protocol=PROTOCOL_CT)
     print(result.render(width=76, height=20))
 
 

@@ -14,16 +14,18 @@ change.  Both behaviours are shown.
 Run:  python examples/switch_across_requirements.py
 """
 
+from dataclasses import replace
+
 from repro.baselines import GracefulAdaptorModule
 from repro.dpu import assert_abcast_properties
 from repro.errors import RequirementError
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def show_bindings(gcs, label):
@@ -36,11 +38,10 @@ def show_bindings(gcs, label):
 
 def main() -> None:
     print("== our solution: the recursion creates what the new protocol needs ==")
-    cfg = GroupCommConfig(
-        n=4, seed=3, load_msgs_per_sec=60.0, load_stop=6.0,
-        initial_protocol=PROTOCOL_SEQ,
+    spec = replace(
+        PAPER_SPEC, n=4, load_msgs_per_sec=60.0, duration=6.0, initial_protocol=PROTOCOL_SEQ
     )
-    gcs = build_group_comm_system(cfg)
+    gcs = build_group_comm_system(spec, seed=3)
     show_bindings(gcs, "before (sequencer ABcast, no consensus)")
     gcs.manager.request_change(PROTOCOL_CT, from_stack=1, at=3.0)
     gcs.run(until=6.0)
@@ -50,11 +51,7 @@ def main() -> None:
     print("  no message lost or reordered across the switch ✔")
 
     print("== Graceful-Adaptation baseline: the same change is refused ==")
-    cfg2 = GroupCommConfig(
-        n=4, seed=3, load_msgs_per_sec=60.0, load_stop=6.0,
-        initial_protocol=PROTOCOL_SEQ, baseline="graceful",
-    )
-    gcs2 = build_group_comm_system(cfg2)
+    gcs2 = build_group_comm_system(spec, seed=3, baseline="graceful")
     adaptor = next(
         m for m in gcs2.system.stack(0).modules.values()
         if isinstance(m, GracefulAdaptorModule)

@@ -14,10 +14,12 @@ against.
 
 Quickstart
 ----------
+>>> from dataclasses import replace                          # doctest: +SKIP
 >>> from repro.experiments import build_group_comm_system   # doctest: +SKIP
->>> system = build_group_comm_system(n=3, seed=1)           # doctest: +SKIP
+>>> from repro.scenarios.spec import PAPER_SPEC             # doctest: +SKIP
+>>> gcs = build_group_comm_system(replace(PAPER_SPEC, n=3), seed=1)  # doctest: +SKIP
 
-See ``examples/quickstart.py`` and DESIGN.md for the full tour.
+See ``examples/quickstart.py`` and ``docs/architecture.md`` for the full tour.
 """
 
 from .errors import (

@@ -57,7 +57,7 @@ pending chain, not a single timer.  At most one task is ever in
 classloader serially — so later ``ordered`` tasks queue behind it and
 start in version order.
 
-Two deliberate deviations, both configurable (see DESIGN.md §4):
+Two deliberate deviations, both configurable:
 
 * ``guard_change_sn`` (default ``True``) — the printed algorithm does not
   test ``sn`` on *change* messages (line 10).  With concurrent
@@ -347,7 +347,7 @@ class ReplAbcastModule(Module):
     # Lines 10-16 -------------------------------------------------------- #
     def _on_change_message(self, sn: int, rid: _Rid, prot: str) -> None:
         if self.guard_change_sn and sn != self.seq_number:
-            # Deviation (DESIGN.md §4): a stale change message is not
+            # Deviation (module docstring): a stale change message is not
             # synchronised with the current protocol's total order.
             self.counters.incr("stale_changes_discarded")
             if rid in self._pending_changes:

@@ -1,4 +1,5 @@
-"""Experiment harnesses regenerating the paper's evaluation (see DESIGN.md §5)."""
+"""Experiment harnesses regenerating the paper's evaluation (see the
+``experiments/`` row of ``docs/architecture.md``)."""
 
 from .ablation import (
     ConcurrentChangeOutcome,
@@ -11,7 +12,6 @@ from .common import (
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
-    GroupCommConfig,
     GroupCommSystem,
     build_group_comm_system,
     register_standard_protocols,
@@ -21,7 +21,6 @@ from .figure5 import Figure5Result, run_figure5
 from .figure6 import Figure6Point, Figure6Result, run_figure6, run_one_config
 
 __all__ = [
-    "GroupCommConfig",
     "GroupCommSystem",
     "build_group_comm_system",
     "register_standard_protocols",

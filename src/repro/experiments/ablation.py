@@ -1,10 +1,10 @@
-"""Ablations A1/A2 — quantifying the design choices DESIGN.md calls out.
+"""Ablations A1/A2 — quantifying the replacement layer's design choices.
 
 * **A1 (re-issue policy, guard)** — concurrent replacement requests under
   the guarded algorithm with both pending-change policies, and under the
   paper-literal algorithm (no sn guard).  Reports delivery-correctness
-  outcomes; the literal variant is where the DESIGN.md §4 anomaly can
-  surface.
+  outcomes; the literal variant is where the stale-change anomaly
+  (``dpu/repl.py``'s module docstring) can surface.
 * **A2 (module-creation cost)** — sweeps the creation cost and reports
   the resulting latency-perturbation height and width around a switch:
   the knob behind Figure 5's spike.
@@ -16,13 +16,14 @@ violates a property raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..metrics import find_perturbation, latency_series
+from ..scenarios.spec import PAPER_SPEC
 from ..scenarios.switchplan import SwitchAt
 from ..sim.clock import Duration, ms
-from .common import GroupCommConfig, PROTOCOL_CT, PROTOCOL_SEQ, experiment_run, run_checked
+from .common import PROTOCOL_CT, PROTOCOL_SEQ, experiment_run, run_checked
 
 __all__ = [
     "ConcurrentChangeOutcome",
@@ -50,18 +51,15 @@ def _run_concurrent(variant: str, n: int, seed: int, duration: float,
                     gap: float) -> ConcurrentChangeOutcome:
     guard = variant != "literal"
     policy = "reissue" if variant == "guarded+reissue" else "drop"
-    cfg = GroupCommConfig(
-        n=n,
-        seed=seed,
-        load_msgs_per_sec=60.0,
-        guard_change_sn=guard,
-        reissue_policy=policy,
-    )
     # Two nearly-simultaneous change requests from different stacks: the
     # second is in flight when the first lands.
     at = duration / 2.0
-    requests = (SwitchAt(PROTOCOL_CT, at), SwitchAt(PROTOCOL_SEQ, at + gap, from_stack=n - 1))
-    run = experiment_run(f"a1-{variant}", cfg, duration, requests)
+    spec = replace(
+        PAPER_SPEC, name=f"a1-{variant}", n=n, load_msgs_per_sec=60.0, duration=duration,
+        guard_change_sn=guard, reissue_policy=policy,
+        switches=(SwitchAt(PROTOCOL_CT, at), SwitchAt(PROTOCOL_SEQ, at + gap, from_stack=n - 1)),
+    )
+    run = experiment_run(spec, seed)
     run.drive()
     result = run.check()
     gcs = run.gcs
@@ -111,9 +109,11 @@ def run_creation_cost_ablation(
     """A2: module-creation cost versus switch-time latency perturbation."""
     points = []
     for cost in costs:
-        cfg = GroupCommConfig(n=n, seed=seed, load_msgs_per_sec=load, creation_cost=cost)
-        switch = SwitchAt(PROTOCOL_CT, duration / 2.0)
-        gcs = run_checked(experiment_run("a2-creation-cost", cfg, duration, (switch,)))
+        spec = replace(
+            PAPER_SPEC, name="a2-creation-cost", n=n, load_msgs_per_sec=load, creation_cost=cost,
+            duration=duration, switches=(SwitchAt(PROTOCOL_CT, duration / 2.0),),
+        )
+        gcs = run_checked(experiment_run(spec, seed))
         series = [(p.send_time, p.latency) for p in latency_series(gcs.log)]
         perturbation = find_perturbation(series, duration / 2.0)
         points.append(

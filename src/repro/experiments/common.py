@@ -7,11 +7,12 @@ substrate pieces the figure leaves implicit (reliable broadcast inside
 CT) and the measurement layer (load generator, delivery probe).
 
 Every experiment, most integration tests and the realtime soak go
-through this builder, so its :class:`GroupCommConfig` is the single
-place where the simulation is calibrated.  It assembles the stack set on
-any :class:`~repro.runtime.api.Backend` — the simulated twin by default,
-the real-socket one for the soak.  Every experiment point is a checked
-scenario run on that system (:func:`experiment_run`, :func:`run_checked`).
+through this builder: a :class:`~repro.scenarios.spec.ScenarioSpec` says
+what runs, and the :class:`~repro.runtime.api.Backend` (the simulated
+twin by default, the real-socket one for the soak) brings its
+:class:`~repro.runtime.api.Calibration`.  Every experiment point is a
+checked scenario run (:func:`experiment_run`, :func:`run_checked`) of a
+spec varied from :data:`~repro.scenarios.spec.PAPER_SPEC`.
 
 :func:`collect_rejoined` and :func:`pending_deliveries` are the one
 re-join rule and the one quiescence rule, and
@@ -21,44 +22,32 @@ backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence,
 )
 
 from ..abcast import CtAbcastModule, SequencerAbcastModule, TokenAbcastModule
-from ..baselines import (
-    BarrierModule,
-    GracefulAdaptorModule,
-    MaestroSwitchModule,
-)
+from ..baselines import BarrierModule, GracefulAdaptorModule, MaestroSwitchModule
 from ..consensus import CtConsensusModule
-from ..dpu import (
-    AbcastProbeModule,
-    DeliveryLog,
-    ReplAbcastModule,
-    ReplacementManager,
-)
+from ..dpu import AbcastProbeModule, DeliveryLog, ReplAbcastModule, ReplacementManager
 from ..dpu.abcast_checker import is_post_rejoin_send
 from ..dpu.probes import is_workload_key
 from ..errors import PropertyViolation
 from ..fd import HeartbeatFd
 from ..gm import GroupMembershipModule
 from ..kernel import STRUCTURAL_TRACE_KINDS, System, WellKnown
-from ..net import Rp2pModule, SwitchedLan, UdpModule
+from ..net import Rp2pModule, UdpModule
 from ..rbcast import RBCAST_SERVICE, RbcastModule
 from ..runtime.api import Backend, Transport
 from ..runtime.sim_backend import SimBackend
-from ..sim.clock import Duration, ms, us
-from ..sim.latency import lan_latency
 from ..workload import FixedPayload, LoadGeneratorModule
 
 if TYPE_CHECKING:
     from ..scenarios.engine import ScenarioRun
-    from ..scenarios.switchplan import SwitchStep
+    from ..scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "GroupCommConfig",
     "GroupCommSystem",
     "build_group_comm_system",
     "collect_rejoined",
@@ -78,78 +67,22 @@ PROTOCOL_SEQ = "abcast-seq"
 PROTOCOL_TOKEN = "abcast-token"
 PROTOCOL_CONSENSUS_CT = "consensus-ct"
 
-#: The kernel trace depths a build accepts (see ``GroupCommConfig.trace``);
-#: the scenario engine and CLI validate against this same tuple.
+#: The kernel trace depths a build accepts (``build_group_comm_system``'s
+#: *trace*): ``"full"`` records every kernel event (tests, debugging),
+#: ``"structural"`` drops the per-call/per-response firehose but keeps
+#: everything the property checkers consume (campaign default; reports
+#: are byte-identical to full), ``"off"`` records nothing.  The scenario
+#: engine and CLI validate against this same tuple.
 TRACE_MODES = ("full", "structural", "off")
-
-
-@dataclass(frozen=True)
-class GroupCommConfig:
-    """Everything needed to build and load one group-communication system.
-
-    Defaults are the calibration used throughout DESIGN.md §6: a 100 Mb/s
-    switched LAN, ~10 µs kernel dispatches, 1 KiB payloads.  The paper's
-    absolute numbers are not reproducible (different hardware); the
-    *shapes* in EXPERIMENTS.md are produced with exactly these values.
-    """
-
-    n: int = 7
-    seed: int = 0
-    # Workload -----------------------------------------------------------
-    load_msgs_per_sec: float = 100.0   # aggregate over all stacks
-    payload_bytes: int = 1024
-    load_start: float = 0.0
-    load_stop: Optional[float] = None
-    load_jitter: float = 0.0
-    load_burst: int = 1
-    # Replacement layer ---------------------------------------------------
-    with_repl_layer: bool = True
-    initial_protocol: str = PROTOCOL_CT
-    creation_cost: Duration = ms(5.0)
-    guard_change_sn: bool = True
-    reissue_policy: str = "drop"
-    # Baseline layers (mutually exclusive with with_repl_layer) -----------
-    baseline: Optional[str] = None      # None | "maestro" | "graceful"
-    # Stack pieces ---------------------------------------------------------
-    with_gm: bool = False
-    # Substrate calibration -------------------------------------------------
-    # CPU costs are calibrated to the paper's era (766 MHz Pentium III
-    # running a Java protocol framework): one kernel dispatch ~30 µs, one
-    # datagram receive ~120 µs.  These put the n=7 saturation knee in the
-    # few-hundred-msgs/s range, like the paper's Figure 6.
-    call_cost: Duration = us(30.0)
-    response_cost: Duration = us(30.0)
-    udp_recv_cost: Duration = us(120.0)
-    udp_send_cost: Duration = us(60.0)
-    bandwidth_bps: float = 100e6
-    loss_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    #: Network-wide per-datagram corruption floor (the Byzantine axis).
-    #: With ``checksum`` on (default) corrupted frames are detected and
-    #: dropped at the receiver NIC; off = delivered mangled and flagged
-    #: by the corruption containment checker.
-    corrupt_rate: float = 0.0
-    checksum: bool = True
-    fd_period: Duration = ms(50.0)
-    fd_timeout: Duration = ms(200.0)
-    token_idle_hold: Duration = ms(1.0)
-    #: Trace depth: ``"full"`` records every kernel event (tests,
-    #: debugging), ``"structural"`` drops the per-call/per-response
-    #: firehose but keeps everything the property checkers consume
-    #: (campaign default — reports are byte-identical to full), ``"off"``
-    #: records nothing.
-    trace: str = "full"
-
-    def per_stack_rate(self) -> float:
-        """The paper's constant load split evenly across machines."""
-        return self.load_msgs_per_sec / self.n
 
 
 @dataclass
 class GroupCommSystem:
     """A built system plus its measurement handles."""
 
-    config: GroupCommConfig
+    #: What was built: the stack shape, workload and network floors.
+    spec: "ScenarioSpec"
+    seed: int
     #: The runtime the stacks run on.
     backend: Backend
     #: The system surface the stacks, manager and checkers share: the
@@ -182,8 +115,11 @@ class GroupCommSystem:
         held to no obligation.  *rejoined*, when given, is polled each
         step for the stacks whose crash-recovery re-join handshake has
         completed (``stack -> re-join instant``), which narrows their
-        exemption back.
+        exemption back.  *step* must be positive: the backend clock
+        advances by it per poll.
         """
+        if not step > 0:  # NaN fails too
+            raise ValueError(f"run_to_quiescence step must be > 0, got {step!r}")
         exempt_set = set(exempt)
 
         def owed() -> Dict[int, int]:
@@ -252,7 +188,7 @@ def pending_deliveries(
 
     delivered = {
         s: log.delivered_set(s)
-        for s in range(gcs.config.n)
+        for s in range(gcs.spec.n)
         if s not in exempt and not gcs.system.machine(s).ever_crashed
     }
     targets = {key for key, (sender, t) in log.sends.items() if obliged(sender, t)}
@@ -276,11 +212,13 @@ def pending_deliveries(
 
 
 def register_standard_protocols(gcs_system: System, group: Sequence[int],
-                                config: GroupCommConfig) -> None:
+                                token_idle_hold: float) -> None:
     """Register the three ABcast protocols + CT consensus in the registry.
 
     The registry is what Algorithm 1's ``create_module`` recursion draws
     from; ``default_for`` entries make the recursion deterministic.
+    *token_idle_hold* is the token protocol's idle hold (a
+    :class:`~repro.runtime.api.Calibration` field).
     """
     registry = gcs_system.registry
     group = list(group)
@@ -300,7 +238,7 @@ def register_standard_protocols(gcs_system: System, group: Sequence[int],
     registry.register(
         PROTOCOL_TOKEN,
         lambda st, **kw: TokenAbcastModule(
-            st, group, idle_hold=config.token_idle_hold, **kw
+            st, group, idle_hold=token_idle_hold, **kw
         ),
         provides=(WellKnown.ABCAST,),
         requires=(WellKnown.RP2P, RBCAST_SERVICE),
@@ -315,145 +253,109 @@ def register_standard_protocols(gcs_system: System, group: Sequence[int],
 
 
 def build_group_comm_system(
-    config: GroupCommConfig, backend: Optional[Backend] = None
+    spec: "ScenarioSpec",
+    seed: int = 0,
+    backend: Optional[Backend] = None,
+    *,
+    trace: str = "full",
+    with_repl_layer: bool = True,
+    baseline: Optional[str] = None,
 ) -> GroupCommSystem:
-    """Build the paper's Figure 4 stack on every node of *backend*.
+    """Build the paper's Figure 4 stack set of *spec* on every node of
+    *backend*, with the backend's :class:`~repro.runtime.api.Calibration`.
 
     With no *backend*, a fresh :class:`~repro.runtime.sim_backend.SimBackend`
-    is built from *config* — its LAN, corruption, trace depth and CPU
-    costs.  A given backend (started, with one empty stack per node)
-    brings its own clock, transport and link policy; *config* then sets
-    the stack set and the workload only.
+    is built at *seed* and *trace* depth with the spec's network floors.
+    A given backend (started, with one empty stack per node) brings its
+    own clock, transport and link policy.  The client load runs until
+    ``spec.duration``.  *with_repl_layer* puts the replacement layer
+    between the workload and ABcast; *baseline* (``"maestro"`` or
+    ``"graceful"``) runs a blocking DPU solution in it instead of
+    Algorithm 1.
     """
-    if config.baseline is not None and config.baseline not in ("maestro", "graceful"):
-        raise ValueError(f"unknown baseline {config.baseline!r}")
-    if config.baseline is not None and not config.with_repl_layer:
+    if baseline is not None and baseline not in ("maestro", "graceful"):
+        raise ValueError(f"unknown baseline {baseline!r}")
+    if baseline is not None and not with_repl_layer:
         raise ValueError("a baseline run implies an indirection layer")
 
-    if config.trace not in TRACE_MODES:
-        raise ValueError(
-            f"unknown trace mode {config.trace!r}; expected one of {TRACE_MODES}"
-        )
+    if trace not in TRACE_MODES:
+        raise ValueError(f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}")
     if backend is None:
         backend = SimBackend(
-            n=config.n,
-            seed=config.seed,
-            lan=SwitchedLan(
-                bandwidth_bps=config.bandwidth_bps,
-                latency=lan_latency(),
-                loss_rate=config.loss_rate,
-                duplicate_rate=config.duplicate_rate,
-            ),
-            trace_enabled=config.trace != "off",
-            trace_kinds=(
-                STRUCTURAL_TRACE_KINDS if config.trace == "structural" else None
-            ),
-            call_cost=config.call_cost,
-            response_cost=config.response_cost,
+            n=spec.n,
+            seed=seed,
+            loss_rate=spec.loss_rate,
+            duplicate_rate=spec.duplicate_rate,
+            trace_enabled=trace != "off",
+            trace_kinds=STRUCTURAL_TRACE_KINDS if trace == "structural" else None,
         )
-        backend.transport.links.corrupt_rate = config.corrupt_rate
-        backend.transport.links.checksum = config.checksum
-    if backend.n != config.n:
-        raise ValueError(f"config.n={config.n} but the backend has {backend.n} nodes")
+        backend.transport.links.corrupt_rate = spec.corrupt_rate
+        backend.transport.links.checksum = spec.checksum
+    if backend.n != spec.n:
+        raise ValueError(f"spec.n={spec.n} but the backend has {backend.n} nodes")
+    cal = backend.calibration
     system = getattr(backend, "system", backend)
-    network = backend.transport
-    group = list(range(config.n))
-    register_standard_protocols(system, group, config)
+    registry, network = system.registry, backend.transport
+    group = list(range(spec.n))
+    register_standard_protocols(system, group, cal.token_idle_hold)
 
     log = DeliveryLog()
     generators: List[LoadGeneratorModule] = []
-    app_service = WellKnown.R_ABCAST if config.with_repl_layer else WellKnown.ABCAST
-
-    needs_consensus = config.initial_protocol == PROTOCOL_CT
+    app_service = WellKnown.R_ABCAST if with_repl_layer else WellKnown.ABCAST
+    protocol, cost = spec.initial_protocol, spec.creation_cost
 
     for stack in system.stacks:
-        stack.add_module(
-            UdpModule(
-                stack,
-                network,
-                recv_cost=config.udp_recv_cost,
-                send_cost=config.udp_send_cost,
-            )
-        )
+        stack.add_module(UdpModule(stack, network, cal.udp_recv_cost, cal.udp_send_cost))
         stack.add_module(Rp2pModule(stack))
-        stack.add_module(
-            HeartbeatFd(
-                stack, group, period=config.fd_period, timeout=config.fd_timeout
-            )
-        )
+        stack.add_module(HeartbeatFd(stack, group, period=cal.fd_period, timeout=cal.fd_timeout))
         stack.add_module(RbcastModule(stack, group))
-        if needs_consensus:
+        if protocol == PROTOCOL_CT:
             stack.add_module(CtConsensusModule(stack, group))
         # The initial ABcast protocol, incarnation v0.
-        info = system.registry.info(config.initial_protocol)
+        info = registry.info(protocol)
         stack.add_module(info.factory(stack))
 
-        if config.baseline == "maestro":
-            stack.add_module(
-                MaestroSwitchModule(
-                    stack,
-                    system.registry,
-                    group,
-                    config.initial_protocol,
-                    creation_cost=config.creation_cost,
-                )
-            )
-        elif config.baseline == "graceful":
+        if baseline == "maestro":
+            stack.add_module(MaestroSwitchModule(stack, registry, group, protocol, cost))
+        elif baseline == "graceful":
             stack.add_module(BarrierModule(stack, group))
-            stack.add_module(
-                GracefulAdaptorModule(
-                    stack,
-                    system.registry,
-                    group,
-                    config.initial_protocol,
-                    allowed_services=info.requires,
-                    creation_cost=config.creation_cost,
-                )
-            )
-        elif config.with_repl_layer:
-            stack.add_module(
-                ReplAbcastModule(
-                    stack,
-                    system.registry,
-                    initial_protocol=config.initial_protocol,
-                    guard_change_sn=config.guard_change_sn,
-                    reissue_policy=config.reissue_policy,
-                    creation_cost=config.creation_cost,
-                )
-            )
+            stack.add_module(GracefulAdaptorModule(
+                stack, registry, group, protocol, allowed_services=info.requires, creation_cost=cost
+            ))
+        elif with_repl_layer:
+            stack.add_module(ReplAbcastModule(
+                stack, registry, initial_protocol=protocol,
+                guard_change_sn=spec.guard_change_sn, reissue_policy=spec.reissue_policy,
+                creation_cost=cost,
+            ))
 
-        if config.with_gm:
-            stack.add_module(
-                GroupMembershipModule(stack, group, abcast_service=app_service)
-            )
+        if spec.with_gm:
+            stack.add_module(GroupMembershipModule(stack, group, abcast_service=app_service))
         stack.add_module(
-            AbcastProbeModule(
-                stack,
-                log,
-                service=app_service,
-                key_filter=is_workload_key,
-            )
+            AbcastProbeModule(stack, log, service=app_service, key_filter=is_workload_key)
         )
         generator = LoadGeneratorModule(
             stack,
             log,
-            rate_per_sec=config.per_stack_rate(),
-            start_at=config.load_start + stack.stack_id * (1.0 / config.load_msgs_per_sec),
-            stop_at=config.load_stop,
+            # The paper's constant load, split evenly across machines.
+            rate_per_sec=spec.load_msgs_per_sec / spec.n,
+            start_at=cal.load_start + stack.stack_id * (1.0 / spec.load_msgs_per_sec),
+            stop_at=spec.duration,
             service=app_service,
-            payload=FixedPayload(config.payload_bytes),
-            jitter=config.load_jitter,
-            burst=config.load_burst,
+            payload=FixedPayload(spec.payload_bytes),
+            jitter=spec.load_jitter,
+            burst=spec.load_burst,
         )
         stack.add_module(generator)
         generators.append(generator)
 
     manager: Optional[ReplacementManager] = None
-    if config.with_repl_layer and config.baseline is None:
+    if with_repl_layer and baseline is None:
         manager = ReplacementManager(system)
 
     return GroupCommSystem(
-        config=config,
+        spec=spec,
+        seed=seed,
         backend=backend,
         system=system,
         network=network,
@@ -465,25 +367,22 @@ def build_group_comm_system(
 
 
 def experiment_run(
-    name: str, config: GroupCommConfig, duration: float, switches: Sequence["SwitchStep"] = ()
+    spec: "ScenarioSpec",
+    seed: int = 0,
+    *,
+    with_repl_layer: bool = True,
+    baseline: Optional[str] = None,
 ) -> "ScenarioRun":
-    """One experiment point as an armed scenario run on a fresh system.
-
-    The spec takes *config*'s workload, stopped at *duration* and then
-    drained for up to 5 s, and the *switches*; the system is *config* at
-    ``trace="structural"``, so what a spec cannot express
-    (``with_repl_layer``, ``baseline``, the calibration) is kept.
-    """
+    """One experiment point as an armed scenario run of *spec* at
+    *seed*, on a fresh simulated system at ``trace="structural"``."""
     # Deferred: the scenario engine imports this module.
     from ..scenarios import engine
-    from ..scenarios.spec import CONFIG_FIELDS, ScenarioSpec
 
-    shared = {key: getattr(config, key) for key in CONFIG_FIELDS}
-    spec = ScenarioSpec(
-        name=name, duration=duration, switches=tuple(switches), quiescence_extra=5.0, **shared
+    return engine.ScenarioRun(
+        build_group_comm_system(
+            spec, seed, trace="structural", with_repl_layer=with_repl_layer, baseline=baseline
+        )
     )
-    gcs = build_group_comm_system(replace(config, load_stop=duration, trace="structural"))
-    return engine.ScenarioRun(spec, gcs)
 
 
 def run_checked(run: "ScenarioRun") -> GroupCommSystem:

@@ -26,10 +26,11 @@ from typing import Dict, List, Optional
 from ..baselines.switchbase import DrainingSwitchModule
 from ..kernel.service import WellKnown
 from ..metrics import windowed_mean_latency
+from ..scenarios.spec import PAPER_SPEC, ScenarioSpec
 from ..scenarios.switchplan import SwitchAt
 from ..sim.clock import to_ms
 from ..viz import render_table
-from .common import GroupCommConfig, PROTOCOL_CT, experiment_run, run_checked
+from .common import PROTOCOL_CT, experiment_run, run_checked
 
 __all__ = ["ComparisonRow", "ComparisonResult", "run_comparison"]
 
@@ -94,15 +95,18 @@ class ComparisonResult:
 
 
 def _run_solution(
-    solution: str, base: GroupCommConfig, duration: float, switch_at: float
+    solution: str, base: ScenarioSpec, seed: int, switch_at: float
 ) -> ComparisonRow:
     algorithm1 = solution == "algorithm1"
-    cfg = replace(base, baseline=None if algorithm1 else solution)
-    switches = (SwitchAt(PROTOCOL_CT, switch_at),) if algorithm1 else ()
-    run = experiment_run(f"comparison-{solution}", cfg, duration, switches)
+    spec = replace(
+        base,
+        name=f"comparison-{solution}",
+        switches=(SwitchAt(PROTOCOL_CT, switch_at),) if algorithm1 else (),
+    )
+    run = experiment_run(spec, seed, baseline=None if algorithm1 else solution)
     gcs = run.gcs
     sim = gcs.backend.sim
-    n = cfg.n
+    n = spec.n
 
     switch_info: Dict[int, float] = {}
     switch_modules: list = []
@@ -198,7 +202,7 @@ def run_comparison(
     solutions: tuple = SOLUTIONS,
 ) -> ComparisonResult:
     """Run the three DPU solutions under the identical scenario."""
-    base = GroupCommConfig(n=n, seed=seed, load_msgs_per_sec=load)
+    base = replace(PAPER_SPEC, n=n, load_msgs_per_sec=load, duration=duration)
     switch_at = duration / 2.0
-    rows = [_run_solution(s, base, duration, switch_at) for s in solutions]
+    rows = [_run_solution(s, base, seed, switch_at) for s in solutions]
     return ComparisonResult(rows=rows)

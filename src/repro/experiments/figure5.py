@@ -22,7 +22,7 @@ and ``examples/figure5_replay.py``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..dpu.manager import ReplacementWindow
@@ -32,10 +32,11 @@ from ..metrics import (
     latency_series,
     windowed_mean_latency,
 )
+from ..scenarios.spec import PAPER_SPEC, ScenarioSpec
 from ..scenarios.switchplan import SwitchAt
 from ..sim.clock import to_ms
 from ..viz import ascii_plot
-from .common import GroupCommConfig, PROTOCOL_CT, experiment_run, run_checked
+from .common import PROTOCOL_CT, experiment_run, run_checked
 
 __all__ = ["Figure5Result", "run_figure5"]
 
@@ -44,7 +45,8 @@ __all__ = ["Figure5Result", "run_figure5"]
 class Figure5Result:
     """Everything Figure 5 shows, plus the prose-claim measurements."""
 
-    config: GroupCommConfig
+    #: The point that ran: the caller's spec, its duration and switch.
+    spec: ScenarioSpec
     #: (send time s, average latency s) — the figure's point cloud.
     points: List[Tuple[float, float]]
     replacement_window: Optional[ReplacementWindow]
@@ -63,7 +65,7 @@ class Figure5Result:
             {"avg latency": self.series_ms()},
             width=width,
             height=height,
-            title=f"Figure 5 — ABcast latency vs send time (n={self.config.n})",
+            title=f"Figure 5 — ABcast latency vs send time (n={self.spec.n})",
             xlabel="send time [s]",
             ylabel="latency [ms]",
         )
@@ -92,7 +94,8 @@ class Figure5Result:
 
 
 def run_figure5(
-    config: Optional[GroupCommConfig] = None,
+    spec: ScenarioSpec = PAPER_SPEC,
+    seed: int = 0,
     duration: float = 20.0,
     switch_at: Optional[float] = None,
     to_protocol: str = PROTOCOL_CT,
@@ -100,15 +103,15 @@ def run_figure5(
     """Run the Figure 5 experiment and return its measurements.
 
     Defaults follow the paper: n = 7, the replacement triggered in the
-    middle of the run, CT-ABcast replaced by the same protocol.  The
-    load stops at *duration*, then the run drains so every latency is
-    final.
+    middle of the run, CT-ABcast replaced by the same protocol.  *spec*
+    gives the stack shape and workload; the load stops at *duration*,
+    then the run drains so every latency is final.
     """
-    cfg = config if config is not None else GroupCommConfig()
     switch_time = switch_at if switch_at is not None else duration / 2.0
-    gcs = run_checked(
-        experiment_run("figure5", cfg, duration, (SwitchAt(to_protocol, switch_time),))
+    point = replace(
+        spec, name="figure5", duration=duration, switches=(SwitchAt(to_protocol, switch_time),)
     )
+    gcs = run_checked(experiment_run(point, seed))
 
     series = latency_series(gcs.log)
     points = [(p.send_time, p.latency) for p in series]
@@ -126,7 +129,7 @@ def run_figure5(
         perturbation = find_perturbation(points, window.start)
 
     return Figure5Result(
-        config=gcs.config,
+        spec=point,
         points=points,
         replacement_window=window,
         perturbation=perturbation,

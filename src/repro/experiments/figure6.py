@@ -10,8 +10,9 @@ group sizes (3 or 7)", with three configurations per group size:
 * **during replacement** — same as above, with latency measured over the
   messages sent inside the measured replacement window (dotted lines).
 
-The paper's stated reading, which EXPERIMENTS.md checks against this
-harness: the overhead of the replacement layer is ≈ 5 %, and the extra
+The paper's stated reading, which ``tests/integration/
+test_figure_harnesses.py`` and ``benchmarks/bench_figure6.py`` check
+against this harness: the overhead of the replacement layer is ≈ 5 %, and the extra
 latency during replacement is only paid during a short window.
 
 Every point is a scenario run whose property checkers all pass at
@@ -25,10 +26,11 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..metrics import windowed_mean_latency
+from ..scenarios.spec import PAPER_SPEC, ScenarioSpec
 from ..scenarios.switchplan import SwitchAt
 from ..sim.clock import to_ms
 from ..viz import ascii_plot, render_table
-from .common import GroupCommConfig, PROTOCOL_CT, experiment_run, run_checked
+from .common import PROTOCOL_CT, experiment_run, run_checked
 
 __all__ = ["Figure6Point", "Figure6Result", "run_figure6", "run_one_config"]
 
@@ -125,22 +127,23 @@ def run_one_config(
     load: float,
     duration: float = 8.0,
     seed: int = 0,
-    base_config: Optional[GroupCommConfig] = None,
+    base_spec: ScenarioSpec = PAPER_SPEC,
 ) -> Figure6Point:
-    """Measure one (n, configuration, load) point."""
+    """Measure one (n, configuration, load) point, varied from *base_spec*."""
     if configuration not in CONFIGURATIONS:
         raise ValueError(f"unknown configuration {configuration!r}")
-    template = base_config if base_config is not None else GroupCommConfig()
-    cfg = replace(
-        template,
-        n=n,
-        seed=seed,
-        load_msgs_per_sec=load,
-        with_repl_layer=configuration != "normal_without_layer",
-    )
     during = configuration == "during_replacement"
-    switches = (SwitchAt(PROTOCOL_CT, duration / 2.0),) if during else ()
-    gcs = run_checked(experiment_run(f"figure6-{configuration}", cfg, duration, switches))
+    point = replace(
+        base_spec,
+        name=f"figure6-{configuration}",
+        n=n,
+        load_msgs_per_sec=load,
+        duration=duration,
+        switches=(SwitchAt(PROTOCOL_CT, duration / 2.0),) if during else (),
+    )
+    gcs = run_checked(
+        experiment_run(point, seed, with_repl_layer=configuration != "normal_without_layer")
+    )
 
     if during:
         window = gcs.manager.windows.get(1)
@@ -168,7 +171,7 @@ def run_figure6(
     configurations: Sequence[str] = CONFIGURATIONS,
     duration: float = 8.0,
     seed: int = 0,
-    base_config: Optional[GroupCommConfig] = None,
+    base_spec: ScenarioSpec = PAPER_SPEC,
 ) -> Figure6Result:
     """Run the full Figure 6 sweep.  This is minutes of simulation; the
     benchmark uses a reduced grid and the example script the full one."""
@@ -183,7 +186,7 @@ def run_figure6(
                         load,
                         duration=duration,
                         seed=seed,
-                        base_config=base_config,
+                        base_spec=base_spec,
                     )
                 )
     return result

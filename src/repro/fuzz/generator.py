@@ -8,7 +8,7 @@ hazard geometry rather than uniform noise:
   by 1–2 ``SwitchAfterSwitch`` links on random phases, issued from
   random stacks, so chained changes routinely originate from stacks that
   are behind (partitioned away or still switching) — the stale-sn
-  surface DESIGN.md §4 guards;
+  surface ``guard_change_sn`` guards (:mod:`repro.dpu.repl`);
 * the fault core is one of four shapes: a symmetric partition (even or
   lopsided split) healed before the workload ends, a crash (with an
   optional recovery), or a one-way partition — all survivable by the

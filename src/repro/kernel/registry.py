@@ -16,7 +16,7 @@ protocol implementations; :class:`ProtocolRegistry` is that catalogue.
 This is the mechanism that makes the paper's solution *more flexible than
 Graceful Adaptation*: a newly installed protocol may require services the
 old one never used, and the recursion instantiates their providers on the
-fly (experiment X2 in DESIGN.md).
+fly (experiment X2, ``tests/integration/test_flexibility.py``).
 
 Resolution order for an unbound required service:
 

@@ -33,7 +33,10 @@ behalf) actually uses:
 :class:`Backend` bundles the three into one bootable cluster runtime;
 :class:`~repro.runtime.sim_backend.SimBackend` and
 :class:`~repro.runtime.realtime.RealtimeBackend` are the two
-implementations (the deterministic twin and the deployable one).
+implementations (the deterministic twin and the deployable one).  Each
+carries a :class:`Calibration` — the CPU costs, LAN bandwidth, failure
+detector timing and load start the stack set is built with — so a
+scenario spec says *what* runs and the backend says at what speed.
 
 Design constraints
 ------------------
@@ -48,11 +51,66 @@ Design constraints
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import NetworkError, ScheduleInPastError, UnknownDestinationError
 
-__all__ = ["Scheduler", "NodeBackend", "Transport", "Backend"]
+__all__ = [
+    "Scheduler", "NodeBackend", "Transport", "Backend",
+    "Calibration", "SIM_CALIBRATION", "REALTIME_CALIBRATION",
+]
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """How fast a backend runs the stack set: everything a build needs
+    that a scenario spec does not say.  All durations in seconds.
+
+    There are exactly two values, one per backend.
+    :data:`SIM_CALIBRATION` is calibrated to the paper's era (766 MHz
+    Pentium III running a Java protocol framework) on its 100 Mb/s
+    switched LAN: one kernel dispatch ~30 µs, one datagram receive
+    ~120 µs.  Those costs put the n=7 saturation knee in the
+    few-hundred-msgs/s range, like the paper's Figure 6.  The paper's
+    absolute numbers are not reproducible (different hardware); the
+    *shapes* the figure benchmarks (``benchmarks/bench_figure5.py``,
+    ``bench_figure6.py``) reproduce come from exactly these values.
+    :data:`REALTIME_CALIBRATION` is the wall-clock variant.
+    """
+
+    call_cost: float        # CPU time of one kernel call dispatch
+    response_cost: float    # ... and of one response dispatch
+    udp_recv_cost: float    # CPU time of one datagram receive
+    udp_send_cost: float    # ... and of one datagram send
+    bandwidth_bps: float    # per-NIC transmit bandwidth of the simulated LAN
+    fd_period: float        # failure-detector heartbeat period
+    fd_timeout: float       # ... and suspicion timeout
+    token_idle_hold: float  # how long an idle token-ABcast holder keeps the token
+    load_start: float       # client load start; stack i starts i / rate later
+
+
+# Spelled as ``sim.clock``'s ``us()`` / ``ms()`` compute them (this
+# module imports nothing from ``sim``), so the floats are the same.
+#: The simulated backend's calibration (see :class:`Calibration`).
+SIM_CALIBRATION = Calibration(
+    call_cost=30.0 * 1e-6,
+    response_cost=30.0 * 1e-6,
+    udp_recv_cost=120.0 * 1e-6,
+    udp_send_cost=60.0 * 1e-6,
+    bandwidth_bps=100e6,
+    fd_period=50.0 * 1e-3,
+    fd_timeout=200.0 * 1e-3,
+    token_idle_hold=1.0 * 1e-3,
+    load_start=0.0,
+)
+
+#: The realtime backend's calibration: the simulated one, except that
+#: client load starts at 0.1 s, once every socket is bound and every
+#: module started, and the failure detector is ~10x coarser, because
+#: scheduling jitter on a loaded CI box would otherwise produce false
+#: suspicions.  The CPU costs and bandwidth are ignored on real time.
+REALTIME_CALIBRATION = replace(SIM_CALIBRATION, load_start=0.1, fd_period=0.25, fd_timeout=2.0)
 
 
 class Scheduler(ABC):
@@ -391,12 +449,15 @@ class Backend(ABC):
 
     Implementations expose ``nodes`` (list of :class:`NodeBackend`,
     index = rank; ``machine(i)`` is node *i*), ``transport``
-    (:class:`Transport`), ``sim`` (the shared :class:`Scheduler`), and
-    one empty kernel stack per node (``stacks``) with a shared protocol
-    ``registry``.
+    (:class:`Transport`), ``sim`` (the shared :class:`Scheduler`), one
+    empty kernel stack per node (``stacks``) with a shared protocol
+    ``registry``, and the :class:`Calibration` the stack set is built
+    with (``calibration``).
     """
 
     __slots__ = ()
+
+    calibration: Calibration
 
     @property
     @abstractmethod

@@ -56,7 +56,7 @@ from ..kernel.trace import TraceRecorder
 from ..net.links import LinkPolicy
 from ..net.message import NetMessage
 from ..sim.random import RngRegistry
-from .api import Backend, NodeBackend, Scheduler, Transport
+from .api import REALTIME_CALIBRATION, Backend, NodeBackend, Scheduler, Transport
 from .codec import decode_datagram, encode_datagram
 
 __all__ = [
@@ -394,6 +394,9 @@ class RealtimeBackend(Backend):
     callback raises stops the loop and is raised by :meth:`run` /
     :meth:`run_coro`; the backend stays runnable and stoppable.
 
+    The stack set is built with :data:`~repro.runtime.api.
+    REALTIME_CALIBRATION` (:attr:`calibration`).
+
     Parameters
     ----------
     n:
@@ -403,6 +406,8 @@ class RealtimeBackend(Backend):
     host:
         Interface to bind the node sockets on (loopback by default).
     """
+
+    calibration = REALTIME_CALIBRATION
 
     def __init__(self, n: int, seed: int = 0, host: str = "127.0.0.1") -> None:
         if n < 1:

@@ -25,12 +25,10 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Optional
 
 from ..kernel.events import TraceKind
-from ..kernel.stack import DEFAULT_CALL_COST, DEFAULT_RESPONSE_COST
 from ..kernel.system import System
 from ..net.network import SimNetwork
 from ..net.topology import SwitchedLan
-from ..sim.clock import Duration
-from .api import Backend
+from .api import SIM_CALIBRATION, Backend, Calibration
 
 __all__ = ["SimBackend"]
 
@@ -44,30 +42,39 @@ class SimBackend(Backend):
         Number of nodes.
     seed:
         Root seed for all randomness of the run.
-    lan:
-        Link model for the simulated network; a default 100 Mb/s
-        switched LAN when ``None``.
-    trace_enabled, trace_kinds, call_cost, response_cost:
+    loss_rate / duplicate_rate:
+        LAN-wide impairment floors of the simulated switched LAN.
+    trace_enabled, trace_kinds:
         Forwarded to :class:`~repro.kernel.system.System` unchanged.
+    calibration:
+        The kernel dispatch costs and LAN bandwidth this backend runs
+        with, and what the stack set is built with; the simulated one
+        unless a run wants another backend's timing on the sim.
     """
 
     def __init__(
         self,
         n: int,
         seed: int = 0,
-        lan: Optional[SwitchedLan] = None,
+        loss_rate: float = 0.0,
+        duplicate_rate: float = 0.0,
         trace_enabled: bool = True,
         trace_kinds: Optional[Iterable[TraceKind]] = None,
-        call_cost: Duration = DEFAULT_CALL_COST,
-        response_cost: Duration = DEFAULT_RESPONSE_COST,
+        calibration: Calibration = SIM_CALIBRATION,
     ) -> None:
+        self.calibration = calibration
         self.system = System(
             n=n,
             seed=seed,
             trace_enabled=trace_enabled,
             trace_kinds=trace_kinds,
-            call_cost=call_cost,
-            response_cost=response_cost,
+            call_cost=calibration.call_cost,
+            response_cost=calibration.response_cost,
+        )
+        lan = SwitchedLan(
+            bandwidth_bps=calibration.bandwidth_bps,
+            loss_rate=loss_rate,
+            duplicate_rate=duplicate_rate,
         )
         self.transport = SimNetwork(self.system.sim, self.system.machines, lan)
         self.system.network = self.transport

@@ -6,8 +6,9 @@ module classes* the simulator runs, over real asyncio UDP sockets on
 localhost and wall-clock timers.  A :class:`SoakConfig` becomes a
 :class:`~repro.scenarios.spec.ScenarioSpec` (:func:`soak_spec`: the
 switch plan as ``SwitchAt`` steps, the chaos fault plan, the drain
-budget), :func:`build_soak_system` builds it on the wall-clock
-calibration below, and the engine's
+budget), :func:`build_soak_system` builds it on the backend's
+calibration (:data:`~repro.runtime.api.REALTIME_CALIBRATION` on real
+sockets), and the engine's
 :class:`~repro.scenarios.engine.ScenarioRun` arms, drives, drains and
 checks it: the four ABcast properties, recovery liveness, and the trace
 checkers (well-formedness, chain agreement, operationability) on the
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import dataclasses
 import json
 import sys
 import time
@@ -47,7 +47,7 @@ from ..experiments.common import (
     PROTOCOL_TOKEN,
     build_group_comm_system,
 )
-from ..scenarios.engine import ScenarioRun, config_for
+from ..scenarios.engine import ScenarioRun
 from ..scenarios.spec import (
     Crash,
     Heal,
@@ -91,21 +91,13 @@ CHAOS_PLAN: Tuple[Tuple[float, str], ...] = (
 #: with a partition window shorter than it (no false suspicion).
 CHAOS_DURATION: float = 10.0
 
-#: Wall-clock calibration of the soak's stack set.  Client load starts
-#: at 0.1 s, once every socket is bound and every module started.  The
-#: failure detector is ~10x coarser than the simulated default, because
-#: scheduling jitter on a loaded CI box would otherwise produce false
-#: suspicions.  Module creation keeps the scenario default of 5 ms.
-LOAD_START: float = 0.1
-FD_PERIOD: float = 0.25
-FD_TIMEOUT: float = 2.0
-
 
 def default_chaos_faults(config: "SoakConfig") -> Tuple[Any, ...]:
     """The default chaos fault plan, scaled to ``config.duration``.
 
-    Calibrated against the soak's failure detector (:data:`FD_PERIOD`,
-    :data:`FD_TIMEOUT`) at the default 10 s window:
+    Calibrated against the realtime failure detector
+    (:data:`~repro.runtime.api.REALTIME_CALIBRATION`: 0.25 s period,
+    2 s timeout) at the default 10 s window:
 
     * crash the last node at ``0.18·D`` and recover it at ``0.45·D`` —
       a 2.7 s outage **exceeds** the FD timeout, so the survivors
@@ -189,15 +181,10 @@ def soak_spec(config: SoakConfig) -> ScenarioSpec:
 
 def build_soak_system(spec: ScenarioSpec, seed: int, backend: Backend) -> GroupCommSystem:
     """Assemble *spec*'s Figure 4 stack set on an already-started
-    *backend*: the scenario engine's config on the soak's wall-clock
-    calibration (:data:`LOAD_START`, :data:`FD_PERIOD`, :data:`FD_TIMEOUT`)."""
-    config = dataclasses.replace(
-        config_for(spec, seed),
-        load_start=LOAD_START,
-        fd_period=FD_PERIOD,
-        fd_timeout=FD_TIMEOUT,
-    )
-    return build_group_comm_system(config, backend)
+    *backend*, on that backend's calibration.  The one builder under a
+    name of its own: bench-e2e's tracer wraps it as the soak's build
+    step (``benchmarks/e2e/tracing.py``)."""
+    return build_group_comm_system(spec, seed, backend)
 
 
 def _arm_stale_probe(gcs: GroupCommSystem) -> None:
@@ -216,7 +203,7 @@ def _arm_stale_probe(gcs: GroupCommSystem) -> None:
     manager, backend = gcs.manager, gcs.backend
     assert manager is not None
     target = 1 if backend.n > 1 else 0
-    forged = (NEW_ABCAST, 0, (999, 0), gcs.config.initial_protocol)
+    forged = (NEW_ABCAST, 0, (999, 0), gcs.spec.initial_protocol)
 
     def inject(version: int, protocol: str, when: float) -> None:
         if version != 1:
@@ -230,8 +217,7 @@ def _arm_stale_probe(gcs: GroupCommSystem) -> None:
 def arm_soak(config: SoakConfig, backend: Backend) -> ScenarioRun:
     """Build the soak on a started *backend* and arm it: the spec's
     faults and switches, plus the stale probe under chaos."""
-    spec = soak_spec(config)
-    run = ScenarioRun(spec, build_soak_system(spec, config.seed, backend))
+    run = ScenarioRun(build_soak_system(soak_spec(config), config.seed, backend))
     if config.chaos:
         _arm_stale_probe(run.gcs)
     return run
@@ -269,7 +255,7 @@ def _latency_percentiles(log: DeliveryLog) -> Dict[str, Any]:
 def _snapshot(run: ScenarioRun, chaos: bool) -> Dict[str, Any]:
     """One JSON-able health/metrics snapshot of the running soak."""
     gcs, injector = run.gcs, run.injector
-    manager, log, n = gcs.manager, gcs.log, gcs.config.n
+    manager, log, n = gcs.manager, gcs.log, gcs.spec.n
     assert manager is not None  # the soak's stack set has the replacement layer
     sim = gcs.backend.sim
     out: Dict[str, Any] = {

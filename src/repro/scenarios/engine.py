@@ -1,7 +1,7 @@
 """The campaign engine and the one run harness: arm, run, drain, check.
 
-A :class:`ScenarioRun` takes a :class:`ScenarioSpec` and a Figure 4
-stack set built on any backend, arms the fault schedule on a
+A :class:`ScenarioRun` takes a Figure 4 stack set built from a
+:class:`ScenarioSpec` on any backend, arms the spec's fault schedule on a
 :class:`~repro.sim.faults.FaultInjector` and the switch plan on a
 :class:`~repro.scenarios.switchplan.SwitchPlan`, runs the workload to
 ``spec.duration``, drains to quiescence, and then runs every property
@@ -51,14 +51,13 @@ from ..dpu.properties import (
 from ..errors import ScenarioError
 from ..experiments.common import (
     TRACE_MODES,
-    GroupCommConfig,
     GroupCommSystem,
     build_group_comm_system,
     collect_rejoined,
 )
 from ..metrics import mean_latency
 from ..sim.faults import FaultInjector
-from .spec import CONFIG_FIELDS, ScenarioSpec
+from .spec import ScenarioSpec
 from .switchplan import SwitchPlan
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "ScenarioRun",
     "Campaign",
     "CampaignResult",
-    "config_for",
     "run_scenario",
     "run_campaign",
     "result_from_dict",
@@ -215,19 +213,13 @@ class CampaignResult:
 # --------------------------------------------------------------------------- #
 # Running one scenario
 # --------------------------------------------------------------------------- #
-def config_for(spec: ScenarioSpec, seed: int, trace: str = "full") -> GroupCommConfig:
-    """The builder config for one ``(spec, seed)`` cell at *trace* depth."""
-    shared = {key: getattr(spec, key) for key in CONFIG_FIELDS}
-    return GroupCommConfig(seed=seed, trace=trace, load_stop=spec.duration, **shared)
-
-
 class ScenarioRun:
-    """One scenario on a built system, on either backend: constructing
-    it arms the fault schedule and the switch plan on *gcs*; then
-    :meth:`drive` and :meth:`check`."""
+    """The scenario a system was built from, run on it, on either
+    backend: constructing it arms the spec's fault schedule and switch
+    plan on *gcs*; then :meth:`drive` and :meth:`check`."""
 
-    def __init__(self, spec: ScenarioSpec, gcs: GroupCommSystem) -> None:
-        self.spec = spec
+    def __init__(self, gcs: GroupCommSystem) -> None:
+        spec = self.spec = gcs.spec
         self.gcs = gcs
         backend = gcs.backend
         self.injector = FaultInjector(
@@ -332,7 +324,7 @@ class ScenarioRun:
         sim = gcs.backend.sim
         return ScenarioResult(
             name=spec.name,
-            seed=gcs.config.seed,
+            seed=gcs.seed,
             n=spec.n,
             sim_time_end=sim.now,
             events_processed=sim.events_processed,
@@ -373,7 +365,7 @@ def run_scenario(
         raise ScenarioError(
             f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}"
         )
-    run = ScenarioRun(spec, build_group_comm_system(config_for(spec, seed, trace)))
+    run = ScenarioRun(build_group_comm_system(spec, seed, trace=trace))
     run.drive()
     return run.check()
 

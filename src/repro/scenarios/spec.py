@@ -17,11 +17,11 @@ processes only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from ..errors import ScenarioError
-from ..experiments.common import PROTOCOL_CT, GroupCommConfig
+from ..experiments.common import PROTOCOL_CT
 from ..sim.clock import Duration, Time
 from ..sim.faults import FaultInjector
 from .switchplan import SwitchStep
@@ -38,7 +38,7 @@ __all__ = [
     "RandomCrashes",
     "FaultAction",
     "ScenarioSpec",
-    "CONFIG_FIELDS",
+    "PAPER_SPEC",
 ]
 
 
@@ -276,7 +276,8 @@ class ScenarioSpec:
         off = mangled frames are delivered and the corruption
         containment checker flags the run.
     guard_change_sn / reissue_policy:
-        The replacement layer's stale-change handling (DESIGN.md §4).
+        The replacement layer's stale-change handling (the deviations
+        in :mod:`repro.dpu.repl`'s module docstring).
         ``guard_change_sn=False`` runs the **paper-literal** variant whose
         uniform-agreement anomaly the pipelined regression tests pin.
     creation_cost:
@@ -325,8 +326,12 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ScenarioError(f"scenario {self.name!r}: n must be >= 1")
-        if self.duration <= 0:
-            raise ScenarioError(f"scenario {self.name!r}: duration must be > 0")
+        # A zero rate has no send period (the builder staggers stacks by
+        # 1/rate); a non-positive step never advances the drain's clock.
+        for key in ("duration", "load_msgs_per_sec", "quiescence_step"):
+            value = getattr(self, key)
+            if not value > 0:  # NaN fails too
+                raise ScenarioError(f"scenario {self.name!r}: {key} must be > 0, got {value!r}")
         for machine in self.expected_faulty:
             if not 0 <= machine < self.n:
                 raise ScenarioError(
@@ -356,9 +361,7 @@ class ScenarioSpec:
         return tuple(sorted(out))
 
 
-#: The workload and stack fields a spec shares, by name, with the build
-#: config: :func:`~repro.scenarios.engine.config_for` copies them from a
-#: spec, and :func:`~repro.experiments.common.experiment_run` into one.
-CONFIG_FIELDS = tuple(
-    sorted({f.name for f in fields(ScenarioSpec)} & {f.name for f in fields(GroupCommConfig)})
-)
+#: The paper's evaluation setting (Section 6): seven stacks, 1 KiB
+#: messages, 100 msg/s in aggregate, a 5 s drain budget.  The figure,
+#: comparison and ablation harnesses vary it point by point.
+PAPER_SPEC = ScenarioSpec(name="paper", n=7, payload_bytes=1024, quiescence_extra=5.0)

@@ -88,7 +88,10 @@ class BufferedDraws:
     deterministic (the refill schedule is a pure function of the call
     sequence), but the prefetched bits shift the stream relative to pure
     scalar code.  The hot streams in this repo (network latency, network
-    impairments, workload jitter) are all homogeneous.
+    impairments, workload jitter) are all homogeneous.  Measured against
+    one generator call per draw: every bench-e2e report digest is the
+    same, and the scalar draws cost 1.04x ``pass_cost`` on ``sim-steady``
+    and 1.09x on ``sim-faulted-chain`` (10 alternating pairs each).
     """
 
     __slots__ = ("_rng", "_block", "_buf", "_idx", "_kind")

@@ -5,27 +5,23 @@ the paper's comparison claims: both baselines block the application;
 Algorithm 1 does not.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.switchbase import DrainingSwitchModule
 from repro.dpu import assert_abcast_properties
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def run_baseline(baseline, n=4, seed=17, duration=8.0, load=60.0):
-    cfg = GroupCommConfig(
-        n=n,
-        seed=seed,
-        load_msgs_per_sec=load,
-        load_stop=duration,
-        baseline=baseline,
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=load, duration=duration)
+    gcs = build_group_comm_system(spec, seed, baseline=baseline)
     switch_modules = [
         m
         for stack in gcs.system.stacks
@@ -51,12 +47,12 @@ class TestBaselineCorrectness:
 
     def test_abcast_properties_hold_across_switch(self, baseline):
         gcs, mods = run_baseline(baseline)
-        assert_abcast_properties(gcs.log, {}, list(range(gcs.config.n)))
+        assert_abcast_properties(gcs.log, {}, list(range(gcs.spec.n)))
 
     def test_no_message_lost(self, baseline):
         gcs, mods = run_baseline(baseline)
         sent = set(gcs.log.sends)
-        for s in range(gcs.config.n):
+        for s in range(gcs.spec.n):
             assert gcs.log.delivered_set(s) == sent
 
 
@@ -83,10 +79,8 @@ class TestComparisonClaims:
         assert blocked_m > blocked_g
 
     def test_algorithm1_does_not_buffer_app_calls(self):
-        cfg = GroupCommConfig(
-            n=4, seed=17, load_msgs_per_sec=60.0, load_stop=8.0
-        )
-        gcs = build_group_comm_system(cfg)
+        spec = replace(PAPER_SPEC, n=4, load_msgs_per_sec=60.0, duration=8.0)
+        gcs = build_group_comm_system(spec, seed=17)
         gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=4.0)
         gcs.run(until=8.0)
         gcs.run_to_quiescence()

@@ -7,6 +7,8 @@ that matters (weak protocol-operationability quantifies over non-crashed
 stacks only).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dpu import (
@@ -14,19 +16,17 @@ from repro.dpu import (
     check_weak_protocol_operationability,
 )
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def run_with_crash(crash_stack, crash_at, n=5, seed=31, duration=8.0,
                    switch_at=4.0, to_protocol=PROTOCOL_CT):
-    cfg = GroupCommConfig(
-        n=n, seed=seed, load_msgs_per_sec=50.0, load_stop=duration
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=50.0, duration=duration)
+    gcs = build_group_comm_system(spec, seed)
     gcs.manager.request_change(to_protocol, from_stack=0, at=switch_at)
     gcs.system.crash_at(crash_stack, crash_at)
     gcs.run(until=duration)
@@ -35,7 +35,7 @@ def run_with_crash(crash_stack, crash_at, n=5, seed=31, duration=8.0,
 
 
 def check_survivors(gcs, crashed_stack, crash_at):
-    alive = [s for s in range(gcs.config.n) if s != crashed_stack]
+    alive = [s for s in range(gcs.spec.n) if s != crashed_stack]
     # Messages from the crashed stack may be cut off mid-protocol.
     in_flight = {
         key
@@ -43,7 +43,7 @@ def check_survivors(gcs, crashed_stack, crash_at):
         if sender == crashed_stack
     }
     assert_abcast_properties(
-        gcs.log, {crashed_stack: crash_at}, list(range(gcs.config.n)),
+        gcs.log, {crashed_stack: crash_at}, list(range(gcs.spec.n)),
         in_flight_ok=in_flight,
     )
     # Survivors deliver identical sequences.

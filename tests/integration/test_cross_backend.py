@@ -4,7 +4,8 @@ Each soak config runs through the one harness — :func:`repro.runtime.
 soak.arm_soak` (the soak's ``ScenarioSpec``, built by the one Figure-4
 builder and armed by the scenario engine's ``ScenarioRun``), then
 ``drive`` and ``check`` — on :class:`SimBackend` and on
-:class:`RealtimeBackend` (real UDP sockets on localhost).  Timing
+:class:`RealtimeBackend` (real UDP sockets on localhost), both on the
+realtime calibration (the soak's failure-detector timing and load start).  Timing
 differs between the twins by design; the backend-independent projection
 of the ``ScenarioResult`` must not: the per-stack switch trajectories,
 the violations, the final protocols, the re-joined stacks, what is left
@@ -20,6 +21,7 @@ import pytest
 
 from repro.experiments.common import PROTOCOL_CT, PROTOCOL_SEQ, PROTOCOL_TOKEN
 from repro.runtime import RealtimeBackend, SimBackend
+from repro.runtime.api import REALTIME_CALIBRATION
 from repro.runtime.soak import CHAOS_PLAN, SoakConfig, arm_soak
 
 CHAIN_CONFIG = SoakConfig(
@@ -48,7 +50,9 @@ CHAIN = [PROTOCOL_CT, PROTOCOL_SEQ, PROTOCOL_TOKEN]
 STACKS = list(range(CHAIN_CONFIG.nodes))
 
 TWINS = {
-    "sim": lambda config: SimBackend(n=config.nodes, seed=config.seed),
+    "sim": lambda config: SimBackend(
+        n=config.nodes, seed=config.seed, calibration=REALTIME_CALIBRATION
+    ),
     "realtime": lambda config: RealtimeBackend(config.nodes, seed=config.seed),
 }
 

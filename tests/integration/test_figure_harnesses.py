@@ -11,7 +11,6 @@ import pytest
 import repro.scenarios.engine as engine
 from repro.errors import PropertyViolation
 from repro.experiments import (
-    GroupCommConfig,
     build_group_comm_system,
     run_comparison,
     run_concurrent_change_ablation,
@@ -20,15 +19,17 @@ from repro.experiments import (
     run_one_config,
 )
 from repro.experiments import ablation, comparison, figure5, figure6
+from repro.scenarios.spec import PAPER_SPEC
 from repro.sim import ms
 
 
-SMALL = GroupCommConfig(n=3, seed=71, load_msgs_per_sec=40.0)
+SMALL = replace(PAPER_SPEC, n=3, load_msgs_per_sec=40.0)
+SMALL_SEED = 71
 
 
 class TestFigure5Harness:
     def test_produces_series_window_and_phases(self):
-        res = run_figure5(SMALL, duration=6.0)
+        res = run_figure5(SMALL, SMALL_SEED, duration=6.0)
         assert len(res.points) > 100
         assert res.replacement_window is not None
         assert res.replacement_window.duration > 0
@@ -38,17 +39,17 @@ class TestFigure5Harness:
 
     def test_post_returns_to_pre_level(self):
         """The paper's 'quickly stabilizes' claim at harness level."""
-        res = run_figure5(SMALL, duration=6.0)
+        res = run_figure5(SMALL, SMALL_SEED, duration=6.0)
         assert res.post_mean == pytest.approx(res.pre_mean, rel=0.5)
 
     def test_render_contains_measurements(self):
-        res = run_figure5(SMALL, duration=6.0)
+        res = run_figure5(SMALL, SMALL_SEED, duration=6.0)
         text = res.render()
         assert "Figure 5" in text
         assert "replacement" in text
 
     def test_series_in_ms(self):
-        res = run_figure5(SMALL, duration=6.0)
+        res = run_figure5(SMALL, SMALL_SEED, duration=6.0)
         (t0, ms0) = res.series_ms()[0]
         (t0b, s0) = res.points[0]
         assert ms0 == pytest.approx(s0 * 1e3)
@@ -106,13 +107,16 @@ class TestAblationHarnesses:
 
 class HandRolledRun:
     """The reference run loop the harnesses replaced: build at the
-    config's own trace depth, request each switch through the manager at
-    its instant, run to the end of the load, drain with the defaults."""
+    builder's default trace depth, request each switch through the
+    manager at its instant, run to the end of the load, drain with the
+    defaults."""
 
-    def __init__(self, name, config, duration, switches=()):
-        self.duration = duration
-        self.gcs = build_group_comm_system(replace(config, load_stop=duration))
-        for step in switches:
+    def __init__(self, spec, seed=0, *, with_repl_layer=True, baseline=None):
+        self.duration = spec.duration
+        self.gcs = build_group_comm_system(
+            spec, seed, with_repl_layer=with_repl_layer, baseline=baseline
+        )
+        for step in spec.switches:
             self.gcs.manager.request_change(step.protocol, from_stack=step.from_stack, at=step.at)
 
 
@@ -139,9 +143,9 @@ class TestNumbersMatchHandRolledLoop:
     """Every number a harness reports equals the hand-rolled loop's."""
 
     def test_figure5(self, hand_rolled):
-        checked = run_figure5(SMALL, duration=6.0)
+        checked = run_figure5(SMALL, SMALL_SEED, duration=6.0)
         hand_rolled()
-        reference = run_figure5(SMALL, duration=6.0)
+        reference = run_figure5(SMALL, SMALL_SEED, duration=6.0)
         assert checked.points == reference.points
         assert checked.replacement_window == reference.replacement_window
 
@@ -183,7 +187,7 @@ class TestPropertyCheckingHasTeeth:
 
     def test_figure5_raises(self):
         with pytest.raises(PropertyViolation, match="planted"):
-            run_figure5(SMALL, duration=2.0)
+            run_figure5(SMALL, SMALL_SEED, duration=2.0)
 
     @pytest.mark.parametrize("configuration", figure6.CONFIGURATIONS)
     def test_figure6_raises(self, configuration):

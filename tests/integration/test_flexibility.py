@@ -16,30 +16,27 @@ every stack mid-flight.  The Graceful-Adaptation baseline must refuse the
 same change.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import GracefulAdaptorModule
 from repro.dpu import assert_abcast_properties
 from repro.errors import RequirementError
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
-def build_seq_system(**kwargs):
-    cfg = GroupCommConfig(
-        n=4,
-        seed=13,
-        load_msgs_per_sec=60.0,
-        load_stop=6.0,
-        initial_protocol=PROTOCOL_SEQ,
-        **kwargs,
+def build_seq_system(baseline=None):
+    spec = replace(
+        PAPER_SPEC, n=4, load_msgs_per_sec=60.0, duration=6.0, initial_protocol=PROTOCOL_SEQ
     )
-    return build_group_comm_system(cfg)
+    return build_group_comm_system(spec, seed=13, baseline=baseline)
 
 
 class TestOurSolutionCrossesRequirements:

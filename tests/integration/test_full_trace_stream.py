@@ -9,11 +9,13 @@ were built still sees every record, firehose included, in order.
 """
 
 import hashlib
+from dataclasses import replace
 
-from repro.experiments import GroupCommConfig, build_group_comm_system
+from repro.experiments import build_group_comm_system
 from repro.kernel import STRUCTURAL_TRACE_KINDS, TraceKind
 from repro.scenarios import get_scenario
-from repro.scenarios.engine import ScenarioRun, config_for
+from repro.scenarios.engine import ScenarioRun
+from repro.scenarios.spec import PAPER_SPEC
 
 #: sha256 of the rendered stream below, computed with the all-columns
 #: recorder (every record one ``record()`` call into ten columns).
@@ -33,10 +35,10 @@ def test_pipelined_crash_recover_stream_is_pinned():
     # Retirement adds the one kind this scenario would not record
     # (module_removed), so the stream covers all 13 kinds.
     spec = get_scenario("pipelined-crash-recover-chain")
-    gcs = build_group_comm_system(config_for(spec, 0, "full"))
+    gcs = build_group_comm_system(spec, 0, trace="full")
     for stack in range(spec.n):
         gcs.manager.module(stack).retire_old_after = 0.5
-    run = ScenarioRun(spec, gcs)
+    run = ScenarioRun(gcs)
     run.drive()
     trace = gcs.system.trace
     assert set(trace.counts()) == {kind.value for kind in TraceKind}
@@ -49,7 +51,7 @@ def test_pipelined_crash_recover_stream_is_pinned():
 
 def test_late_subscriber_sees_every_record_in_order():
     gcs = build_group_comm_system(
-        GroupCommConfig(n=3, seed=4, load_msgs_per_sec=100.0, load_stop=0.4)
+        replace(PAPER_SPEC, n=3, load_msgs_per_sec=100.0, duration=0.4), seed=4
     )
     gcs.run(until=0.1)
     trace = gcs.system.trace

@@ -1,20 +1,16 @@
 """Integration tests: group membership over (replaceable) atomic broadcast."""
 
 
-from repro.experiments import GroupCommConfig, build_group_comm_system
+from dataclasses import replace
+
+from repro.experiments import build_group_comm_system
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
-def build(n=4, seed=61, duration=6.0, **kwargs):
-    cfg = GroupCommConfig(
-        n=n,
-        seed=seed,
-        load_msgs_per_sec=40.0,
-        load_stop=duration,
-        with_gm=True,
-        **kwargs,
-    )
-    return build_group_comm_system(cfg)
+def build(n=4, seed=61, duration=6.0):
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=40.0, duration=duration, with_gm=True)
+    return build_group_comm_system(spec, seed)
 
 
 def gm_of(gcs, stack_id):

@@ -9,24 +9,21 @@ Adelivered.  This is a real, documented boundary of the paper's approach
 down rather than hide it.
 """
 
+from dataclasses import replace
 
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     build_group_comm_system,
 )
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def build_seq(n=4, seed=51, duration=8.0):
-    cfg = GroupCommConfig(
-        n=n,
-        seed=seed,
-        load_msgs_per_sec=40.0,
-        load_stop=duration,
-        initial_protocol=PROTOCOL_SEQ,
+    spec = replace(
+        PAPER_SPEC, n=n, load_msgs_per_sec=40.0, duration=duration, initial_protocol=PROTOCOL_SEQ
     )
-    return build_group_comm_system(cfg)
+    return build_group_comm_system(spec, seed)
 
 
 class TestSequencerStall:
@@ -78,14 +75,10 @@ class TestCannotReplaceDeadProtocol:
 
 class TestTokenStall:
     def test_token_holder_crash_stalls_ring(self):
-        cfg = GroupCommConfig(
-            n=4,
-            seed=54,
-            load_msgs_per_sec=40.0,
-            load_stop=8.0,
-            initial_protocol="abcast-token",
+        spec = replace(
+            PAPER_SPEC, n=4, load_msgs_per_sec=40.0, duration=8.0, initial_protocol="abcast-token"
         )
-        gcs = build_group_comm_system(cfg)
+        gcs = build_group_comm_system(spec, seed=54)
         gcs.system.crash_at(2, 3.0)  # eventually the token dies with it
         gcs.run(until=8.0)
         for s in (0, 1, 3):

@@ -9,9 +9,12 @@ in-place increments; the run is deterministic, so they must not move.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.common import GroupCommConfig, build_group_comm_system
+from repro.experiments.common import build_group_comm_system
+from repro.scenarios.spec import PAPER_SPEC
 
 RP2P = {
     0: {"data_sent": 478, "acks_sent": 234, "delivered": 342, "retransmissions": 96,
@@ -32,10 +35,10 @@ RBCAST = {
 def stacks():
     """Three CT stacks, 1 s of load over a LAN with 3 % loss and 3 %
     duplication, then 0.5 s to settle."""
-    gcs = build_group_comm_system(GroupCommConfig(
-        n=3, seed=11, load_msgs_per_sec=60.0, load_stop=1.0,
-        loss_rate=0.03, duplicate_rate=0.03, trace="off",
-    ))
+    spec = replace(
+        PAPER_SPEC, n=3, load_msgs_per_sec=60.0, duration=1.0, loss_rate=0.03, duplicate_rate=0.03
+    )
+    gcs = build_group_comm_system(spec, seed=11, trace="off")
     gcs.run(1.5)
     return gcs.system.stacks
 

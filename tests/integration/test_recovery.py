@@ -28,7 +28,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.experiments.common import build_group_comm_system
-from repro.scenarios.engine import ScenarioRun, compare_reports, config_for
+from repro.scenarios.engine import ScenarioRun, compare_reports
 
 #: ``python -m repro.scenarios --campaign recovery --seeds 2 --out ...``
 RECOVERY_GOLDEN = (
@@ -46,7 +46,7 @@ class TestRestartProtocol:
     def _run(self, spec, seed=0):
         """The engine's arm + drive on a full-trace build; the system is
         returned for inspection."""
-        run = ScenarioRun(spec, build_group_comm_system(config_for(spec, seed)))
+        run = ScenarioRun(build_group_comm_system(spec, seed))
         run.drive()
         return run.gcs
 

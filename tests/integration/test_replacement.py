@@ -6,6 +6,7 @@ protocols on the fly, and check every correctness property plus the
 paper's headline behavioural claims.
 """
 
+from dataclasses import replace
 
 from repro.dpu import (
     assert_abcast_properties,
@@ -13,21 +14,19 @@ from repro.dpu import (
     check_weak_protocol_operationability,
 )
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
-def run_with_switches(switches, n=4, seed=7, duration=6.0, load=60.0, **cfg_kwargs):
+def run_with_switches(switches, n=4, seed=7, duration=6.0, load=60.0, **spec_kwargs):
     """Run a loaded system performing the given (time, protocol) switches."""
-    cfg = GroupCommConfig(
-        n=n, seed=seed, load_msgs_per_sec=load, load_stop=duration, **cfg_kwargs
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=load, duration=duration, **spec_kwargs)
+    gcs = build_group_comm_system(spec, seed)
     assert gcs.manager is not None
     for at, prot in switches:
         gcs.manager.request_change(prot, from_stack=0, at=at)
@@ -37,7 +36,7 @@ def run_with_switches(switches, n=4, seed=7, duration=6.0, load=60.0, **cfg_kwar
 
 
 def assert_all_properties(gcs):
-    alive = [s for s in range(gcs.config.n) if not gcs.system.machine(s).crashed]
+    alive = [s for s in range(gcs.spec.n) if not gcs.system.machine(s).crashed]
     assert_abcast_properties(gcs.log, gcs.system.trace.crashes(), alive)
     assert_weak_stack_well_formedness(gcs.system.trace)
 
@@ -60,7 +59,7 @@ class TestPaperExperiment:
     def test_no_message_lost_across_switch(self):
         gcs = run_with_switches([(3.0, PROTOCOL_CT)])
         sent = set(gcs.log.sends)
-        for s in range(gcs.config.n):
+        for s in range(gcs.spec.n):
             assert gcs.log.delivered_set(s) == sent
 
     def test_old_module_remains_in_stack_unbound(self):
@@ -81,7 +80,7 @@ class TestPaperExperiment:
         # Blocking exists only *below* the indirection (abcast service,
         # during the unbind->bind gap) and is bounded by creation cost:
         total_blocked = sum(s.blocked_time_total for s in gcs.system.stacks)
-        assert total_blocked <= gcs.config.n * gcs.config.creation_cost * 3
+        assert total_blocked <= gcs.spec.n * gcs.spec.creation_cost * 3
 
 
 class TestCrossProtocolSwitches:
@@ -113,7 +112,7 @@ class TestCrossProtocolSwitches:
 class TestOperationability:
     def test_new_protocol_weakly_operational(self):
         gcs = run_with_switches([(3.0, PROTOCOL_SEQ)])
-        stacks = list(range(gcs.config.n))
+        stacks = list(range(gcs.spec.n))
         assert check_weak_protocol_operationability(
             gcs.system.trace, PROTOCOL_SEQ, stacks
         ) == []
@@ -130,7 +129,7 @@ class TestReplacementWindow:
     def test_window_contains_all_stacks(self):
         gcs = run_with_switches([(3.0, PROTOCOL_CT)])
         window = gcs.manager.window(1)
-        assert set(window.completed) == set(range(gcs.config.n))
+        assert set(window.completed) == set(range(gcs.spec.n))
         assert window.start <= min(window.started.values())
         assert window.end == max(window.completed.values())
 
@@ -167,10 +166,8 @@ class TestGmAcrossSwitch:
         """The paper: protocols depending on the replaced one 'provide
         service correctly and with negligible delay while the global
         update takes place'."""
-        cfg = GroupCommConfig(
-            n=4, seed=9, load_msgs_per_sec=60.0, load_stop=6.0, with_gm=True
-        )
-        gcs = build_group_comm_system(cfg)
+        spec = replace(PAPER_SPEC, n=4, load_msgs_per_sec=60.0, duration=6.0, with_gm=True)
+        gcs = build_group_comm_system(spec, seed=9)
         gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=3.0)
         # A membership operation right in the middle of the switch:
         gm0 = next(

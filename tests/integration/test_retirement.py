@@ -6,24 +6,24 @@ remove it from the stack"); a system running for months cannot.  The
 in-flight traffic has surely drained; correctness must be unaffected.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dpu import ReplAbcastModule, assert_abcast_properties
 from repro.errors import ReplacementError
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     build_group_comm_system,
 )
 from repro.kernel import System, WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
 def build_with_retirement(retire_after=1.0, n=4, seed=81, duration=8.0):
     """The standard system, with retirement enabled on every Repl module."""
-    cfg = GroupCommConfig(
-        n=n, seed=seed, load_msgs_per_sec=60.0, load_stop=duration
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=60.0, duration=duration)
+    gcs = build_group_comm_system(spec, seed)
     for s in range(n):
         gcs.manager.module(s).retire_old_after = retire_after
     return gcs

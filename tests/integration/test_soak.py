@@ -7,6 +7,8 @@ full property battery at the end.  This is the closest the suite comes
 to the paper's vision of a system that "must run non-stop".
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dpu import (
@@ -14,23 +16,21 @@ from repro.dpu import (
     assert_weak_stack_well_formedness,
 )
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
     build_group_comm_system,
 )
 from repro.kernel import WellKnown
+from repro.scenarios.spec import PAPER_SPEC
 
 
 @pytest.mark.slow
 def test_soak_switches_retirement_membership_and_crash():
     duration = 24.0
     n = 5
-    cfg = GroupCommConfig(
-        n=n, seed=99, load_msgs_per_sec=60.0, load_stop=duration, with_gm=True
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=60.0, duration=duration, with_gm=True)
+    gcs = build_group_comm_system(spec, seed=99)
     for s in range(n):
         gcs.manager.module(s).retire_old_after = 2.0
 

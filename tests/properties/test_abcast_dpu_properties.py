@@ -8,6 +8,8 @@ a complete distributed execution, so example counts are modest — the
 randomness explores schedules, the checkers prove each one.
 """
 
+from dataclasses import replace
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +18,12 @@ from repro.dpu import (
     check_all_abcast_properties,
 )
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     PROTOCOL_TOKEN,
     build_group_comm_system,
 )
+from repro.scenarios.spec import PAPER_SPEC
 
 PROTOCOLS = [PROTOCOL_CT, PROTOCOL_SEQ, PROTOCOL_TOKEN]
 
@@ -54,10 +56,8 @@ def scenarios(draw):
 def test_properties_hold_across_random_replacements(scenario):
     seed, n, load, switches = scenario
     duration = 6.0
-    cfg = GroupCommConfig(
-        n=n, seed=seed, load_msgs_per_sec=load, load_stop=duration
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=load, duration=duration)
+    gcs = build_group_comm_system(spec, seed)
     for at, prot in switches:
         gcs.manager.request_change(prot, from_stack=0, at=at)
     gcs.run(until=duration)
@@ -87,10 +87,8 @@ def crash_scenarios(draw):
 def test_properties_hold_with_a_crash_near_the_switch(scenario):
     seed, n, switch_at, crash_at, crash_stack, prot = scenario
     duration = 6.0
-    cfg = GroupCommConfig(
-        n=n, seed=seed, load_msgs_per_sec=40.0, load_stop=duration
-    )
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=40.0, duration=duration)
+    gcs = build_group_comm_system(spec, seed)
     gcs.manager.request_change(prot, from_stack=0, at=switch_at)
     gcs.system.crash_at(crash_stack, crash_at)
     gcs.run(until=duration)

@@ -3,7 +3,8 @@
 The fake ABcast module gives the tests total control over delivery
 content and order, so every branch of the replacement algorithm is
 exercised deterministically — including the concurrent-change anomaly of
-the paper-literal variant documented in DESIGN.md §4.
+the paper-literal variant documented in ``repro.dpu.repl``'s module
+docstring.
 """
 
 import pytest
@@ -273,7 +274,7 @@ class TestGuardedVariant:
 
 
 class TestPaperLiteralAnomaly:
-    """DESIGN.md §4: without the sn guard, a stale change message is
+    """Without the sn guard (``repro.dpu.repl``), a stale change message is
     processed at an unsynchronised point; messages delivered by the new
     protocol at one stack before the stale change can be discarded at
     another stack after it — and never re-issued.

@@ -23,7 +23,6 @@ from repro.errors import (
 )
 from repro.experiments.common import (
     PROTOCOL_SEQ,
-    GroupCommConfig,
     build_group_comm_system,
 )
 from repro.kernel.module import Module
@@ -42,6 +41,7 @@ from repro.runtime import (
     SimBackend,
     Transport,
 )
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.switchplan import SwitchAt, SwitchPlan
 from repro.sim import Machine, Simulator
 from repro.sim.faults import FaultInjector
@@ -507,14 +507,11 @@ def test_injector_corrupt_link_drops_the_frame_on_both_twins(backend):
 # system-level run/drain and a switch plan
 # --------------------------------------------------------------------- #
 def build_group(backend):
-    """A small Figure-4 stack set on *backend*, on the soak's FD timing."""
-    return build_group_comm_system(
-        GroupCommConfig(
-            n=backend.n, seed=7, load_msgs_per_sec=40.0, payload_bytes=64,
-            load_stop=0.3, fd_period=0.25, fd_timeout=2.0,
-        ),
-        backend,
+    """A small Figure-4 stack set on *backend*, on its calibration."""
+    spec = ScenarioSpec(
+        name="backend-group", n=backend.n, load_msgs_per_sec=40.0, payload_bytes=64, duration=0.3
     )
+    return build_group_comm_system(spec, 7, backend)
 
 
 def test_group_run_and_drain_go_through_the_backend(backend):

@@ -1,10 +1,11 @@
 """Unit tests: switch-plan triggers (time / deliveries / fault detection)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ScenarioError
 from repro.experiments import (
-    GroupCommConfig,
     PROTOCOL_CT,
     PROTOCOL_SEQ,
     build_group_comm_system,
@@ -16,12 +17,13 @@ from repro.scenarios import (
     SwitchOnFault,
     SwitchPlan,
 )
+from repro.scenarios.spec import PAPER_SPEC
 from repro.sim import FaultInjector
 
 
 def build(n=3, seed=3, load=60.0, stop=3.0):
-    cfg = GroupCommConfig(n=n, seed=seed, load_msgs_per_sec=load, load_stop=stop)
-    gcs = build_group_comm_system(cfg)
+    spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=load, duration=stop)
+    gcs = build_group_comm_system(spec, seed)
     injector = FaultInjector(
         gcs.system.sim, gcs.system.machines, network=gcs.network, name="t"
     )
@@ -103,16 +105,16 @@ class TestSwitchOnFault:
 
 class TestPlanValidation:
     def test_plan_requires_manager(self):
-        cfg = GroupCommConfig(n=3, seed=1, with_repl_layer=False, load_stop=1.0)
-        gcs = build_group_comm_system(cfg)
+        spec = replace(PAPER_SPEC, n=3, duration=1.0)
+        gcs = build_group_comm_system(spec, seed=1, with_repl_layer=False)
         inj = FaultInjector(gcs.system.sim, gcs.system.machines)
         plan = SwitchPlan([SwitchAt(protocol=PROTOCOL_CT, at=1.0)])
         with pytest.raises(ScenarioError):
             plan.arm(gcs, inj)
 
     def test_empty_plan_is_fine_without_manager(self):
-        cfg = GroupCommConfig(n=3, seed=1, with_repl_layer=False, load_stop=1.0)
-        gcs = build_group_comm_system(cfg)
+        spec = replace(PAPER_SPEC, n=3, duration=1.0)
+        gcs = build_group_comm_system(spec, seed=1, with_repl_layer=False)
         inj = FaultInjector(gcs.system.sim, gcs.system.machines)
         SwitchPlan([]).arm(gcs, inj)  # no-op
 
@@ -248,9 +250,8 @@ class TestSwitchIfStalled:
     def test_fires_when_convergence_exceeds_timeout(self):
         # Module creation takes 0.5 s: 0.1 s after v1 starts, the window
         # is provably still open, so the stall escape must fire.
-        cfg = GroupCommConfig(n=3, seed=3, load_msgs_per_sec=60.0,
-                              load_stop=3.0, creation_cost=0.5)
-        gcs = build_group_comm_system(cfg)
+        spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=60.0, duration=3.0, creation_cost=0.5)
+        gcs = build_group_comm_system(spec, seed=3)
         inj = FaultInjector(gcs.system.sim, gcs.system.machines,
                             network=gcs.network, name="t")
         plan = SwitchPlan([

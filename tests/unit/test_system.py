@@ -1,12 +1,15 @@
 """Unit tests: the System container."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import KernelError
-from repro.experiments import GroupCommConfig, build_group_comm_system
+from repro.experiments import build_group_comm_system
 from repro.kernel import Module, Stack, System
 from repro.runtime import RealtimeBackend
 from repro.runtime.soak import SoakConfig, build_soak_system, soak_spec
+from repro.scenarios.spec import PAPER_SPEC
 
 
 class Simple(Module):
@@ -101,7 +104,7 @@ class TestIdentityAttributes:
         assert not isinstance(getattr(Module, "stack_id", None), property)
 
     def test_group_comm_system(self):
-        gcs = build_group_comm_system(GroupCommConfig(n=3, seed=0, with_gm=True))
+        gcs = build_group_comm_system(replace(PAPER_SPEC, n=3, with_gm=True), seed=0)
         _assert_identities(gcs.stacks())
 
     def test_realtime_soak_system(self):
