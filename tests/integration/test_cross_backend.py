@@ -5,11 +5,12 @@ soak.arm_soak` (the soak's ``ScenarioSpec``, built by the one Figure-4
 builder and armed by the scenario engine's ``ScenarioRun``), then
 ``drive`` and ``check`` — on :class:`SimBackend` and on
 :class:`RealtimeBackend` (real UDP sockets on localhost), both on the
-realtime calibration (the soak's failure-detector timing and load start).  Timing
-differs between the twins by design; the backend-independent projection
-of the ``ScenarioResult`` must not: the per-stack switch trajectories,
-the violations, the final protocols, the re-joined stacks, what is left
-pending after the drain, and no stale discard beyond one version.
+realtime calibration (the soak's failure-detector timing and load
+start).  Timing differs between the twins by design; the
+backend-independent projection of the ``ScenarioResult`` must not: the
+per-stack switch trajectories, the violations, the final protocols, the
+re-joined stacks, what is left pending after the drain, and no stale
+discard beyond one version.
 
 Self-contained (no shared fixtures): ``python -m pytest
 tests/integration/test_cross_backend.py`` runs it alone.
