@@ -17,7 +17,7 @@ import pytest
 from repro.experiments import PROTOCOL_CT, PROTOCOL_SEQ, PROTOCOL_TOKEN, build_group_comm_system
 from repro.kernel import WellKnown
 from repro.runtime import RealtimeBackend, SimBackend
-from repro.runtime.api import REALTIME_CALIBRATION, SIM_CALIBRATION
+from repro.runtime.api import REALTIME_CALIBRATION, SIM_CALIBRATION, Calibration
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.spec import PAPER_SPEC
 from repro.sim import ms, us
@@ -100,9 +100,19 @@ class TestTheSpecSaysWhatRuns:
         assert PAPER_SPEC.quiescence_extra == 5.0
 
 
+#: A calibration no backend carries, every field unlike both real ones,
+#: so each field's path from the backend to the modules shows on its own.
+DISTINCT = Calibration(
+    call_cost=11e-6, response_cost=12e-6, udp_recv_cost=13e-6, udp_send_cost=14e-6,
+    bandwidth_bps=10e6, fd_period=0.07, fd_timeout=0.3, token_idle_hold=0.002, load_start=0.05,
+)
+
+
 class TestTheBackendBringsItsCalibration:
     @pytest.mark.parametrize(
-        "calibration", [SIM_CALIBRATION, REALTIME_CALIBRATION], ids=["sim", "realtime"]
+        "calibration",
+        [SIM_CALIBRATION, REALTIME_CALIBRATION, DISTINCT],
+        ids=["sim", "realtime", "distinct"],
     )
     def test_the_modules_run_on_the_backends_calibration(self, calibration):
         spec = ScenarioSpec(
