@@ -160,7 +160,7 @@ def run_full_stack_calls(sim_seconds=None, trace="off"):
     spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=120.0, duration=sim_seconds)
     gcs = build_group_comm_system(spec, seed=7, trace=trace)
     gcs.run(until=sim_seconds)
-    return sum(st.calls_issued + st.responses_issued for st in gcs.system.stacks)
+    return sum(st.calls_issued + st.responses_issued for st in gcs.backend.stacks)
 
 
 @pytest.mark.benchmark(group="kernel-fullstack")

@@ -38,9 +38,9 @@ def test_switch_cost_n7(benchmark):
 
     gcs = benchmark.pedantic(run, rounds=1, iterations=1)
     window = gcs.manager.window(1)
-    blocked_below = sum(s.blocked_time_total for s in gcs.system.stacks)
+    blocked_below = sum(s.blocked_time_total for s in gcs.backend.stacks)
     app_blocked = sum(
-        s.blocked_call_count(WellKnown.R_ABCAST) for s in gcs.system.stacks
+        s.blocked_call_count(WellKnown.R_ABCAST) for s in gcs.backend.stacks
     )
     series = [(p.send_time, p.latency) for p in latency_series(gcs.log)]
     perturbation = find_perturbation(series, DURATION / 2)

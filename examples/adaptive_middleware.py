@@ -34,7 +34,7 @@ from repro.sim import to_ms
 
 def gm_of(gcs, stack_id):
     return next(
-        m for m in gcs.system.stack(stack_id).modules.values() if m.protocol == "gm"
+        m for m in gcs.backend.stacks[stack_id].modules.values() if m.protocol == "gm"
     )
 
 
@@ -49,8 +49,8 @@ def main() -> None:
     # Membership activity right around the first switch: expel machine 4
     # at t=4.05 (mid-replacement!), re-admit it at t=6.
     gm0 = gm_of(gcs, 0)
-    gcs.system.sim.schedule_at(4.05, gm0.call, (WellKnown.GM, "propose_expel", 4))
-    gcs.system.sim.schedule_at(6.0, gm0.call, (WellKnown.GM, "propose_join", 4))
+    gcs.backend.sim.schedule_at(4.05, gm0.call, (WellKnown.GM, "propose_expel", 4))
+    gcs.backend.sim.schedule_at(6.0, gm0.call, (WellKnown.GM, "propose_join", 4))
 
     gcs.run(until=12.0)
     gcs.run_to_quiescence()
@@ -79,7 +79,7 @@ def main() -> None:
         lat = windowed_mean_latency(gcs.log, a, b)
         print(f"  {label}: {to_ms(lat):7.2f} ms")
 
-    assert_abcast_properties(gcs.log, gcs.system.trace.crashes(), list(range(5)))
+    assert_abcast_properties(gcs.log, gcs.backend.trace.crashes(), list(range(5)))
     print("ABcast properties hold across both adaptations ✔")
 
 

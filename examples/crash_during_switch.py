@@ -24,7 +24,7 @@ def main() -> None:
     spec = replace(PAPER_SPEC, n=5, load_msgs_per_sec=80.0, duration=9.0, with_gm=True)
     gcs = build_group_comm_system(spec, seed=11)
     gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=4.0)
-    gcs.system.crash_at(crash_stack, crash_at)
+    gcs.backend.nodes[crash_stack].crash_at(crash_at)
     gcs.run(until=9.0)
     gcs.run_to_quiescence(extra=8.0)
 
@@ -37,7 +37,7 @@ def main() -> None:
         print(f"  stack {s}: version {repl.seq_number}, protocol {repl.current_protocol}")
 
     print("== membership reacted ==")
-    gm = next(m for m in gcs.system.stack(0).modules.values() if m.protocol == "gm")
+    gm = next(m for m in gcs.backend.stacks[0].modules.values() if m.protocol == "gm")
     print(f"  final view: {sorted(gm.members)}")
 
     # Messages the crashed machine sent right at the end may be cut off

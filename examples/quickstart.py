@@ -35,8 +35,8 @@ def main() -> None:
     # 3. Crash-recovery: machine 2 goes down mid-load and comes back as a
     #    new incarnation — Stack.restart() gives every module its
     #    on_restart() hook, re-arming the timer wheels the crash killed.
-    gcs.system.machine(2).crash_at(4.5)
-    gcs.system.machine(2).recover_at(5.0)
+    gcs.backend.nodes[2].crash_at(4.5)
+    gcs.backend.nodes[2].recover_at(5.0)
 
     # 4. Run the distributed execution and drain in-flight messages.
     gcs.run(until=6.0)
@@ -44,7 +44,7 @@ def main() -> None:
 
     # 5. Inspect.
     window = gcs.manager.window(1)
-    m2 = gcs.system.machine(2)
+    m2 = gcs.backend.nodes[2]
     print(f"sent messages       : {len(gcs.log.sends)}")
     print(f"replacement window  : {window.duration * 1e3:.1f} ms "
           f"(request at t={window.start:.3f}s)")
@@ -56,7 +56,7 @@ def main() -> None:
     # 6. Prove the switch was transparent: validity, uniform agreement,
     #    uniform integrity, uniform total order — across the replacement,
     #    with the usual exemptions for the crashed incarnation.
-    assert_abcast_properties(gcs.log, gcs.system.trace.crashes(), [0, 1, 2])
+    assert_abcast_properties(gcs.log, gcs.backend.trace.crashes(), [0, 1, 2])
     print("all four ABcast properties hold across the replacement ✔")
 
 

@@ -29,7 +29,7 @@ from repro.scenarios.spec import PAPER_SPEC
 
 
 def show_bindings(gcs, label):
-    stack = gcs.system.stack(0)
+    stack = gcs.backend.stacks[0]
     print(f"  {label}:")
     for service in (WellKnown.ABCAST, WellKnown.CONSENSUS):
         module = stack.bound_module(service)
@@ -53,7 +53,7 @@ def main() -> None:
     print("== Graceful-Adaptation baseline: the same change is refused ==")
     gcs2 = build_group_comm_system(spec, seed=3, baseline="graceful")
     adaptor = next(
-        m for m in gcs2.system.stack(0).modules.values()
+        m for m in gcs2.backend.stacks[0].modules.values()
         if isinstance(m, GracefulAdaptorModule)
     )
     try:

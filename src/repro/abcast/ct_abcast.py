@@ -144,11 +144,3 @@ class CtAbcastModule(AbcastModuleBase):
         for uid, payload, size in sorted(batch, key=lambda entry: entry[0]):
             self._unordered.pop(uid, None)
             self._adeliver_record(AbcastRecord(uid, payload, size))
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def unordered_count(self) -> int:
-        """Messages disseminated but not yet ordered (backlog gauge)."""
-        return len(self._unordered)

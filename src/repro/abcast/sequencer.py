@@ -124,11 +124,3 @@ class SequencerAbcastModule(AbcastModuleBase):
         for record in self._buffer.offer(sn, AbcastRecord(uid, inner, inner_size)):
             self._adeliver_record(record)
         return None
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def undelivered_orders(self) -> int:
-        """Orders buffered behind a sequence gap."""
-        return self._buffer.pending_count

@@ -22,13 +22,15 @@ off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ReplacementError
 from ..kernel.service import WellKnown
-from ..kernel.system import System
 from ..sim.clock import Time
 from .repl import ReplAbcastModule
+
+if TYPE_CHECKING:
+    from ..runtime.api import Backend
 
 __all__ = ["ReplacementManager", "ReplacementWindow"]
 
@@ -94,10 +96,11 @@ class ReplacementWindow:
 
 
 class ReplacementManager:
-    """Triggers and observes dynamic ABcast replacements on a system."""
+    """Triggers and observes dynamic ABcast replacements on the stacks
+    of a :class:`~repro.runtime.api.Backend`."""
 
-    def __init__(self, system: System) -> None:
-        self.system = system
+    def __init__(self, backend: "Backend") -> None:
+        self._backend = backend
         self.windows: Dict[int, ReplacementWindow] = {}
         self._repl_modules: Dict[int, ReplAbcastModule] = {}
         #: Fired once per version, at the first stack's switch start:
@@ -112,7 +115,7 @@ class ReplacementManager:
         self._started_announced: set = set()
         self._first_complete_announced: set = set()
         self._closed_announced: set = set()
-        for stack in system.stacks:
+        for stack in backend.stacks:
             module = stack.bound_module(WellKnown.R_ABCAST)
             if isinstance(module, ReplAbcastModule):
                 self._repl_modules[stack.stack_id] = module
@@ -149,13 +152,13 @@ class ReplacementManager:
             version = self._expected_version()
             window = self._window_for(version, protocol)
             if window.requested_at is None:
-                window.requested_at = self.system.sim.now
+                window.requested_at = self._backend.sim.now
             module.call(WellKnown.R_ABCAST, "change_protocol", protocol)
 
         if at is None:
             fire()
         else:
-            self.system.sim.schedule_at(at, fire)
+            self._backend.sim.schedule_at(at, fire)
 
     def _expected_version(self) -> int:
         # The next version is one past the highest seq_number any stack
@@ -187,7 +190,7 @@ class ReplacementManager:
                 hook(version, prot, stack_id, at)
 
     def _note_complete(self, stack_id: int, version: int, prot: str, duration: Time) -> None:
-        now = self.system.sim.now
+        now = self._backend.sim.now
         window = self._window_for(version, prot)
         window.completed.setdefault(stack_id, now)
         if version not in self._first_complete_announced:
@@ -207,13 +210,13 @@ class ReplacementManager:
         if version in self._closed_announced:
             return
         alive = [
-            s for s in self._repl_modules if not self.system.machine(s).crashed
+            s for s in self._repl_modules if not self._backend.nodes[s].crashed
         ]
         if not alive or not self.windows[version].complete_on(alive):
             return
         self._closed_announced.add(version)
         window = self.windows[version]
-        now = self.system.sim.now
+        now = self._backend.sim.now
         for hook in list(self.on_version_closed):
             hook(version, window.protocol, now)
 
@@ -235,7 +238,7 @@ class ReplacementManager:
         if window is None:
             return False
         return window.complete_on(
-            [s for s in self._repl_modules if not self.system.machine(s).crashed]
+            [s for s in self._repl_modules if not self._backend.nodes[s].crashed]
         )
 
     def current_protocols(self) -> Dict[int, str]:

@@ -122,7 +122,7 @@ def run_creation_cost_ablation(
                 peak_factor=perturbation.peak_factor if perturbation else None,
                 perturbation_duration=perturbation.duration if perturbation else None,
                 blocked_time_total=sum(
-                    s.blocked_time_total for s in gcs.system.stacks
+                    s.blocked_time_total for s in gcs.backend.stacks
                 ),
             )
         )

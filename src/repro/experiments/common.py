@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, AbstractSet, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+    TYPE_CHECKING, AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence,
 )
 
 from ..abcast import CtAbcastModule, SequencerAbcastModule, TokenAbcastModule
@@ -36,10 +36,10 @@ from ..dpu.probes import is_workload_key
 from ..errors import PropertyViolation
 from ..fd import HeartbeatFd
 from ..gm import GroupMembershipModule
-from ..kernel import STRUCTURAL_TRACE_KINDS, System, WellKnown
+from ..kernel import STRUCTURAL_TRACE_KINDS, ProtocolRegistry, WellKnown
 from ..net import Rp2pModule, UdpModule
 from ..rbcast import RBCAST_SERVICE, RbcastModule
-from ..runtime.api import Backend, Transport
+from ..runtime.api import Backend
 from ..runtime.sim_backend import SimBackend
 from ..workload import FixedPayload, LoadGeneratorModule
 
@@ -83,13 +83,9 @@ class GroupCommSystem:
     #: What was built: the stack shape, workload and network floors.
     spec: "ScenarioSpec"
     seed: int
-    #: The runtime the stacks run on.
+    #: The runtime the stacks run on, and the one surface to reach them,
+    #: their nodes, transport and trace.
     backend: Backend
-    #: The system surface the stacks, manager and checkers share: the
-    #: simulated :class:`~repro.kernel.system.System` on ``SimBackend``;
-    #: the realtime backend is its own (duck-typed) system.
-    system: Any
-    network: Transport
     log: DeliveryLog
     generators: List[LoadGeneratorModule]
     manager: Optional[ReplacementManager] = None
@@ -135,9 +131,6 @@ class GroupCommSystem:
                 return pending
         return owed()
 
-    def stacks(self) -> List:
-        return self.system.stacks
-
 
 def collect_rejoined(gcs: GroupCommSystem, kernel_marker: bool = False) -> Dict[int, float]:
     """Stacks whose re-join completed for the incarnation that is still
@@ -153,7 +146,7 @@ def collect_rejoined(gcs: GroupCommSystem, kernel_marker: bool = False) -> Dict[
     recovered stack keeps the wide ever-crashed exemption.
     """
     out: Dict[int, float] = {}
-    for stack in gcs.system.stacks:
+    for stack in gcs.backend.stacks:
         machine = stack.machine
         if machine.crashed or not machine.ever_crashed:
             continue
@@ -186,10 +179,11 @@ def pending_deliveries(
     def obliged(sender: int, t_send: float) -> bool:
         return sender not in exempt or is_post_rejoin_send(sender, t_send, rejoined)
 
+    nodes = gcs.backend.nodes
     delivered = {
         s: log.delivered_set(s)
         for s in range(gcs.spec.n)
-        if s not in exempt and not gcs.system.machine(s).ever_crashed
+        if s not in exempt and not nodes[s].ever_crashed
     }
     targets = {key for key, (sender, t) in log.sends.items() if obliged(sender, t)}
     for keys in delivered.values():
@@ -211,16 +205,15 @@ def pending_deliveries(
     return pending
 
 
-def register_standard_protocols(gcs_system: System, group: Sequence[int],
+def register_standard_protocols(registry: ProtocolRegistry, group: Sequence[int],
                                 token_idle_hold: float) -> None:
-    """Register the three ABcast protocols + CT consensus in the registry.
+    """Register the three ABcast protocols + CT consensus in *registry*.
 
     The registry is what Algorithm 1's ``create_module`` recursion draws
     from; ``default_for`` entries make the recursion deterministic.
     *token_idle_hold* is the token protocol's idle hold (a
     :class:`~repro.runtime.api.Calibration` field).
     """
-    registry = gcs_system.registry
     group = list(group)
     registry.register(
         PROTOCOL_CT,
@@ -294,17 +287,16 @@ def build_group_comm_system(
     if backend.n != spec.n:
         raise ValueError(f"spec.n={spec.n} but the backend has {backend.n} nodes")
     cal = backend.calibration
-    system = getattr(backend, "system", backend)
-    registry, network = system.registry, backend.transport
+    registry, network = backend.registry, backend.transport
     group = list(range(spec.n))
-    register_standard_protocols(system, group, cal.token_idle_hold)
+    register_standard_protocols(registry, group, cal.token_idle_hold)
 
     log = DeliveryLog()
     generators: List[LoadGeneratorModule] = []
     app_service = WellKnown.R_ABCAST if with_repl_layer else WellKnown.ABCAST
     protocol, cost = spec.initial_protocol, spec.creation_cost
 
-    for stack in system.stacks:
+    for stack in backend.stacks:
         stack.add_module(UdpModule(stack, network, cal.udp_recv_cost, cal.udp_send_cost))
         stack.add_module(Rp2pModule(stack))
         stack.add_module(HeartbeatFd(stack, group, period=cal.fd_period, timeout=cal.fd_timeout))
@@ -351,14 +343,12 @@ def build_group_comm_system(
 
     manager: Optional[ReplacementManager] = None
     if with_repl_layer and baseline is None:
-        manager = ReplacementManager(system)
+        manager = ReplacementManager(backend)
 
     return GroupCommSystem(
         spec=spec,
         seed=seed,
         backend=backend,
-        system=system,
-        network=network,
         log=log,
         generators=generators,
         manager=manager,

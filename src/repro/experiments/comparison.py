@@ -116,7 +116,7 @@ def _run_solution(
         # replacement manager: the one trigger a spec cannot express.
         switch_modules = [
             m
-            for stack in gcs.system.stacks
+            for stack in gcs.backend.stacks
             for m in stack.modules.values()
             if isinstance(m, DrainingSwitchModule)
         ]
@@ -130,7 +130,7 @@ def _run_solution(
         )
 
     run_checked(run)
-    internal_blocked = sum(s.blocked_time_total for s in gcs.system.stacks)
+    internal_blocked = sum(s.blocked_time_total for s in gcs.backend.stacks)
 
     if algorithm1:
         window = gcs.manager.windows.get(1)
@@ -172,7 +172,7 @@ def _run_solution(
             # three barrier rounds: n arrivals + n releases each
             barrier_modules = [
                 m
-                for stack in gcs.system.stacks
+                for stack in gcs.backend.stacks
                 for m in stack.modules.values()
                 if m.protocol == "barrier"
             ]

@@ -157,10 +157,6 @@ class Module:
         """The registered handler for response *event*, or ``None``."""
         return self._response_handlers.get((service, event))
 
-    def handles_any_response(self, service: str) -> bool:
-        """Whether this module subscribed to at least one event of *service*."""
-        return any(s == service for (s, _e) in self._response_handlers)
-
     # ------------------------------------------------------------------ #
     # Actions (delegate to the stack)
     # ------------------------------------------------------------------ #

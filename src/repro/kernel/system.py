@@ -1,10 +1,13 @@
-"""The distributed system container.
+"""The simulated stack container.
 
-A :class:`System` bundles what the paper calls "the set of stacks": one
-simulator, *n* machines each hosting one protocol stack, a shared trace
-recorder, and a shared protocol registry.  Experiments and tests build a
-``System``, populate the stacks (usually through
-:func:`repro.experiments.common.build_group_comm_stack`), run it, and then
+A :class:`System` bundles what the paper calls "the set of stacks" on
+the simulator: one simulator, *n* machines each hosting one protocol
+stack, a shared trace recorder, and a shared protocol registry.
+:class:`~repro.runtime.sim_backend.SimBackend` keeps one and advances
+its clock through :meth:`System.run`; experiments reach the stacks
+through that backend (see
+:func:`repro.experiments.common.build_group_comm_system`).  Kernel unit
+tests build a bare ``System``, populate its stacks by hand, run it, and
 check properties on ``system.trace``.
 """
 
@@ -73,9 +76,6 @@ class System:
             Stack(m, self.trace, call_cost=call_cost, response_cost=response_cost)
             for m in self.machines
         ]
-        #: Optional network attached by the net layer (kept untyped here
-        #: to avoid a kernel->net dependency).
-        self.network = None
 
     # ------------------------------------------------------------------ #
     # Accessors

@@ -30,7 +30,9 @@ behalf) actually uses:
   :class:`~repro.runtime.realtime.RealtimeUdpTransport`, which consult
   one :class:`~repro.net.links.LinkPolicy` each for every fault decision.
 
-:class:`Backend` bundles the three into one bootable cluster runtime;
+:class:`Backend` bundles the three, one kernel stack per node, the
+shared registry and trace into one bootable cluster runtime: the one
+surface every harness reads a built run through.
 :class:`~repro.runtime.sim_backend.SimBackend` and
 :class:`~repro.runtime.realtime.RealtimeBackend` are the two
 implementations (the deterministic twin and the deployable one).  Each
@@ -41,8 +43,9 @@ scenario spec says *what* runs and the backend says at what speed.
 Design constraints
 ------------------
 * Every ABC is slotted and import-cycle-free (nothing from ``sim``,
-  ``net`` or ``kernel``), so the hot simulation classes inherit them
-  without growing a ``__dict__`` or paying any per-call cost.
+  ``net`` or ``kernel`` outside ``TYPE_CHECKING``), so the hot
+  simulation classes inherit them without growing a ``__dict__`` or
+  paying any per-call cost.
 * The kernel's dispatch fast path reads two node internals directly
   (``_crashed_at`` and ``_busy_until``); they are part of this contract
   (see :class:`NodeBackend`), not private details of ``Machine``.
@@ -52,9 +55,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import NetworkError, ScheduleInPastError, UnknownDestinationError
+
+if TYPE_CHECKING:
+    from ..kernel.registry import ProtocolRegistry
+    from ..kernel.stack import Stack
+    from ..kernel.trace import TraceRecorder
 
 __all__ = [
     "Scheduler", "NodeBackend", "Transport", "Backend",
@@ -447,16 +455,28 @@ class Backend(ABC):
     *first* because module ``on_start`` hooks arm timers and send
     datagrams immediately — the transport must already be bound.
 
-    Implementations expose ``nodes`` (list of :class:`NodeBackend`,
-    index = rank; ``machine(i)`` is node *i*), ``transport``
-    (:class:`Transport`), ``sim`` (the shared :class:`Scheduler`), one
-    empty kernel stack per node (``stacks``) with a shared protocol
-    ``registry``, and the :class:`Calibration` the stack set is built
-    with (``calibration``).
+    A backend is the one run surface every harness reads, the paper's
+    "set of stacks" (Section 2).  Implementations set these as plain
+    attributes in ``__init__``:
+
+    * ``sim`` — the shared :class:`Scheduler`;
+    * ``nodes`` — one :class:`NodeBackend` per rank (index = rank);
+    * ``transport`` — the :class:`Transport` between them;
+    * ``stacks`` — one kernel stack per node, empty until populated;
+    * ``registry`` — the protocol registry the stacks share;
+    * ``trace`` — the trace recorder the stacks share;
+    * ``calibration`` — the :class:`Calibration` the stack set is built
+      with.
     """
 
     __slots__ = ()
 
+    sim: Scheduler
+    nodes: Sequence[NodeBackend]
+    transport: Transport
+    stacks: List["Stack"]
+    registry: "ProtocolRegistry"
+    trace: "TraceRecorder"
     calibration: Calibration
 
     @property

@@ -34,11 +34,12 @@ event loop's monotonic clock and datagrams travel through real
   :class:`~repro.sim.faults.FaultInjector` degrades either.
 * :class:`RealtimeBackend` — bundles the three behind the
   :class:`~repro.runtime.api.Backend` lifecycle, with one kernel stack
-  per node and a structural trace, and doubles as the duck-typed
-  "system" (``stacks`` / ``machine(i)`` / ``sim`` / ``registry`` /
-  ``trace``) that :class:`~repro.dpu.manager.ReplacementManager` and
-  the property checkers already consume, so the *unmodified*
-  dpu/gm/fd/abcast modules run on it and the scenario engine checks it.
+  per node and a structural trace, on the same run surface as the
+  simulated twin (``sim`` / ``nodes`` / ``transport`` / ``stacks`` /
+  ``registry`` / ``trace``) that :class:`~repro.dpu.manager.
+  ReplacementManager` and the property checkers consume, so the
+  *unmodified* dpu/gm/fd/abcast modules run on it and the scenario
+  engine checks it.
 """
 
 from __future__ import annotations
@@ -383,12 +384,10 @@ class RealtimeBackend(Backend):
     Creates one kernel stack per node, a shared protocol registry and a
     trace recorder keeping :data:`~repro.kernel.events.
     STRUCTURAL_TRACE_KINDS` (everything the trace checkers read, none of
-    the per-call rows), the way :class:`~repro.kernel.system.System`
-    does, and exposes the duck-typed "system" surface
-    (``stacks``/``machine(i)``/``sim``/``registry``/``network``/``trace``)
-    the replacement manager and experiment helpers consume, so
+    the per-call rows), and sets the :class:`~repro.runtime.api.Backend`
+    surface as :class:`~repro.runtime.sim_backend.SimBackend` does, so
     :func:`~repro.experiments.common.build_group_comm_system` populates
-    it exactly as it populates a simulated system.
+    either twin the same way.
 
     Error transparency, as in the simulator: the first exception a loop
     callback raises stops the loop and is raised by :meth:`run` /
@@ -407,21 +406,20 @@ class RealtimeBackend(Backend):
         Interface to bind the node sockets on (loopback by default).
     """
 
-    calibration = REALTIME_CALIBRATION
-
     def __init__(self, n: int, seed: int = 0, host: str = "127.0.0.1") -> None:
         if n < 1:
             raise SimulationError(f"a backend needs at least one node, got n={n}")
         self._loop = asyncio.new_event_loop()
         self._loop.set_exception_handler(self._on_loop_error)
         self._error: Optional[Exception] = None
-        self.sim = RealtimeScheduler(self._loop, seed=seed)
+        self.calibration = REALTIME_CALIBRATION
+        self.sim: RealtimeScheduler = RealtimeScheduler(self._loop, seed=seed)
         self.nodes: List[RealtimeNode] = [
             RealtimeNode(self.sim, i) for i in range(n)
         ]
-        self.transport = RealtimeUdpTransport(self.sim, self.nodes, host=host)
-        #: Alias for experiment helpers that expect ``system.network``.
-        self.network = self.transport
+        self.transport: RealtimeUdpTransport = RealtimeUdpTransport(
+            self.sim, self.nodes, host=host
+        )
         self.registry = ProtocolRegistry()
         self.trace = TraceRecorder(keep=STRUCTURAL_TRACE_KINDS)
         self.stacks: List[Stack] = [Stack(node, self.trace) for node in self.nodes]
@@ -432,10 +430,6 @@ class RealtimeBackend(Backend):
     def n(self) -> int:
         """Number of nodes."""
         return len(self.nodes)
-
-    def machine(self, i: int) -> RealtimeNode:
-        """Node *i* (system-compatible accessor)."""
-        return self.nodes[i]
 
     def start(self) -> None:
         """Bind every node's socket (idempotent).  Call *before* adding

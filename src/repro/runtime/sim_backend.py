@@ -5,24 +5,23 @@
 :class:`~repro.sim.process.Machine` instances with their kernel
 :class:`~repro.kernel.stack.Stack`\\ s, and one
 :class:`~repro.net.network.SimNetwork` over a
-:class:`~repro.net.topology.SwitchedLan` — behind the exact lifecycle
-and accessor surface :class:`~repro.runtime.realtime.RealtimeBackend`
-exposes, so harness code (the Figure-4 builder
-:func:`~repro.experiments.common.build_group_comm_system`, which builds
-one of these unless given a backend, and the conformance tests) is
-written once against :class:`~repro.runtime.api.Backend` and runs on
-either twin.
+:class:`~repro.net.topology.SwitchedLan` — behind the one run surface
+:class:`~repro.runtime.api.Backend` declares, so harness code (the
+Figure-4 builder :func:`~repro.experiments.common.build_group_comm_system`,
+which builds one of these unless given a backend, and the conformance
+tests) is written once and runs on either twin.
 
-It is a *bundler*, not a reimplementation: the wrapped objects are the
-unmodified engine classes, so everything built through ``SimBackend`` is
-bit-identical to a hand-assembled ``System`` + ``SimNetwork`` with the
-same parameters (the golden-report pins in
-``tests/integration/test_golden_reports.py`` hold this to account).
+It is a *bundler*, not a reimplementation: the stacks live in a private
+:class:`~repro.kernel.system.System` whose ``run`` advances the clock,
+and everything built through ``SimBackend`` is bit-identical to a
+hand-assembled ``System`` + ``SimNetwork`` with the same parameters (the
+golden-report pins in ``tests/integration/test_golden_reports.py`` hold
+this to account).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import Iterable, Optional
 
 from ..kernel.events import TraceKind
 from ..kernel.system import System
@@ -35,6 +34,12 @@ __all__ = ["SimBackend"]
 
 class SimBackend(Backend):
     """The deterministic discrete-event twin of the runtime pair.
+
+    Sets the :class:`~repro.runtime.api.Backend` surface: ``sim`` (the
+    :class:`~repro.sim.engine.Simulator`), ``nodes`` (the
+    :class:`~repro.sim.process.Machine`\\ s), ``transport`` (the
+    :class:`~repro.net.network.SimNetwork`), ``stacks``, ``registry``,
+    ``trace`` and ``calibration``.
 
     Parameters
     ----------
@@ -63,7 +68,7 @@ class SimBackend(Backend):
         calibration: Calibration = SIM_CALIBRATION,
     ) -> None:
         self.calibration = calibration
-        self.system = System(
+        self._system = system = System(
             n=n,
             seed=seed,
             trace_enabled=trace_enabled,
@@ -71,59 +76,29 @@ class SimBackend(Backend):
             call_cost=calibration.call_cost,
             response_cost=calibration.response_cost,
         )
+        self.sim = system.sim
+        self.nodes = system.machines
+        self.stacks = system.stacks
+        self.registry = system.registry
+        self.trace = system.trace
         lan = SwitchedLan(
             bandwidth_bps=calibration.bandwidth_bps,
             loss_rate=loss_rate,
             duplicate_rate=duplicate_rate,
         )
-        self.transport = SimNetwork(self.system.sim, self.system.machines, lan)
-        self.system.network = self.transport
-        #: Alias: harness code reads ``backend.network`` on either twin.
-        self.network = self.transport
+        self.transport: SimNetwork = SimNetwork(system.sim, system.machines, lan)
 
-    # ------------------------------------------------------------------ #
-    # Backend contract
-    # ------------------------------------------------------------------ #
     @property
     def n(self) -> int:
         """Number of nodes."""
-        return self.system.n
-
-    @property
-    def nodes(self) -> List[Any]:
-        """The simulated machines (each a NodeBackend)."""
-        return self.system.machines
-
-    @property
-    def sim(self) -> Any:
-        """The shared :class:`~repro.sim.engine.Simulator`."""
-        return self.system.sim
-
-    @property
-    def stacks(self) -> List[Any]:
-        """The kernel stacks, one per node."""
-        return self.system.stacks
-
-    @property
-    def registry(self) -> Any:
-        """The shared protocol registry."""
-        return self.system.registry
-
-    @property
-    def trace(self) -> Any:
-        """The shared trace recorder."""
-        return self.system.trace
-
-    def machine(self, i: int) -> Any:
-        """Node *i* (system-compatible accessor)."""
-        return self.system.machines[i]
+        return self._system.n
 
     def start(self) -> None:
         """No-op: the simulated network needs no binding step."""
 
     def run(self, until: float) -> None:
         """Run the simulation up to instant *until*, where the clock lands."""
-        self.system.run(until=until)
+        self._system.run(until=until)
 
     def stop(self) -> None:
         """No-op: ``Simulator.run`` already fires the ``at_end`` hooks."""

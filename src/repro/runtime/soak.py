@@ -270,7 +270,7 @@ def _snapshot(run: ScenarioRun, chaos: bool) -> Dict[str, Any]:
         },
         "latency": _latency_percentiles(log),
         "stale": manager.stale_classification(),
-        "transport": gcs.network.stats(),
+        "transport": gcs.backend.transport.stats(),
     }
     if chaos:
         kinds = Counter(record.kind for record in injector.records)
@@ -360,7 +360,7 @@ def run_soak(config: SoakConfig) -> Dict[str, Any]:
     # Every stack that crashed and is back up must have completed its
     # re-join handshake, or the recovery path silently degraded.
     rejoin_ok = all(
-        s in result.rejoined for s in result.crashed if not backend.machine(s).crashed
+        s in result.rejoined for s in result.crashed if not backend.nodes[s].crashed
     )
     switches = snapshot["switches_complete"]
     switches_ok = all(switches.values()) and len(switches) == len(config.plan)

@@ -223,7 +223,7 @@ class ScenarioRun:
         self.gcs = gcs
         backend = gcs.backend
         self.injector = FaultInjector(
-            backend.sim, backend.nodes, network=gcs.network, name=spec.name
+            backend.sim, backend.nodes, network=backend.transport, name=spec.name
         )
         for action in spec.faults:
             action.schedule(self.injector)
@@ -249,7 +249,7 @@ class ScenarioRun:
     def check(self) -> ScenarioResult:
         """Run every property checker on what the run left behind."""
         spec, gcs = self.spec, self.gcs
-        trace, log, manager = gcs.system.trace, gcs.log, gcs.manager
+        trace, log, manager = gcs.backend.trace, gcs.log, gcs.manager
 
         # ----- fault/crash accounting --------------------------------- #
         crashed: Dict[int, float] = dict(self.injector.crashed_ever())
@@ -284,7 +284,7 @@ class ScenarioRun:
             # Key added only for corruption-armed scenarios: corruption-free
             # campaign reports (and the pinned goldens) keep their shape.
             violations["corruption containment"] = check_corruption_containment(
-                gcs.network.stats(), checksum=spec.checksum
+                gcs.backend.transport.stats(), checksum=spec.checksum
             )
         protocols_bound = {spec.initial_protocol}
         protocols_bound.update(step.protocol for step in spec.switches)
@@ -341,7 +341,7 @@ class ScenarioRun:
             rejoined=rejoined,
             correct_stacks=correct,
             violations=violations,
-            network=gcs.network.stats(),
+            network=gcs.backend.transport.stats(),
         )
 
 

@@ -17,8 +17,9 @@ processes only).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..errors import ScenarioError
 from ..experiments.common import PROTOCOL_CT
@@ -248,6 +249,22 @@ FaultAction = Union[
 # --------------------------------------------------------------------------- #
 # Scenario specification
 # --------------------------------------------------------------------------- #
+#: The numeric fields a run cannot take every float for: ``(field, rule,
+#: test)``.  A zero rate has no send period (the builder staggers stacks
+#: by 1/rate); a non-positive step never advances the drain's clock; a
+#: negative or NaN drain budget skips the drain without a word; a
+#: creation cost is a delay; a corruption rate of 1 or more garbles
+#: every datagram, a negative one none.
+_FIELD_RULES: Tuple[Tuple[str, str, Callable[[float], bool]], ...] = (
+    ("duration", "> 0", lambda v: v > 0),
+    ("load_msgs_per_sec", "> 0", lambda v: v > 0),
+    ("quiescence_step", "> 0", lambda v: v > 0),
+    ("quiescence_extra", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    ("creation_cost", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+    ("corrupt_rate", "in [0, 1)", lambda v: 0 <= v < 1),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One named adversarial execution, fully declaratively.
@@ -326,12 +343,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ScenarioError(f"scenario {self.name!r}: n must be >= 1")
-        # A zero rate has no send period (the builder staggers stacks by
-        # 1/rate); a non-positive step never advances the drain's clock.
-        for key in ("duration", "load_msgs_per_sec", "quiescence_step"):
+        for key, rule, holds in _FIELD_RULES:
             value = getattr(self, key)
-            if not value > 0:  # NaN fails too
-                raise ScenarioError(f"scenario {self.name!r}: {key} must be > 0, got {value!r}")
+            if not holds(value):  # NaN fails every rule
+                raise ScenarioError(f"scenario {self.name!r}: {key} must be {rule}, got {value!r}")
         for machine in self.expected_faulty:
             if not 0 <= machine < self.n:
                 raise ScenarioError(

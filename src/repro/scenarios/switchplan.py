@@ -170,7 +170,7 @@ class SwitchPlan:
             raise ScenarioError(
                 "a switch plan needs the replacement layer (manager is None)"
             )
-        sim = gcs.system.sim
+        sim = gcs.backend.sim
         for step in self.steps:
             if isinstance(step, SwitchAt):
                 sim.schedule_at(step.at, self._fire, (gcs, step))
@@ -199,7 +199,7 @@ class SwitchPlan:
             if state["count"] >= step.count:
                 state["armed"] = False
                 # call_soon: never re-enter the stack from a delivery hook.
-                gcs.system.sim.call_soon(self._fire, gcs, step)
+                gcs.backend.sim.call_soon(self._fire, gcs, step)
 
         gcs.log.on_delivery.append(on_delivery)
 
@@ -209,7 +209,7 @@ class SwitchPlan:
         """Fire *step* a fixed delay after its designated fault fires."""
         def on_fault(index: int, record: FaultRecord) -> None:
             if index == step.fault_index:
-                gcs.system.sim.schedule(step.delay, self._fire, gcs, step)
+                gcs.backend.sim.schedule(step.delay, self._fire, gcs, step)
 
         injector.on_fault.append(on_fault)
 
@@ -231,7 +231,7 @@ class SwitchPlan:
             from_stack = step.from_stack if step.from_stack is not None else stack_id
             # from_stack may still be None ("closed" has no phase stack);
             # _fire then resolves it to the lowest-ranked alive stack.
-            gcs.system.sim.schedule(step.delay, self._fire, gcs, step, from_stack)
+            gcs.backend.sim.schedule(step.delay, self._fire, gcs, step, from_stack)
 
         if step.phase == "started":
             manager.on_version_started.append(
@@ -272,7 +272,7 @@ class SwitchPlan:
 
         def on_started(version: int, prot: str, stack_id: int, at: Time) -> None:
             if version == step.version and state["armed"]:
-                gcs.system.sim.schedule_at(at + step.timeout, check)
+                gcs.backend.sim.schedule_at(at + step.timeout, check)
 
         manager.on_version_started.append(on_started)
 
@@ -294,7 +294,7 @@ class SwitchPlan:
             "trigger": type(step).__name__,
             "protocol": step.protocol,
             "from_stack": from_stack,
-            "time": gcs.system.sim.now,
+            "time": gcs.backend.sim.now,
         }
         if isinstance(step, SwitchAfterSwitch):
             record["after_version"] = step.version

@@ -281,10 +281,6 @@ class FaultInjector:
         """Schedule removal of the *src↔dst* impairment at *time*."""
         self._at(time, self.clear_link, src, dst)
 
-    def clear_links_at(self, time: Time) -> None:
-        """Schedule removal of all link impairments at *time*."""
-        self._at(time, self.clear_links)
-
     def latency_spike_at(
         self, time: Time, extra: Duration, duration: Optional[Duration] = None
     ) -> None:

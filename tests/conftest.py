@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel import Module, System
-from repro.net import SimNetwork, SwitchedLan
-from repro.sim import ConstantLatency, Simulator
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -19,15 +18,6 @@ def sim() -> Simulator:
 def system() -> System:
     """A three-stack system without a network."""
     return System(n=3, seed=1234)
-
-
-@pytest.fixture
-def networked_system():
-    """A three-stack system on a deterministic (constant-latency) LAN."""
-    sys_ = System(n=3, seed=1234)
-    lan = SwitchedLan(latency=ConstantLatency(100e-6))
-    sys_.network = SimNetwork(sys_.sim, sys_.machines, lan)
-    return sys_
 
 
 class RecordingModule(Module):

@@ -24,12 +24,12 @@ def run_baseline(baseline, n=4, seed=17, duration=8.0, load=60.0):
     gcs = build_group_comm_system(spec, seed, baseline=baseline)
     switch_modules = [
         m
-        for stack in gcs.system.stacks
+        for stack in gcs.backend.stacks
         for m in stack.modules.values()
         if isinstance(m, DrainingSwitchModule)
     ]
     trigger = switch_modules[0]
-    gcs.system.sim.schedule_at(
+    gcs.backend.sim.schedule_at(
         duration / 2.0, trigger.call, (WellKnown.R_ABCAST, "change_protocol", PROTOCOL_CT)
     )
     gcs.run(until=duration)
@@ -42,7 +42,7 @@ class TestBaselineCorrectness:
     def test_switch_completes_on_every_stack(self, baseline):
         gcs, mods = run_baseline(baseline)
         assert all(m.counters.get("switches") == 1 for m in mods)
-        for stack in gcs.system.stacks:
+        for stack in gcs.backend.stacks:
             assert stack.bound_module(WellKnown.ABCAST).protocol == PROTOCOL_CT
 
     def test_abcast_properties_hold_across_switch(self, baseline):
@@ -86,7 +86,7 @@ class TestComparisonClaims:
         gcs.run_to_quiescence()
         # No r-abcast call ever waits: the indirection forwards or the
         # kernel's abcast-level queue holds it below the app's view.
-        for stack in gcs.system.stacks:
+        for stack in gcs.backend.stacks:
             assert stack.blocked_call_count(WellKnown.R_ABCAST) == 0
 
     def test_maestro_replaces_whole_stack_cost(self):

@@ -28,7 +28,7 @@ def run_with_crash(crash_stack, crash_at, n=5, seed=31, duration=8.0,
     spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=50.0, duration=duration)
     gcs = build_group_comm_system(spec, seed)
     gcs.manager.request_change(to_protocol, from_stack=0, at=switch_at)
-    gcs.system.crash_at(crash_stack, crash_at)
+    gcs.backend.nodes[crash_stack].crash_at(crash_at)
     gcs.run(until=duration)
     gcs.run_to_quiescence(extra=8.0)
     return gcs
@@ -58,7 +58,7 @@ class TestCrashBeforeSwitch:
         alive = check_survivors(gcs, 2, 2.0)
         for s in alive:
             assert (
-                gcs.system.stack(s).bound_module(WellKnown.ABCAST).protocol
+                gcs.backend.stacks[s].bound_module(WellKnown.ABCAST).protocol
                 == PROTOCOL_CT
             )
             assert gcs.manager.module(s).seq_number == 1
@@ -87,7 +87,7 @@ class TestCrashDuringSwitch:
     def test_operationability_quantifies_over_survivors(self):
         gcs = run_with_crash(crash_stack=3, crash_at=4.001)
         violations = check_weak_protocol_operationability(
-            gcs.system.trace, PROTOCOL_CT, list(range(5))
+            gcs.backend.trace, PROTOCOL_CT, list(range(5))
         )
         assert violations == []
 

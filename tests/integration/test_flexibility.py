@@ -42,7 +42,7 @@ def build_seq_system(baseline=None):
 class TestOurSolutionCrossesRequirements:
     def test_no_consensus_module_initially(self):
         gcs = build_seq_system()
-        for stack in gcs.system.stacks:
+        for stack in gcs.backend.stacks:
             assert stack.bound_module(WellKnown.CONSENSUS) is None
 
     def test_switch_to_ct_creates_consensus_everywhere(self):
@@ -50,7 +50,7 @@ class TestOurSolutionCrossesRequirements:
         gcs.manager.request_change(PROTOCOL_CT, from_stack=1, at=3.0)
         gcs.run(until=6.0)
         gcs.run_to_quiescence()
-        for stack in gcs.system.stacks:
+        for stack in gcs.backend.stacks:
             consensus = stack.bound_module(WellKnown.CONSENSUS)
             assert consensus is not None, f"stack {stack.stack_id} lacks consensus"
             assert stack.bound_module(WellKnown.ABCAST).protocol == PROTOCOL_CT
@@ -72,7 +72,7 @@ class TestGracefulRefusesTheSameChange:
         gcs = build_seq_system(baseline="graceful")
         adaptor = next(
             m
-            for m in gcs.system.stack(0).modules.values()
+            for m in gcs.backend.stacks[0].modules.values()
             if isinstance(m, GracefulAdaptorModule)
         )
         with pytest.raises(RequirementError, match="consensus"):
@@ -84,7 +84,7 @@ class TestGracefulRefusesTheSameChange:
         gcs = build_seq_system(baseline="graceful")
         adaptor = next(
             m
-            for m in gcs.system.stack(0).modules.values()
+            for m in gcs.backend.stacks[0].modules.values()
             if isinstance(m, GracefulAdaptorModule)
         )
         adaptor.request_change(PROTOCOL_SEQ)  # same requirements: fine

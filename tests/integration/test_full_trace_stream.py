@@ -40,7 +40,7 @@ def test_pipelined_crash_recover_stream_is_pinned():
         gcs.manager.module(stack).retire_old_after = 0.5
     run = ScenarioRun(gcs)
     run.drive()
-    trace = gcs.system.trace
+    trace = gcs.backend.trace
     assert set(trace.counts()) == {kind.value for kind in TraceKind}
     events = trace.events
     assert len(events) == len(trace) == PINNED_RECORDS
@@ -54,7 +54,7 @@ def test_late_subscriber_sees_every_record_in_order():
         replace(PAPER_SPEC, n=3, load_msgs_per_sec=100.0, duration=0.4), seed=4
     )
     gcs.run(until=0.1)
-    trace = gcs.system.trace
+    trace = gcs.backend.trace
     before = len(trace)
     seen = []
     trace.subscribers.append(seen.append)

@@ -15,7 +15,7 @@ def build(n=4, seed=61, duration=6.0):
 
 def gm_of(gcs, stack_id):
     return next(
-        m for m in gcs.system.stack(stack_id).modules.values() if m.protocol == "gm"
+        m for m in gcs.backend.stacks[stack_id].modules.values() if m.protocol == "gm"
     )
 
 
@@ -24,7 +24,7 @@ class TestViews:
         gcs = build()
         gcs.run(until=1.0)
         for s in range(4):
-            vid, members = gcs.system.stack(s).query(WellKnown.GM, "current_view")
+            vid, members = gcs.backend.stacks[s].query(WellKnown.GM, "current_view")
             assert vid == 0 and members == frozenset({0, 1, 2, 3})
 
     def test_explicit_expel_installs_same_view_everywhere(self):
@@ -38,7 +38,7 @@ class TestViews:
     def test_join_after_expel(self):
         gcs = build(seed=62)
         gm_of(gcs, 0).call(WellKnown.GM, "propose_expel", 3)
-        gcs.system.sim.schedule(
+        gcs.backend.sim.schedule(
             2.0, gm_of(gcs, 0).call, WellKnown.GM, "propose_join", 3
         )
         gcs.run(until=5.0)
@@ -48,7 +48,7 @@ class TestViews:
 
     def test_crash_triggers_automatic_expulsion(self):
         gcs = build(seed=63, duration=8.0)
-        gcs.system.crash_at(2, 3.0)
+        gcs.backend.nodes[2].crash_at(3.0)
         gcs.run(until=8.0)
         for s in (0, 1, 3):
             gm = gm_of(gcs, s)

@@ -30,7 +30,7 @@ class TestSequencerStall:
     def test_sequencer_crash_stalls_delivery(self):
         """Safety kept, liveness lost: no orders after the sequencer dies."""
         gcs = build_seq()
-        gcs.system.crash_at(0, 3.0)  # rank 0 is the sequencer
+        gcs.backend.nodes[0].crash_at(3.0)  # rank 0 is the sequencer
         gcs.run(until=8.0)
         for s in (1, 2, 3):
             late = [t for _k, t in gcs.log.deliveries.get(s, []) if t > 3.1]
@@ -38,7 +38,7 @@ class TestSequencerStall:
 
     def test_survivors_agree_on_the_delivered_prefix(self):
         gcs = build_seq(seed=52)
-        gcs.system.crash_at(0, 3.0)
+        gcs.backend.nodes[0].crash_at(3.0)
         gcs.run(until=8.0)
         seqs = {tuple(gcs.log.delivery_sequence(s)) for s in (1, 2, 3)}
         assert len(seqs) == 1  # identical prefixes: safety preserved
@@ -50,7 +50,7 @@ class TestCannotReplaceDeadProtocol:
         protocol via Algorithm 1 does not work — the change request
         would have to be ordered by the very protocol that is dead."""
         gcs = build_seq(seed=53)
-        gcs.system.crash_at(0, 3.0)
+        gcs.backend.nodes[0].crash_at(3.0)
         # A survivor tries to escape to the consensus-based protocol:
         gcs.manager.request_change(PROTOCOL_CT, from_stack=1, at=4.0)
         gcs.run(until=10.0)
@@ -79,7 +79,7 @@ class TestTokenStall:
             PAPER_SPEC, n=4, load_msgs_per_sec=40.0, duration=8.0, initial_protocol="abcast-token"
         )
         gcs = build_group_comm_system(spec, seed=54)
-        gcs.system.crash_at(2, 3.0)  # eventually the token dies with it
+        gcs.backend.nodes[2].crash_at(3.0)  # eventually the token dies with it
         gcs.run(until=8.0)
         for s in (0, 1, 3):
             late = [t for _k, t in gcs.log.deliveries.get(s, []) if t > 3.5]

@@ -40,7 +40,7 @@ def stacks():
     )
     gcs = build_group_comm_system(spec, seed=11, trace="off")
     gcs.run(1.5)
-    return gcs.system.stacks
+    return gcs.backend.stacks
 
 
 @pytest.mark.parametrize("stack_id", sorted(RP2P))

@@ -49,7 +49,7 @@ def test_unmodified_stack_switches_protocols_over_real_udp():
     result = run.check()
 
     # Datagrams really crossed sockets, and client load really flowed.
-    stats = backend.network.stats()
+    stats = backend.transport.stats()
     assert stats["sent"] > 0 and stats["received"] > 0
     assert result.sent_total > 0
 

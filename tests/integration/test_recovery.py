@@ -53,26 +53,26 @@ class TestRestartProtocol:
     def test_recovered_stack_rejoins_and_delivers_post_recovery_traffic(self):
         spec = get_scenario("recover-during-switch")
         gcs = self._run(spec)
-        system = gcs.system
+        stacks = gcs.backend.stacks
 
         # The machine is back up in a new incarnation.
-        machine = system.machine(3)
+        machine = gcs.backend.nodes[3]
         assert not machine.crashed and machine.ever_crashed
         assert machine.epoch == 1
 
         # FD re-arm: no stack suspects the recovered machine any more,
         # and its peers observed the new incarnation epoch.
         for s in (0, 1, 2, 4):
-            fd = system.stack(s).bound_module(WellKnown.FD)
+            fd = stacks[s].bound_module(WellKnown.FD)
             assert 3 not in fd.suspects()
             assert fd.restarts_observed >= 1
 
         # GM re-join: the handshake completed via a state transfer from
         # the lowest-ranked live member, and every member logged it.
-        gm3 = system.stack(3).bound_module(WellKnown.GM)
+        gm3 = stacks[3].bound_module(WellKnown.GM)
         assert gm3.rejoined_epoch == 1
         assert gm3.rejoined_at is not None
-        donor_gm = system.stack(0).bound_module(WellKnown.GM)
+        donor_gm = stacks[0].bound_module(WellKnown.GM)
         assert donor_gm.counters.get("state_snapshots_sent") >= 1
         assert any(rank == 3 and epoch == 1 for rank, epoch, _t in donor_gm.rejoin_log)
         # The snapshot carried the donor's abcast sequence position
@@ -81,7 +81,7 @@ class TestRestartProtocol:
 
         # Views converged everywhere (same id, same members).
         views = {
-            s: system.stack(s).bound_module(WellKnown.GM)._current_view()
+            s: stacks[s].bound_module(WellKnown.GM)._current_view()
             for s in range(5)
         }
         assert len(set(views.values())) == 1
@@ -89,7 +89,7 @@ class TestRestartProtocol:
 
         # The recovered stack finished the switch it slept through and
         # delivers post-recovery traffic: full convergence on the order.
-        status = system.stack(3).query(WellKnown.R_ABCAST, "status")
+        status = stacks[3].query(WellKnown.R_ABCAST, "status")
         assert status["seq_number"] == 1
         post = {
             key
@@ -101,8 +101,8 @@ class TestRestartProtocol:
     def test_rejoin_repeats_across_churn_incarnations(self):
         spec = get_scenario("churn-with-rejoin")
         gcs = self._run(spec)
-        machine = gcs.system.machine(3)
-        gm3 = gcs.system.stack(3).bound_module(WellKnown.GM)
+        machine = gcs.backend.nodes[3]
+        gm3 = gcs.backend.stacks[3].bound_module(WellKnown.GM)
         assert machine.epoch == 2  # two outages, two incarnations
         assert gm3.rejoined_epoch == 2  # the *current* incarnation rejoined
         epochs = sorted(e for r, e, _t in gm3.rejoin_log if r == 3)

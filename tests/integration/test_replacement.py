@@ -36,9 +36,9 @@ def run_with_switches(switches, n=4, seed=7, duration=6.0, load=60.0, **spec_kwa
 
 
 def assert_all_properties(gcs):
-    alive = [s for s in range(gcs.spec.n) if not gcs.system.machine(s).crashed]
-    assert_abcast_properties(gcs.log, gcs.system.trace.crashes(), alive)
-    assert_weak_stack_well_formedness(gcs.system.trace)
+    alive = [s for s in range(gcs.spec.n) if not gcs.backend.nodes[s].crashed]
+    assert_abcast_properties(gcs.log, gcs.backend.trace.crashes(), alive)
+    assert_weak_stack_well_formedness(gcs.backend.trace)
 
 
 class TestPaperExperiment:
@@ -65,7 +65,7 @@ class TestPaperExperiment:
     def test_old_module_remains_in_stack_unbound(self):
         """Unbinding does not remove (paper, Section 2)."""
         gcs = run_with_switches([(3.0, PROTOCOL_CT)])
-        stack0 = gcs.system.stack(0)
+        stack0 = gcs.backend.stacks[0]
         ct_modules = stack0.modules_providing(WellKnown.ABCAST)
         assert len(ct_modules) == 2  # old incarnation + new incarnation
         bound = stack0.bound_module(WellKnown.ABCAST)
@@ -75,11 +75,11 @@ class TestPaperExperiment:
         """The paper's claim against Maestro: app calls (to r-abcast)
         are never buffered/blocked by Algorithm 1."""
         gcs = run_with_switches([(3.0, PROTOCOL_CT)])
-        for stack in gcs.system.stacks:
+        for stack in gcs.backend.stacks:
             assert stack.blocked_call_count(WellKnown.R_ABCAST) == 0
         # Blocking exists only *below* the indirection (abcast service,
         # during the unbind->bind gap) and is bounded by creation cost:
-        total_blocked = sum(s.blocked_time_total for s in gcs.system.stacks)
+        total_blocked = sum(s.blocked_time_total for s in gcs.backend.stacks)
         assert total_blocked <= gcs.spec.n * gcs.spec.creation_cost * 3
 
 
@@ -114,7 +114,7 @@ class TestOperationability:
         gcs = run_with_switches([(3.0, PROTOCOL_SEQ)])
         stacks = list(range(gcs.spec.n))
         assert check_weak_protocol_operationability(
-            gcs.system.trace, PROTOCOL_SEQ, stacks
+            gcs.backend.trace, PROTOCOL_SEQ, stacks
         ) == []
 
 
@@ -171,13 +171,13 @@ class TestGmAcrossSwitch:
         gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=3.0)
         # A membership operation right in the middle of the switch:
         gm0 = next(
-            m for m in gcs.system.stack(0).modules.values() if m.protocol == "gm"
+            m for m in gcs.backend.stacks[0].modules.values() if m.protocol == "gm"
         )
-        gcs.system.sim.schedule_at(3.01, gm0.call, (WellKnown.GM, "propose_expel", 3))
+        gcs.backend.sim.schedule_at(3.01, gm0.call, (WellKnown.GM, "propose_expel", 3))
         gcs.run(until=6.0)
         gcs.run_to_quiescence()
         views = []
-        for stack in gcs.system.stacks[:3]:
+        for stack in gcs.backend.stacks[:3]:
             gm = next(m for m in stack.modules.values() if m.protocol == "gm")
             views.append(gm.view_history)
         # Identical view sequences on every stack, and the expel applied:

@@ -35,12 +35,12 @@ class TestRetirement:
         gcs.manager.request_change(PROTOCOL_CT, from_stack=0, at=3.0)
         gcs.run(until=3.5)
         # Old incarnation still present right after the switch...
-        assert len(gcs.system.stack(0).modules_providing(WellKnown.ABCAST)) == 2
+        assert len(gcs.backend.stacks[0].modules_providing(WellKnown.ABCAST)) == 2
         gcs.run(until=8.0)
         gcs.run_to_quiescence()
         # ...and reclaimed after the retirement delay.
         for s in range(4):
-            assert len(gcs.system.stack(s).modules_providing(WellKnown.ABCAST)) == 1
+            assert len(gcs.backend.stacks[s].modules_providing(WellKnown.ABCAST)) == 1
             assert gcs.manager.module(s).counters.get("retired_modules") == 1
 
     def test_correctness_unaffected_by_retirement(self):
@@ -58,7 +58,7 @@ class TestRetirement:
         gcs.run(until=10.0)
         gcs.run_to_quiescence()
         for s in range(4):
-            bound = gcs.system.stack(s).bound_module(WellKnown.ABCAST)
+            bound = gcs.backend.stacks[s].bound_module(WellKnown.ABCAST)
             assert bound is not None
             assert not bound.stopped
 
@@ -104,7 +104,7 @@ class TestRetireBeforeBound:
         gcs.run_to_quiescence()
         for s in range(4):
             module = gcs.manager.module(s)
-            assert len(gcs.system.stack(s).modules_providing(WellKnown.ABCAST)) == 1
+            assert len(gcs.backend.stacks[s].modules_providing(WellKnown.ABCAST)) == 1
             assert module.counters.get("retired_modules") == 1
             (task,) = module.switch_chain
             assert task.state == "retired"

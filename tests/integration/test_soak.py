@@ -44,7 +44,7 @@ def test_soak_switches_retirement_membership_and_crash():
         gcs.manager.request_change(prot, from_stack=int(at) % n, at=at)
 
     crash_stack, crash_at = 4, 20.0
-    gcs.system.crash_at(crash_stack, crash_at)
+    gcs.backend.nodes[crash_stack].crash_at(crash_at)
 
     gcs.run(until=duration)
     gcs.run_to_quiescence(extra=10.0)
@@ -59,11 +59,11 @@ def test_soak_switches_retirement_membership_and_crash():
     # 2. Retirement kept the stack bounded: at most the active module
     #    plus the not-yet-retired previous one.
     for s in alive:
-        assert len(gcs.system.stack(s).modules_providing(WellKnown.ABCAST)) <= 2
+        assert len(gcs.backend.stacks[s].modules_providing(WellKnown.ABCAST)) <= 2
 
     # 3. Membership expelled the crashed machine, identically everywhere.
     gms = [
-        next(m for m in gcs.system.stack(s).modules.values() if m.protocol == "gm")
+        next(m for m in gcs.backend.stacks[s].modules.values() if m.protocol == "gm")
         for s in alive
     ]
     assert all(gm.members == frozenset(alive) for gm in gms)
@@ -76,7 +76,7 @@ def test_soak_switches_retirement_membership_and_crash():
     assert_abcast_properties(
         gcs.log, {crash_stack: crash_at}, list(range(n)), in_flight_ok=in_flight
     )
-    assert_weak_stack_well_formedness(gcs.system.trace)
+    assert_weak_stack_well_formedness(gcs.backend.trace)
 
     # 5. Sanity on volume: ~24s at 60 msg/s minus the crashed stack's tail.
     assert len(gcs.log.sends) > 1000

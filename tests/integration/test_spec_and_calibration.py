@@ -53,7 +53,7 @@ EVERY_FIELD = ScenarioSpec(
 
 
 def modules(gcs, service):
-    return [stack.bound_module(service) for stack in gcs.system.stacks]
+    return [stack.bound_module(service) for stack in gcs.backend.stacks]
 
 
 class TestTheSpecSaysWhatRuns:
@@ -67,7 +67,7 @@ class TestTheSpecSaysWhatRuns:
         gcs = build_group_comm_system(EVERY_FIELD, seed=3, trace="off")
         assert gcs.spec is EVERY_FIELD and gcs.seed == 3
         # n
-        assert len(gcs.system.stacks) == 4 and gcs.backend.n == 4
+        assert len(gcs.backend.stacks) == 4 and gcs.backend.n == 4
         # workload: aggregate rate split evenly, payload, jitter, burst
         assert len(gcs.generators) == 4
         for generator in gcs.generators:
@@ -77,7 +77,7 @@ class TestTheSpecSaysWhatRuns:
             assert generator.burst == 3
             assert generator.stop_at == 2.0
         # LAN floors, corruption and checksum
-        links = gcs.network.links
+        links = gcs.backend.transport.links
         assert (links.loss_rate, links.duplicate_rate) == (0.02, 0.01)
         assert (links.corrupt_rate, links.checksum) == (0.005, False)
         # initial protocol: the sequencer needs no consensus module
@@ -121,8 +121,8 @@ class TestTheBackendBringsItsCalibration:
         backend = SimBackend(n=3, seed=1, calibration=calibration)
         gcs = build_group_comm_system(spec, 1, backend)
         assert gcs.backend.calibration is calibration
-        assert gcs.network.lan.bandwidth_bps == calibration.bandwidth_bps
-        for stack in gcs.system.stacks:
+        assert gcs.backend.transport.lan.bandwidth_bps == calibration.bandwidth_bps
+        for stack in gcs.backend.stacks:
             assert (stack.call_cost, stack.response_cost) == (
                 calibration.call_cost, calibration.response_cost
             )
@@ -140,7 +140,11 @@ class TestTheBackendBringsItsCalibration:
 
     def test_each_backend_carries_one(self):
         assert SimBackend(n=1).calibration is SIM_CALIBRATION
-        assert RealtimeBackend.calibration is REALTIME_CALIBRATION
+        backend = RealtimeBackend(n=1)
+        try:
+            assert backend.calibration is REALTIME_CALIBRATION
+        finally:
+            backend.stop()
 
     def test_the_two_values(self):
         sim = {

@@ -65,7 +65,7 @@ def test_properties_hold_across_random_replacements(scenario):
 
     results = check_all_abcast_properties(gcs.log, {}, list(range(n)))
     assert all(not v for v in results.values()), results
-    assert_weak_stack_well_formedness(gcs.system.trace)
+    assert_weak_stack_well_formedness(gcs.backend.trace)
     # every stack ends on the protocol of the last applied switch
     final = {gcs.manager.module(s).current_protocol for s in range(n)}
     assert len(final) == 1
@@ -90,7 +90,7 @@ def test_properties_hold_with_a_crash_near_the_switch(scenario):
     spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=40.0, duration=duration)
     gcs = build_group_comm_system(spec, seed)
     gcs.manager.request_change(prot, from_stack=0, at=switch_at)
-    gcs.system.crash_at(crash_stack, crash_at)
+    gcs.backend.nodes[crash_stack].crash_at(crash_at)
     gcs.run(until=duration)
     gcs.run_to_quiescence(extra=10.0)
 

@@ -38,12 +38,12 @@ def backend():
 
 def _sink(backend, machine_id):
     got = []
-    backend.network.attach(machine_id, lambda m, at: got.append(m.payload))
+    backend.transport.attach(machine_id, lambda m, at: got.append(m.payload))
     return got
 
 
 def _injector(backend):
-    return FaultInjector(backend.sim, backend.nodes, network=backend.network, name="chaos")
+    return FaultInjector(backend.sim, backend.nodes, network=backend.transport, name="chaos")
 
 
 def _kinds(injector):
@@ -55,7 +55,7 @@ def _run(backend, seconds):
 
 
 def _send(backend, src, dst, payload):
-    backend.network.send(
+    backend.transport.send(
         NetMessage(src=src, dst=dst, payload=payload, size_bytes=32)
     )
 
@@ -65,7 +65,7 @@ def _send(backend, src, dst, payload):
 # --------------------------------------------------------------------- #
 def test_garbage_datagram_on_live_socket_is_counted_not_raised(backend):
     got = _sink(backend, 0)
-    address = backend.network.addresses[0]
+    address = backend.transport.addresses[0]
     probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         probe.sendto(b"", address)                      # empty
@@ -74,14 +74,14 @@ def test_garbage_datagram_on_live_socket_is_counted_not_raised(backend):
     finally:
         probe.close()
     _run(backend, 5 * TICK)
-    stats = backend.network.stats()
+    stats = backend.transport.stats()
     assert stats["malformed"] == 3
     assert got == []
     # The loop survived: a well-formed datagram still delivers.
     _send(backend, 1, 0, "still-alive")
     _run(backend, 5 * TICK)
     assert got == ["still-alive"]
-    assert backend.network.stats()["malformed"] == 3
+    assert backend.transport.stats()["malformed"] == 3
 
 
 def test_valid_codec_datagram_from_foreign_socket_delivers(backend):
@@ -92,7 +92,7 @@ def test_valid_codec_datagram_from_foreign_socket_delivers(backend):
     try:
         probe.sendto(
             encode_datagram(0, 2, ("external", 1), 16),
-            backend.network.addresses[2],
+            backend.transport.addresses[2],
         )
     finally:
         probe.close()
@@ -113,20 +113,20 @@ def test_misaddressed_datagram_from_foreign_socket_is_dropped(backend):
     # Addressed to rank 1 in the header, landed on rank 2's socket: it
     # is neither rank 2's to deliver nor rerouted to rank 1.
     got = {rank: _sink(backend, rank) for rank in (1, 2)}
-    _send_raw(backend.network.addresses[2],
+    _send_raw(backend.transport.addresses[2],
               encode_datagram(0, 1, ("misaddressed", 1), 16))
     _run(backend, 5 * TICK)
     assert got == {1: [], 2: []}
-    assert backend.network.stats()["malformed"] == 1
+    assert backend.transport.stats()["malformed"] == 1
 
 
 def test_unhashable_set_member_on_live_socket_is_counted_not_raised(backend):
     got = _sink(backend, 0)
     crafted = (HEADER.pack(MAGIC, WIRE_VERSION, 0, 1, 0, 16)
                + b"e" + struct.pack("!I", 1) + encode_value([1]))
-    _send_raw(backend.network.addresses[0], crafted)
+    _send_raw(backend.transport.addresses[0], crafted)
     _run(backend, 5 * TICK)
-    assert backend.network.stats()["malformed"] == 1
+    assert backend.transport.stats()["malformed"] == 1
     assert got == []
     _send(backend, 1, 0, "still-alive")
     _run(backend, 5 * TICK)
@@ -152,7 +152,7 @@ def _count_turns(backend):
 
 def _sink_by_turn(backend, machine_id, turns):
     got = []
-    backend.network.attach(machine_id, lambda m, at: got.append((turns[0], m.payload)))
+    backend.transport.attach(machine_id, lambda m, at: got.append((turns[0], m.payload)))
     return got
 
 
@@ -160,7 +160,7 @@ def test_frames_queued_before_the_loop_spins_are_read_in_one_turn(backend):
     turns = _count_turns(backend)
     got = _sink_by_turn(backend, 1, turns)
     frames = [encode_datagram(0, 1, ("burst", i), 16) for i in range(20)]
-    _send_raw(backend.network.addresses[1], *frames)
+    _send_raw(backend.transport.addresses[1], *frames)
     _run(backend, 2 * TICK)
     assert [payload for _, payload in got] == [("burst", i) for i in range(20)]
     assert len({turn for turn, _ in got}) == 1
@@ -170,7 +170,7 @@ def test_a_flood_is_read_at_most_one_budget_per_turn(backend, monkeypatch):
     monkeypatch.setattr(realtime, "TURN_BUDGET", 4)
     turns = _count_turns(backend)
     got = _sink_by_turn(backend, 1, turns)
-    _send_raw(backend.network.addresses[1],
+    _send_raw(backend.transport.addresses[1],
               *[encode_datagram(0, 1, i, 16) for i in range(10)])
     _run(backend, 2 * TICK)
     assert [payload for _, payload in got] == list(range(10))  # all, in order
@@ -219,17 +219,17 @@ class _RefusingSocket:
 
 def test_refused_recv_is_counted_and_reading_continues(backend):
     got = _sink(backend, 0)
-    assert "socket_errors" not in backend.network.stats()  # clean shape
+    assert "socket_errors" not in backend.transport.stats()  # clean shape
     refusing = _RefusingSocket([encode_datagram(1, 0, "after-refusal", 16)])
-    backend.network._read(0, refusing)
-    assert backend.network.stats()["socket_errors"] == 1
+    backend.transport._read(0, refusing)
+    assert backend.transport.stats()["socket_errors"] == 1
     assert got == ["after-refusal"]
 
 
 def test_refused_sendto_is_counted_not_sent(backend, monkeypatch):
-    monkeypatch.setitem(backend.network._sockets, 0, _RefusingSocket())
+    monkeypatch.setitem(backend.transport._sockets, 0, _RefusingSocket())
     _send(backend, 0, 1, "refused")
-    stats = backend.network.stats()
+    stats = backend.transport.stats()
     assert stats["socket_errors"] == 1 and stats["sent"] == 0
 
 
@@ -237,11 +237,11 @@ def test_close_unregisters_readers_and_a_later_delayed_copy_is_counted(backend):
     got = _sink(backend, 1)
     _injector(backend).latency_spike(2 * TICK, duration=10 * TICK)
     _send(backend, 0, 1, "late")
-    fds = [sock.fileno() for sock in backend.network._sockets.values()]
-    backend.network.close()  # the copy is still waiting for its delay
+    fds = [sock.fileno() for sock in backend.transport._sockets.values()]
+    backend.transport.close()  # the copy is still waiting for its delay
     assert not any(backend.sim._loop.remove_reader(fd) for fd in fds)
     _run(backend, 5 * TICK)
-    stats = backend.network.stats()
+    stats = backend.transport.stats()
     assert stats["delayed"] == 1 and stats["sent"] == 0
     assert stats["socket_errors"] == 1
     assert got == []
@@ -274,7 +274,7 @@ def test_injector_partition_blocks_and_heal_restores(backend):
     _send(backend, 0, 1, "healed")
     _run(backend, 5 * TICK)
     assert got1 == ["healed"]
-    assert backend.network.stats()["dropped_partition"] == 2
+    assert backend.transport.stats()["dropped_partition"] == 2
 
 
 def test_injector_oneway_partition_blocks_one_direction(backend):
@@ -295,7 +295,7 @@ def test_injector_impair_link_full_loss_and_clear(backend):
     _send(backend, 0, 1, "lost")
     _run(backend, 5 * TICK)
     assert got1 == []
-    assert backend.network.stats()["dropped_loss"] == 1
+    assert backend.transport.stats()["dropped_loss"] == 1
     injector.clear_links()
     _send(backend, 0, 1, "through")
     _run(backend, 5 * TICK)
@@ -308,14 +308,14 @@ def test_injector_latency_spike_delays_then_reverts(backend):
     injector = _injector(backend)
     got1 = _sink(backend, 1)
     injector.latency_spike(10 * TICK, duration=20 * TICK)
-    assert backend.network.links.extra_latency == pytest.approx(10 * TICK)
+    assert backend.transport.links.extra_latency == pytest.approx(10 * TICK)
     _send(backend, 0, 1, "delayed")
     _run(backend, 3 * TICK)
     assert got1 == []  # still in the delay window
     _run(backend, 30 * TICK)
     assert got1 == ["delayed"]
-    assert backend.network.links.extra_latency == 0.0  # spike reverted itself
-    assert backend.network.stats()["delayed"] == 1
+    assert backend.transport.links.extra_latency == 0.0  # spike reverted itself
+    assert backend.transport.stats()["delayed"] == 1
 
 
 def test_scenario_fault_plan_schedules_against_realtime(backend):
@@ -336,7 +336,7 @@ def test_scenario_fault_plan_schedules_against_realtime(backend):
     assert counters["impair-link"] == 1 and counters["clear-link"] == 1
     assert counters["latency-spike"] == 2  # begin + auto-revert
     assert not backend.nodes[2].crashed
-    assert backend.network.links.extra_latency == 0.0
+    assert backend.transport.links.extra_latency == 0.0
     # The record log is JSON-able for the health endpoint.
     dicts = [record.to_dict() for record in injector.records]
     assert all(set(d) == {"time", "kind", "detail"} for d in dicts)

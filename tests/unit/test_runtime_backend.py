@@ -12,6 +12,7 @@ CI-fast while leaving generous jitter margins.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.errors import (
 )
 from repro.experiments.common import (
     PROTOCOL_SEQ,
+    GroupCommSystem,
     build_group_comm_system,
 )
 from repro.kernel.module import Module
@@ -41,6 +43,7 @@ from repro.runtime import (
     SimBackend,
     Transport,
 )
+from repro.runtime.api import Calibration
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.switchplan import SwitchAt, SwitchPlan
 from repro.sim import Machine, Simulator
@@ -73,11 +76,41 @@ def test_implements_the_api(backend):
         isinstance(backend, Backend),
         isinstance(backend.sim, Scheduler),
         isinstance(backend.nodes[0], NodeBackend),
-        isinstance(backend.network, Transport),
+        isinstance(backend.transport, Transport),
     ]
     assert all(isinstance_checks)
     assert backend.n == 2
-    assert backend.machine(0) is backend.nodes[0]
+    assert backend.stacks[0].machine is backend.nodes[0]
+
+
+# --------------------------------------------------------------------- #
+# One run surface: the backend is how every harness reaches a built run
+# --------------------------------------------------------------------- #
+RUN_SURFACE = ("sim", "nodes", "transport", "stacks", "registry", "trace", "calibration")
+
+
+def test_backend_declares_the_one_run_surface():
+    assert tuple(Backend.__annotations__) == RUN_SURFACE
+    assert Backend.__abstractmethods__ == {"n", "start", "run", "stop"}
+
+
+def test_both_twins_expose_the_one_run_surface(backend):
+    for name in RUN_SURFACE + ("n",):
+        assert hasattr(backend, name), name
+    for retired in ("system", "network", "machine", "cancel"):
+        assert not hasattr(backend, retired), retired
+    assert isinstance(backend.calibration, Calibration)
+    assert len(backend.nodes) == len(backend.stacks) == backend.n
+    for rank, stack in enumerate(backend.stacks):
+        assert stack.machine is backend.nodes[rank]
+        assert stack.trace is backend.trace
+
+
+def test_a_built_run_holds_only_its_backend():
+    names = {field.name for field in dataclasses.fields(GroupCommSystem)}
+    assert "backend" in names
+    assert not names & {"system", "network"}
+    assert not hasattr(GroupCommSystem, "stacks")
 
 
 # --------------------------------------------------------------------- #
@@ -254,14 +287,14 @@ def test_schedule_at_rejects_a_nan_instant(backend):
 def test_one_nodes_work_runs_in_execute_order_loopback_included(backend):
     order = []
     node = backend.nodes[0]
-    backend.network.attach(0, lambda message, at: order.append(message.payload))
+    backend.transport.attach(0, lambda message, at: order.append(message.payload))
 
     def first():
         order.append("a")
         node.execute(0.0, order.append, ("queued-by-a",))
 
     node.execute(0.0, first)
-    backend.network.send_local(NetMessage(src=0, dst=0, payload="loopback", size_bytes=16))
+    backend.transport.send_local(NetMessage(src=0, dst=0, payload="loopback", size_bytes=16))
     node.execute(0.0, order.append, ("b",))
     run_ticks(backend, 1)
     assert order == ["a", "loopback", "b", "queued-by-a"]
@@ -333,7 +366,7 @@ def _raise(error):
 
 def _attach_sink(backend, machine_id):
     got = []
-    backend.network.attach(
+    backend.transport.attach(
         machine_id, lambda message, at: got.append(message.payload)
     )
     return got
@@ -341,7 +374,7 @@ def _attach_sink(backend, machine_id):
 
 def test_datagram_delivery(backend):
     got = _attach_sink(backend, 1)
-    backend.network.send(NetMessage(src=0, dst=1, payload=("hello", 42), size_bytes=64))
+    backend.transport.send(NetMessage(src=0, dst=1, payload=("hello", 42), size_bytes=64))
     run_ticks(backend, 2)
     assert got == [("hello", 42)]
 
@@ -349,7 +382,7 @@ def test_datagram_delivery(backend):
 def test_datagram_dropped_when_sender_crashed(backend):
     got = _attach_sink(backend, 1)
     backend.nodes[0].crash()
-    backend.network.send(NetMessage(src=0, dst=1, payload="x", size_bytes=64))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="x", size_bytes=64))
     run_ticks(backend, 2)
     assert got == []
 
@@ -357,18 +390,18 @@ def test_datagram_dropped_when_sender_crashed(backend):
 def test_datagram_dropped_when_receiver_crashed(backend):
     got = _attach_sink(backend, 1)
     backend.nodes[1].crash()
-    backend.network.send(NetMessage(src=0, dst=1, payload="x", size_bytes=64))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="x", size_bytes=64))
     run_ticks(backend, 2)
     assert got == []
     # After recovery, fresh datagrams flow again (crash-stop, not drop-forever).
     backend.nodes[1].recover()
-    backend.network.send(NetMessage(src=0, dst=1, payload="y", size_bytes=64))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="y", size_bytes=64))
     run_ticks(backend, 2)
     assert got == ["y"]
 
 
 def test_attach_rejects_unknown_node_and_second_hook(backend):
-    network = backend.network
+    network = backend.transport
     with pytest.raises(UnknownDestinationError):
         network.attach(99, lambda message, at: None)
     network.attach(0, lambda message, at: None)
@@ -380,7 +413,7 @@ def test_attach_rejects_unknown_node_and_second_hook(backend):
 
 def test_send_local_loopback(backend):
     got = _attach_sink(backend, 0)
-    backend.network.send_local(NetMessage(src=0, dst=0, payload="self", size_bytes=16))
+    backend.transport.send_local(NetMessage(src=0, dst=0, payload="self", size_bytes=16))
     run_ticks(backend, 1)
     assert got == ["self"]
 
@@ -422,7 +455,7 @@ def test_scheduler_clock_and_counters(backend):
 # --------------------------------------------------------------------- #
 def make_injector(backend):
     """The one injector, on either twin: it mutates ``network.links``."""
-    return FaultInjector(backend.sim, backend.nodes, network=backend.network)
+    return FaultInjector(backend.sim, backend.nodes, network=backend.transport)
 
 
 def test_injector_crash_suppresses_timers_and_recover_rearms(backend):
@@ -444,12 +477,12 @@ def test_injector_partition_blocks_both_directions(backend):
     injector = make_injector(backend)
     got0, got1 = _attach_sink(backend, 0), _attach_sink(backend, 1)
     injector.partition([0], [1])
-    backend.network.send(NetMessage(src=0, dst=1, payload="a", size_bytes=32))
-    backend.network.send(NetMessage(src=1, dst=0, payload="b", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="a", size_bytes=32))
+    backend.transport.send(NetMessage(src=1, dst=0, payload="b", size_bytes=32))
     run_ticks(backend, 3)
     assert got0 == [] and got1 == []
     injector.heal()
-    backend.network.send(NetMessage(src=0, dst=1, payload="healed", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="healed", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == ["healed"]  # heal restores delivery
 
@@ -458,12 +491,12 @@ def test_injector_oneway_partition_blocks_exactly_one_direction(backend):
     injector = make_injector(backend)
     got0, got1 = _attach_sink(backend, 0), _attach_sink(backend, 1)
     injector.partition_oneway([0], [1])
-    backend.network.send(NetMessage(src=0, dst=1, payload="blocked", size_bytes=32))
-    backend.network.send(NetMessage(src=1, dst=0, payload="flows", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="blocked", size_bytes=32))
+    backend.transport.send(NetMessage(src=1, dst=0, payload="flows", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == [] and got0 == ["flows"]
-    assert backend.network.links.is_partitioned(0, 1)
-    assert not backend.network.links.is_partitioned(1, 0)
+    assert backend.transport.links.is_partitioned(0, 1)
+    assert not backend.transport.links.is_partitioned(1, 0)
     injector.heal()
 
 
@@ -471,12 +504,12 @@ def test_injector_full_loss_link_drops_until_cleared(backend):
     injector = make_injector(backend)
     got1 = _attach_sink(backend, 1)
     injector.impair_link(0, 1, loss_rate=1.0)
-    backend.network.send(NetMessage(src=0, dst=1, payload="lost", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="lost", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == []
-    assert backend.network.stats()["dropped_loss"] == 1
+    assert backend.transport.stats()["dropped_loss"] == 1
     injector.clear_links()
-    backend.network.send(NetMessage(src=0, dst=1, payload="kept", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="kept", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == ["kept"]
 
@@ -485,10 +518,10 @@ def test_injector_corrupt_link_drops_the_frame_on_both_twins(backend):
     injector = make_injector(backend)
     got1 = _attach_sink(backend, 1)
     injector.impair_link(0, 1, corrupt_rate=1.0)
-    backend.network.send(NetMessage(src=0, dst=1, payload="garbled", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="garbled", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == []
-    stats = backend.network.stats()
+    stats = backend.transport.stats()
     assert stats["corrupted"] == 1
     if isinstance(backend, RealtimeBackend):
         # Sent with a mangled magic; the receiver's codec drops it.
@@ -497,7 +530,7 @@ def test_injector_corrupt_link_drops_the_frame_on_both_twins(backend):
         # The receiver NIC's checksum drops it (the sim default).
         assert stats["corrupted_dropped"] == 1
     injector.clear_links()
-    backend.network.send(NetMessage(src=0, dst=1, payload="clean", size_bytes=32))
+    backend.transport.send(NetMessage(src=0, dst=1, payload="clean", size_bytes=32))
     run_ticks(backend, 3)
     assert got1 == ["clean"]
 

@@ -1,8 +1,11 @@
 """A spec the engine cannot run is refused when it is made.
 
 A zero or negative drain step never advances the backend clock, so the
-drain would loop forever; a zero load rate has no send period.  Both
-raise a named :class:`~repro.errors.ScenarioError` at construction, so
+drain would loop forever; a zero load rate has no send period; a
+negative or NaN drain budget skips the drain silently; a negative,
+infinite or NaN creation cost runs a switch with no meaningful delay;
+a corruption rate outside [0, 1) garbles every datagram or none.  Each
+raises a named :class:`~repro.errors.ScenarioError` at construction, so
 deserialised specs (the CLI's ``--spec``, fuzz reproducers) get the
 check too, and the drain itself refuses a step that never advances.
 """
@@ -27,7 +30,37 @@ class TestASpecTheEngineCannotRunIsRefused:
         with pytest.raises(ScenarioError, match="load_msgs_per_sec must be > 0"):
             ScenarioSpec(name="bad-rate", load_msgs_per_sec=rate)
 
-    @pytest.mark.parametrize("field, value", [("quiescence_step", 0.0), ("load_msgs_per_sec", 0.0)])
+    @pytest.mark.parametrize("extra", [-1.0, math.inf, math.nan])
+    def test_quiescence_extra(self, extra):
+        with pytest.raises(ScenarioError, match=r"quiescence_extra must be finite and >= 0"):
+            ScenarioSpec(name="bad-extra", quiescence_extra=extra)
+
+    @pytest.mark.parametrize("cost", [-0.01, math.inf, math.nan])
+    def test_creation_cost(self, cost):
+        with pytest.raises(ScenarioError, match=r"creation_cost must be finite and >= 0"):
+            ScenarioSpec(name="bad-cost", creation_cost=cost)
+
+    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, math.nan])
+    def test_corrupt_rate(self, rate):
+        with pytest.raises(ScenarioError, match=r"corrupt_rate must be in \[0, 1\)"):
+            ScenarioSpec(name="bad-corruption", corrupt_rate=rate)
+
+    def test_the_edges_are_accepted(self):
+        spec = ScenarioSpec(
+            name="edges", quiescence_extra=0.0, creation_cost=0.0, corrupt_rate=0.999
+        )
+        assert (spec.quiescence_extra, spec.creation_cost, spec.corrupt_rate) == (0.0, 0.0, 0.999)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quiescence_step", 0.0),
+            ("load_msgs_per_sec", 0.0),
+            ("quiescence_extra", -1.0),
+            ("creation_cost", -0.01),
+            ("corrupt_rate", 1.5),
+        ],
+    )
     def test_a_deserialised_spec_is_checked_too(self, field, value):
         data = spec_to_dict(ScenarioSpec(name="from-json"))
         data[field] = value

@@ -25,7 +25,7 @@ def build(n=3, seed=3, load=60.0, stop=3.0):
     spec = replace(PAPER_SPEC, n=n, load_msgs_per_sec=load, duration=stop)
     gcs = build_group_comm_system(spec, seed)
     injector = FaultInjector(
-        gcs.system.sim, gcs.system.machines, network=gcs.network, name="t"
+        gcs.backend.sim, gcs.backend.nodes, network=gcs.backend.transport, name="t"
     )
     return gcs, injector
 
@@ -107,7 +107,7 @@ class TestPlanValidation:
     def test_plan_requires_manager(self):
         spec = replace(PAPER_SPEC, n=3, duration=1.0)
         gcs = build_group_comm_system(spec, seed=1, with_repl_layer=False)
-        inj = FaultInjector(gcs.system.sim, gcs.system.machines)
+        inj = FaultInjector(gcs.backend.sim, gcs.backend.nodes)
         plan = SwitchPlan([SwitchAt(protocol=PROTOCOL_CT, at=1.0)])
         with pytest.raises(ScenarioError):
             plan.arm(gcs, inj)
@@ -115,7 +115,7 @@ class TestPlanValidation:
     def test_empty_plan_is_fine_without_manager(self):
         spec = replace(PAPER_SPEC, n=3, duration=1.0)
         gcs = build_group_comm_system(spec, seed=1, with_repl_layer=False)
-        inj = FaultInjector(gcs.system.sim, gcs.system.machines)
+        inj = FaultInjector(gcs.backend.sim, gcs.backend.nodes)
         SwitchPlan([]).arm(gcs, inj)  # no-op
 
 
@@ -241,7 +241,7 @@ class TestClosedPhaseFullOutage:
             lambda version, prot, at: closed.append(version)
         )
         gcs.run(until=1.505)  # the switch is in flight, window open
-        for m in gcs.system.machines:
+        for m in gcs.backend.nodes:
             m.crash()
         assert closed == []  # vacuous closure suppressed
 
@@ -252,8 +252,8 @@ class TestSwitchIfStalled:
         # is provably still open, so the stall escape must fire.
         spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=60.0, duration=3.0, creation_cost=0.5)
         gcs = build_group_comm_system(spec, seed=3)
-        inj = FaultInjector(gcs.system.sim, gcs.system.machines,
-                            network=gcs.network, name="t")
+        inj = FaultInjector(gcs.backend.sim, gcs.backend.nodes,
+                            network=gcs.backend.transport, name="t")
         plan = SwitchPlan([
             SwitchAt(protocol=PROTOCOL_CT, at=1.0),
             SwitchIfStalled(protocol=PROTOCOL_CT, version=1, timeout=0.1),

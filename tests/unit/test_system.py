@@ -105,7 +105,7 @@ class TestIdentityAttributes:
 
     def test_group_comm_system(self):
         gcs = build_group_comm_system(replace(PAPER_SPEC, n=3, with_gm=True), seed=0)
-        _assert_identities(gcs.stacks())
+        _assert_identities(gcs.backend.stacks)
 
     def test_realtime_soak_system(self):
         config = SoakConfig(nodes=3, duration=0.5, health_port=None)
