@@ -236,11 +236,10 @@ def bench_kernel_dispatch(sim_seconds: Optional[float] = None) -> Dict[str, floa
 def bench_query_path(n_queries: Optional[int] = None) -> Dict[str, float]:
     """Kernel queries/sec: the ``(service, query)`` resolution hot path.
 
-    Consensus rounds ask the FD for suspects on every round, so the
-    synchronous query path is a measurable share of a full-stack run;
-    PR 5 gave it the same cached resolution calls got in PR 4 (bare
-    resolution loop on the 1-CPU container: 3.18M → 4.57M queries/sec,
-    1.43×).
+    Consensus rounds ask the FD for suspects on every round.  A
+    resolution cache made this loop 1.43× faster but showed no
+    end-to-end gain on ``sim-steady`` or ``sim-faulted-chain``, so
+    queries resolve through the tables on every call.
     """
     from bench_kernel import run_query_loop
 

@@ -82,8 +82,8 @@ def run_query_loop(n_queries=None):
 
     The shape consensus rounds hammer (``is_suspected`` asking the FD for
     its suspect list on every round): a zero-cost read through the
-    binding table, now served from the stack's ``(service, query)``
-    cache.  ``bench_core.py`` records this as the ``query_path`` metric.
+    binding and handler tables.  ``bench_core.py`` records this as the
+    ``query_path`` metric.
     """
     if n_queries is None:
         n_queries = N_QUERIES

@@ -13,6 +13,11 @@
 4. ddmin-shrink each reproducing violator (serially, in index order)
    and embed the minimal spec as replayable serde JSON.
 
+Steps 3 and 4 share one predicate, which remembers the verdict of every
+spec it judged: the shrink reuses the replay's verdict and the guarded
+twin's, and a candidate ddmin or the fixpoint loop revisits never runs
+twice.
+
 The resulting :class:`FuzzReport` serialises to byte-identical JSON for
 identical ``(config, trace)`` inputs — the fuzz analogue of the campaign
 goldens, pinned across reruns and ``--jobs`` values by the integration

@@ -24,7 +24,7 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, Dict, List, Sequence, TypeVar
 
 from ..errors import ReproError
 from ..scenarios.spec import (
@@ -127,15 +127,24 @@ def violation_predicate(
 
     Candidate specs that cannot even run (schedule validation or
     simulation errors) return False — a shrink step must preserve the
-    *violation*, not merely some failure.
+    *violation*, not merely some failure.  Runs are deterministic and
+    specs frozen, so each distinct spec runs once: the predicate
+    remembers every verdict it gave (ddmin and the fixpoint loop revisit
+    the same candidates, and a guard-sensitivity check asks twice).
     """
     from ..scenarios.engine import run_scenario  # late: avoid import cycle
 
+    verdicts: Dict[ScenarioSpec, bool] = {}
+
     def predicate(spec: ScenarioSpec) -> bool:
-        try:
-            return not run_scenario(spec, seed=seed, trace=trace).ok
-        except ReproError:
-            return False
+        verdict = verdicts.get(spec)
+        if verdict is None:
+            try:
+                verdict = not run_scenario(spec, seed=seed, trace=trace).ok
+            except ReproError:
+                verdict = False
+            verdicts[spec] = verdict
+        return verdict
 
     return predicate
 

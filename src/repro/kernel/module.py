@@ -133,7 +133,6 @@ class Module:
                 f"{self.name}: cannot export query on {service!r}; provides {self.provides}"
             )
         self._query_handlers[(service, query)] = fn
-        self.stack._invalidate_query(service, query)
 
     def subscribe(self, service: str, event: str, fn: ResponseHandler) -> None:
         """Declare that this module consumes response *event* of *service*."""

@@ -29,9 +29,6 @@ through it), so the common case — bound service, no blocked-call backlog
 * the ``(service, method) -> (provider, handler)`` resolution is served
   from :attr:`_dispatch_cache`, one dict probe instead of binding-table +
   handler-table hops; any ``bind``/``unbind`` invalidates it;
-* queries get the same treatment: ``(service, query) -> handler`` is
-  served from :attr:`_query_cache` (consensus rounds hammer the FD's
-  ``suspects`` query), invalidated by ``bind``/``unbind``/re-export;
 * a single :attr:`_blocked_total` counter guards the backlog check — only
   while some service has queued calls (i.e. during a replacement window)
   does dispatch fall back to the per-service slow path;
@@ -132,7 +129,6 @@ class Stack:
         "_blocked_since",
         "_draining",
         "_dispatch_cache",
-        "_query_cache",
         "_response_cache",
         "_trace_call",
         "_trace_dispatch",
@@ -190,10 +186,6 @@ class Stack:
         self._draining: Dict[str, bool] = {}  # service -> drain task pending
         #: (service, method) -> (bound provider, handler): the call fast path.
         self._dispatch_cache: Dict[Tuple[str, str], Tuple[Module, Callable[..., None]]] = {}
-        #: (service, query) -> bound provider's handler: the query fast
-        #: path (no provider element — queries record no trace, so only
-        #: the handler is ever needed).
-        self._query_cache: Dict[Tuple[str, str], Callable[..., Any]] = {}
         #: (service, event) -> subscribed handlers: the response fast path.
         self._response_cache: Dict[Tuple[str, str], List[Callable[..., Any]]] = {}
         # Per-kind keep-filter flags, paired with a live `trace.enabled`
@@ -319,7 +311,6 @@ class Stack:
             )
         self.bindings.bind(service, module)
         self._dispatch_cache.clear()
-        self._query_cache.clear()
         self.trace.record(
             self._sim.now,
             TraceKind.BIND,
@@ -334,7 +325,6 @@ class Stack:
         """Unbind whatever module is bound to *service*."""
         module = self.bindings.unbind(service)
         self._dispatch_cache.clear()
-        self._query_cache.clear()
         self.trace.record(
             self._sim.now,
             TraceKind.UNBIND,
@@ -348,10 +338,6 @@ class Stack:
     def _invalidate_handler(self, service: str, method: str) -> None:
         """Drop one cached call resolution (a handler was re-exported)."""
         self._dispatch_cache.pop((service, method), None)
-
-    def _invalidate_query(self, service: str, query: str) -> None:
-        """Drop one cached query resolution (a handler was re-exported)."""
-        self._query_cache.pop((service, query), None)
 
     def _invalidate_subscribers(self, service: str, event: str) -> None:
         """Drop one cached response fan-out (a subscription was added)."""
@@ -567,16 +553,9 @@ class Stack:
         simulated time and cannot block, so querying an unbound service
         is a structural error.
 
-        Fast path: the ``(service, query)`` resolution is served from
-        :attr:`_query_cache` — one dict probe instead of binding-table +
-        handler-table hops; ``bind``/``unbind`` clear the cache and a
-        re-export invalidates its entry.  Consensus rounds ask the FD for
-        suspects on every round, which makes this a measurable share of a
-        full-stack run.
+        Each query resolves through the binding and handler tables; a
+        resolution cache measured no faster end to end, so there is none.
         """
-        cached = self._query_cache.get((service, query))
-        if cached is not None:
-            return cached(*args)
         provider = self.bindings.bound(service)
         if provider is None:
             raise UnknownServiceError(
@@ -588,7 +567,6 @@ class Stack:
                 f"stack {self.stack_id}: module {provider.name!r} has no query "
                 f"{query!r} on service {service!r}"
             )
-        self._query_cache[(service, query)] = handler
         return handler(*args)
 
     # ------------------------------------------------------------------ #

@@ -125,9 +125,9 @@ class System:
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
-    def run(self, until: Optional[Time] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[Time] = None) -> None:
         """Run the simulation (see :meth:`repro.sim.engine.Simulator.run`)."""
-        self.sim.run(until=until, max_events=max_events)
+        self.sim.run(until=until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<System n={self.n} t={self.sim.now:.6f}>"

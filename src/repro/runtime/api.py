@@ -126,13 +126,9 @@ class Scheduler(ABC):
 
     One abstract scheduling primitive — :meth:`schedule_at` — plus two
     concrete conveniences built on it (:meth:`schedule`,
-    :meth:`call_soon`).  Implementations must also expose two
-    non-method members:
-
-    * ``rng`` — a :class:`~repro.sim.random.RngRegistry`; modules draw
-      named, seeded streams from it (``sim.rng.stream("workload.3")``),
-    * ``at_end`` — a mutable list of zero-argument callbacks invoked
-      when the run winds down.
+    :meth:`call_soon`).  Implementations must also expose ``rng``, a
+    :class:`~repro.sim.random.RngRegistry`; modules draw named, seeded
+    streams from it (``sim.rng.stream("workload.3")``).
 
     Equal-deadline ordering must be FIFO in scheduling order — the
     determinism contract protocol code relies on (both the simulator's
@@ -149,7 +145,7 @@ class Scheduler(ABC):
     @property
     @abstractmethod
     def events_processed(self) -> int:
-        """Total callbacks fired so far (budget checks, soak metrics)."""
+        """Total callbacks fired so far (soak and benchmark metrics)."""
 
     @abstractmethod
     def schedule_at(self, time: float, callback: Callable[..., Any], args: tuple = (),
@@ -349,11 +345,10 @@ class NodeBackend(ABC):
         """The incarnation guard of executed work: run ``fn(*args)``
         only while the node is up and still in *epoch*, counting it.
 
-        The realtime run queue calls this per task.  The simulator's
-        :meth:`~repro.sim.engine.Simulator.run` loop applies the same
-        guard inline to a :class:`~repro.sim.process.Machine`'s CPU-task
-        heap entries, and its other paths (``step``, the budgeted or
-        traced loop) fire such an entry through this method.
+        The realtime run queue calls this per task.  The simulator's one
+        dispatch loop, :meth:`~repro.sim.engine.Simulator.run`, applies
+        the same guard inline to a :class:`~repro.sim.process.Machine`'s
+        CPU-task heap entries.
         """
         if self._crashed_at is not None or epoch != self._epoch:
             return
@@ -495,4 +490,4 @@ class Backend(ABC):
 
     @abstractmethod
     def stop(self) -> None:
-        """Tear the runtime down; :attr:`Scheduler.at_end` hooks run here."""
+        """Tear the runtime down: close its sockets and loop, if any."""

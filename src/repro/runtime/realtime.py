@@ -85,14 +85,12 @@ class RealtimeScheduler(Scheduler):
         reproducible even when timing is not).
     """
 
-    __slots__ = ("_loop", "_t0", "rng", "at_end", "_events_processed")
+    __slots__ = ("_loop", "_t0", "rng", "_events_processed")
 
     def __init__(self, loop: asyncio.AbstractEventLoop, seed: int = 0) -> None:
         self._loop = loop
         self._t0 = loop.time()
         self.rng = RngRegistry(seed=seed)
-        #: Callbacks the backend invokes at :meth:`RealtimeBackend.stop`.
-        self.at_end: List[Callable[[], None]] = []
         self._events_processed = 0
 
     @property
@@ -472,12 +470,10 @@ class RealtimeBackend(Backend):
             loop.default_exception_handler(context)
 
     def stop(self) -> None:
-        """Run the ``at_end`` hooks, close the sockets and the loop."""
+        """Close the sockets and the loop (idempotent)."""
         if self._stopped:
             return
         self._stopped = True
-        for hook in self.sim.at_end:
-            hook()
         self.transport.close()
         try:
             # One last spin so asyncio finishes closing stream transports.

@@ -101,4 +101,4 @@ class SimBackend(Backend):
         self._system.run(until=until)
 
     def stop(self) -> None:
-        """No-op: ``Simulator.run`` already fires the ``at_end`` hooks."""
+        """No-op: the simulation holds no socket or loop to release."""

@@ -14,7 +14,6 @@ from .events import (
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     EventHandle,
-    EventQueue,
 )
 from .latency import (
     ConstantLatency,
@@ -40,7 +39,6 @@ __all__ = [
     "to_us",
     "format_time",
     "Simulator",
-    "EventQueue",
     "EventHandle",
     "PRIORITY_CONTROL",
     "PRIORITY_NORMAL",

@@ -1,24 +1,28 @@
-"""Property: every dispatch path applies one incarnation guard to CPU tasks.
+"""Property: the inline CPU-task guard is ``NodeBackend._run_task``'s.
 
 :meth:`Machine.execute <repro.sim.process.Machine.execute>` pushes a
 CPU-task heap entry that :meth:`Simulator.run
-<repro.sim.engine.Simulator.run>`'s fast loop guards inline, while
-``step()``, the budgeted loop and the traced loop fire it through
-``NodeBackend._run_task``.  Random programs of ``execute`` (zero and
-non-zero costs, some chaining more work), ``set_timer`` (cancellable or
-not), ``cancel``, ``crash_at`` and ``recover_at`` on two or three
-machines must produce the same fire sequence, ``events_processed``,
-per-machine ``tasks_executed`` and ``cpu_busy_total`` on all four paths.
+<repro.sim.engine.Simulator.run>` guards inline.  A reference dispatcher
+written here pops the same heap one entry at a time and fires every
+CPU-task entry through ``NodeBackend._run_task`` — the method the
+realtime run queue calls — so the inline copy stays pinned to it.
+Random programs of ``execute`` (zero and non-zero costs, some chaining
+more work), ``set_timer`` (cancellable or not), ``cancel``, ``crash_at``
+and ``recover_at`` on two or three machines must produce the same fire
+sequence, ``events_processed``, per-machine ``tasks_executed`` and
+``cpu_busy_total`` both ways.
 """
 
 from __future__ import annotations
+
+from heapq import heappop
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Machine, Simulator
 
-MODES = ("run", "budget", "trace", "step")
+MODES = ("run", "reference")
 
 _TIMES = st.integers(min_value=0, max_value=20).map(lambda k: k * 0.0005)
 _COSTS = st.sampled_from([0.0, 0.0, 0.0003, 0.001, 0.0025])
@@ -40,14 +44,34 @@ def programs(draw):
     return n, draw(st.lists(op, min_size=1, max_size=40))
 
 
+def dispatch_by_reference(sim):
+    """Fire every pending event one heap entry at a time, as
+    ``Simulator.run`` does, but with each CPU task sent through
+    ``NodeBackend._run_task`` instead of the inline guard."""
+    heap = sim._heap
+    while heap:
+        entry = heappop(heap)
+        if len(entry) == 4:
+            handle = entry[3]
+            if handle.cancelled:
+                sim._cancelled -= 1
+                continue
+            callback, args = handle.callback, handle.args
+            handle.callback, handle.args = None, ()
+        elif len(entry) == 7:
+            _, _, _, fn, fn_args, node, epoch = entry
+            callback, args = node._run_task, (epoch, fn, fn_args)
+        else:
+            callback, args = entry[3], entry[4]
+        sim._now = entry[0]
+        sim._events_processed += 1
+        callback(*args)
+
+
 def run_program(program, mode):
     """Run *program* on a fresh simulator through dispatch path *mode*."""
     n, ops = program
-    hooked = []
-    sim = Simulator(
-        seed=0,
-        trace_hook=(lambda time, handle: hooked.append(time)) if mode == "trace" else None,
-    )
+    sim = Simulator(seed=0)
     machines = [Machine(sim, i) for i in range(n)]
     fired = []
     handles = []
@@ -85,14 +109,8 @@ def run_program(program, mode):
 
     if mode == "run":
         sim.run()
-    elif mode == "budget":
-        sim.run(max_events=10**6)
-    elif mode == "trace":
-        sim.run()
-        assert len(hooked) == sim.events_processed
     else:
-        while sim.step():
-            pass
+        dispatch_by_reference(sim)
     return (
         fired,
         sim.events_processed,
@@ -104,9 +122,7 @@ def run_program(program, mode):
 @given(programs())
 @settings(max_examples=300, deadline=None)
 def test_all_dispatch_paths_apply_the_same_guard(program):
-    expected = run_program(program, "step")
-    for mode in MODES[:-1]:
-        assert run_program(program, mode) == expected, mode
+    assert run_program(program, "run") == run_program(program, "reference")
 
 
 def test_a_stale_epoch_task_is_dropped_but_counted_on_every_path():

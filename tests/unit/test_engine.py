@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleInPastError, SimulationError
-from repro.sim import PRIORITY_CONTROL, PRIORITY_LATE, Simulator
+from repro.sim import PRIORITY_CONTROL, PRIORITY_LATE
 
 
 class TestScheduling:
@@ -91,26 +91,6 @@ class TestRunControl:
         sim.run(until=2.0)
         assert fired == ["edge"]
 
-    def test_max_events_budget(self, sim):
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda: None)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=5)
-
-    def test_stop_from_callback(self, sim):
-        fired = []
-
-        def stopper():
-            fired.append("stop")
-            sim.stop()
-
-        sim.schedule(1.0, stopper)
-        sim.schedule(2.0, fired.append, "late")
-        sim.run()
-        assert fired == ["stop"]
-        sim.run()  # resumable
-        assert fired == ["stop", "late"]
-
     def test_not_reentrant(self, sim):
         def nested():
             sim.run()
@@ -127,13 +107,6 @@ class TestRunControl:
         with pytest.raises(RuntimeError, match="boom"):
             sim.run()
 
-    def test_at_end_hooks(self, sim):
-        calls = []
-        sim.at_end.append(lambda: calls.append("done"))
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert calls == ["done"]
-
 
 class TestBookkeeping:
     def test_events_processed_counts(self, sim):
@@ -146,13 +119,6 @@ class TestBookkeeping:
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
-
-    def test_trace_hook_called(self):
-        seen = []
-        sim = Simulator(seed=0, trace_hook=lambda t, h: seen.append(t))
-        sim.schedule(0.5, lambda: None)
-        sim.run()
-        assert seen == [0.5]
 
     def test_events_processed_is_live_mid_run(self, sim):
         """Callbacks (and probes) read an up-to-date count during run()."""

@@ -8,7 +8,9 @@ same code over real violating schedules.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.fuzz.shrink import (
     ddmin,
     guard_sensitivity_predicate,
     shrink_spec,
+    violation_predicate,
 )
 from repro.scenarios.spec import Crash, Heal, Partition, ScenarioSpec
 from repro.scenarios.switchplan import SwitchAfterSwitch, SwitchAt
@@ -181,6 +184,33 @@ class TestGuardSensitivityPredicate:
         shrunk = shrink_spec(spec, wrapped)
         kinds = [type(a) for a in shrunk.faults]
         assert Partition in kinds and Heal in kinds  # Heal survives shrinking
+
+
+class TestViolationPredicate:
+    def test_each_distinct_spec_runs_once(self, monkeypatch):
+        """Replay-confirm, the guard-sensitivity twin and every ddmin
+        candidate share one verdict per spec: no spec runs twice, and a
+        spec that fails to run is remembered as not violating."""
+        import repro.scenarios.engine as engine
+
+        runs = Counter()
+
+        def fake_run_scenario(spec, seed, trace):
+            runs[spec] += 1
+            if spec.n == 1:
+                raise ScenarioError("too small to run")
+            heals = any(isinstance(a, Heal) for a in spec.faults)
+            return SimpleNamespace(ok=spec.guard_change_sn or not heals)
+
+        monkeypatch.setattr(engine, "run_scenario", fake_run_scenario)
+        predicate = violation_predicate()
+        spec = _spec()
+        assert predicate(spec)  # the replay-confirm
+        assert not predicate(replace(spec, guard_change_sn=True))
+        shrunk = shrink_spec(spec, guard_sensitivity_predicate(predicate))
+        assert shrunk.faults == (Heal(at=3.0),) and shrunk.n == 2
+        assert runs[replace(shrunk, n=1)] == 1
+        assert sorted(set(runs.values())) == [1], runs.most_common(3)
 
 
 def test_scenario_error_on_bad_budget():

@@ -604,7 +604,7 @@ class TestStandaloneTraceModes:
 
 
 class TestQueryFastPath:
-    """The (service, query) resolution cache (PR 5 kernel follow-up)."""
+    """Query resolution follows the live binding and handler tables."""
 
     def _stack(self):
         sys_ = System(n=1, seed=0)
@@ -617,15 +617,13 @@ class TestQueryFastPath:
         assert st.query("echo", "count") == 0
         st.issue_call(None, "echo", "ping", ("a",))
         sys_.run()
-        # The cached handler reads the provider's live state.
+        # The handler reads the provider's live state.
         assert st.query("echo", "count") == 1
-        assert ("echo", "count") in st._query_cache
 
     def test_bind_unbind_invalidate(self):
         sys_, st, echo = self._stack()
         st.query("echo", "count")
         st.unbind("echo")
-        assert st._query_cache == {}
         with pytest.raises(UnknownServiceError):
             st.query("echo", "count")
         # Re-bind a *different* provider: the query must resolve to it.
