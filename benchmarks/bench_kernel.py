@@ -3,8 +3,9 @@
 These are classic repeated-measurement benchmarks (unlike the figure
 regenerations, which are single deterministic simulations): event-loop
 throughput, CPU-queue submission, kernel call dispatch, and the RP2P
-message path.  They guard the simulator's performance, which bounds how
-large the figure benchmarks can afford to be.
+message path.  They explain the end-to-end numbers of bench-e2e
+(``benchmarks/e2e``), whose per-layer metrics measure the same layers
+inside a whole campaign cell; they do not substitute for them.
 """
 
 from dataclasses import replace
@@ -77,16 +78,14 @@ def test_call_dispatch_throughput(benchmark):
     assert benchmark(run) == N_CALLS
 
 
-def run_query_loop(n_queries=None):
-    """N synchronous queries against a bound provider; returns the count.
+@pytest.mark.benchmark(group="kernel-micro")
+def test_query_throughput(benchmark):
+    """N synchronous queries against a bound provider.
 
     The shape consensus rounds hammer (``is_suspected`` asking the FD for
     its suspect list on every round): a zero-cost read through the
-    binding and handler tables.  ``bench_core.py`` records this as the
-    ``query_path`` metric.
+    binding and handler tables.
     """
-    if n_queries is None:
-        n_queries = N_QUERIES
 
     class Oracle(Module):
         PROVIDES = ("o",)
@@ -96,19 +95,17 @@ def run_query_loop(n_queries=None):
             super().__init__(stack)
             self.export_query("o", "read", lambda: 42)
 
-    sys_ = System(n=1, seed=0, trace_enabled=False)
-    st = sys_.stack(0)
-    st.add_module(Oracle(st))
-    count = 0
-    for _ in range(n_queries):
-        if st.query("o", "read") == 42:
-            count += 1
-    return count
+    def run():
+        sys_ = System(n=1, seed=0, trace_enabled=False)
+        st = sys_.stack(0)
+        st.add_module(Oracle(st))
+        count = 0
+        for _ in range(N_QUERIES):
+            if st.query("o", "read") == 42:
+                count += 1
+        return count
 
-
-@pytest.mark.benchmark(group="kernel-micro")
-def test_query_throughput(benchmark):
-    assert benchmark(run_query_loop) == N_QUERIES
+    assert benchmark(run) == N_QUERIES
 
 
 @pytest.mark.benchmark(group="kernel-micro")
@@ -144,25 +141,24 @@ def test_rp2p_message_path(benchmark):
     assert benchmark(run) == N_MSGS
 
 
-def run_full_stack_calls(sim_seconds=None, trace="off"):
-    """One full Figure-4 stack run; returns total kernel dispatches.
+@pytest.mark.benchmark(group="kernel-fullstack")
+def test_full_stack_call_throughput(benchmark):
+    """One full Figure-4 stack run, counted in kernel dispatches.
 
     Builds the complete group-communication stack (UDP → RP2P → FD →
     consensus → CT-ABcast → Repl) on three machines, drives the paper's
     workload through it, and counts every kernel call and response
-    issued — the "full-stack calls/sec" number ``bench_core.py`` records
-    into the perf trajectory.  This is the paper-shaped workload the
-    dispatch fast path is tuned for, as opposed to the synthetic
-    single-module loop of ``test_call_dispatch_throughput``.
+    issued — the paper-shaped workload the dispatch fast path is tuned
+    for, as opposed to the synthetic single-module loop of
+    ``test_call_dispatch_throughput``.
     """
-    if sim_seconds is None:
-        sim_seconds = FULLSTACK_SIM_SECONDS
-    spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=120.0, duration=sim_seconds)
-    gcs = build_group_comm_system(spec, seed=7, trace=trace)
-    gcs.run(until=sim_seconds)
-    return sum(st.calls_issued + st.responses_issued for st in gcs.backend.stacks)
 
+    def run():
+        spec = replace(
+            PAPER_SPEC, n=3, load_msgs_per_sec=120.0, duration=FULLSTACK_SIM_SECONDS
+        )
+        gcs = build_group_comm_system(spec, seed=7, trace="off")
+        gcs.run(until=FULLSTACK_SIM_SECONDS)
+        return sum(st.calls_issued + st.responses_issued for st in gcs.backend.stacks)
 
-@pytest.mark.benchmark(group="kernel-fullstack")
-def test_full_stack_call_throughput(benchmark):
-    assert benchmark(run_full_stack_calls) > 0
+    assert benchmark(run) > 0

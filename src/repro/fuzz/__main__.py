@@ -107,7 +107,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         )
         report = run_fuzz(
             config, jobs=args.jobs, trace=args.trace, shrink=not args.no_shrink,
-            chunk_size=args.chunk_size,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -194,9 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fan the budget over N warm worker processes "
                              "(0 = one per CPU; default: 1). The report is "
                              "byte-identical for any N")
-    parser.add_argument("--chunk-size", type=int, default=None, metavar="N",
-                        help="cells per worker chunk (default: auto). The "
-                             "report is byte-identical for any chunk size")
     parser.add_argument("--trace", choices=("structural", "full", "off"),
                         default="structural",
                         help="kernel trace depth per run (default: structural)")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..scenarios.engine import Campaign, run_campaign
 from ..scenarios.serde import spec_to_dict
@@ -93,7 +93,6 @@ def run_fuzz(
     jobs: int = 1,
     trace: str = "structural",
     shrink: bool = True,
-    chunk_size: Optional[int] = None,
 ) -> FuzzReport:
     """Fuzz one budget: generate, run, replay-confirm, shrink.
 
@@ -101,8 +100,7 @@ def run_fuzz(
     engine (:mod:`repro.parallel` — the pool is shared with scenario
     campaigns and stays alive between budgets); shrinking runs serially
     in index order (each ddmin step depends on the previous verdict), so
-    the report stays byte-identical for any *jobs* × *chunk_size*
-    combination.
+    the report stays byte-identical for any *jobs*.
     """
     specs = generate_specs(config)
     campaign = Campaign(
@@ -115,7 +113,6 @@ def run_fuzz(
         seeds=(config.run_seed,),
         jobs=jobs,
         trace=trace,
-        chunk_size=chunk_size,
     )
 
     report = FuzzReport(config=config, trace=trace)

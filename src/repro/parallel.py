@@ -4,8 +4,9 @@ The old executor paid worker cold-start per campaign: every
 ``ProcessPoolExecutor`` context spawned fresh interpreters that re-imported
 ``repro`` (and numpy) before running a single cell, and every
 ``(spec, seed)`` cell was one pickle round-trip.  On the smoke matrix that
-overhead exceeded the simulation time itself — every BENCH_core.json entry
-since PR 2 recorded ``--jobs`` *losing* to serial.
+overhead exceeded the simulation time itself, so ``--jobs`` *lost* to
+serial.  bench-e2e's ``campaign-pool`` workload measures this pool end to
+end (``parallel.speedup``, ``parallel.overhead_ms_per_cell``).
 
 :class:`WarmPool` fixes all three costs:
 
@@ -15,15 +16,16 @@ since PR 2 recorded ``--jobs`` *losing* to serial.
   invocations; the fork start method (the Linux default) makes even the
   first generation warm from birth, since children inherit the parent's
   already-imported modules;
-* **chunked scheduling** — cells ship in chunks (default: enough chunks
-  for ~4 rounds of work stealing per worker) so the per-message IPC cost
-  amortises over many cells, while the tail stays balanced;
+* **chunked scheduling** — cells ship in chunks sized by
+  :func:`cells_per_chunk` (enough chunks for ~4 rounds of work stealing
+  per worker), so the per-message IPC cost amortises over many cells
+  while the tail stays balanced; the chunk size is internal, not an
+  option;
 * **compact fragments, deterministic merge** — workers reply with
   pre-serialised sorted-key JSON fragments (one per cell) instead of
   pickled result objects, and the parent merges fragments **by chunk
   index**, so the reassembled report is byte-identical for any
-  ``jobs`` × ``chunk_size`` combination (pinned by
-  ``tests/integration/test_warm_pool.py``).
+  ``jobs`` (pinned by ``tests/integration/test_warm_pool.py``).
 
 Failure contract: a cell that raises in a worker fails the campaign with
 a :class:`~repro.errors.ScenarioError` whose first line names the
@@ -56,7 +58,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
 
-__all__ = ["WarmPool", "default_chunk_size", "get_pool", "shutdown_pool"]
+__all__ = ["WarmPool", "cells_per_chunk", "get_pool", "shutdown_pool"]
 
 #: One campaign cell: ``(spec, seed, trace)`` exactly as the engine builds it.
 Cell = Tuple[Any, int, str]
@@ -123,8 +125,8 @@ def _worker_main(conn: Connection) -> None:
 # --------------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------------- #
-def default_chunk_size(n_cells: int, workers: int) -> int:
-    """Chunk size amortising IPC while keeping the tail balanced.
+def cells_per_chunk(n_cells: int, workers: int) -> int:
+    """Cells per chunk: amortises IPC while keeping the tail balanced.
 
     Aims for ~4 dispatch rounds per worker (so a slow cell cannot strand
     the pool behind one giant chunk), capped at 8 cells per chunk (so the
@@ -258,25 +260,21 @@ class WarmPool:
     def run_cells(
         self,
         cells: Sequence[Cell],
-        chunk_size: Optional[int] = None,
         max_workers: Optional[int] = None,
     ) -> List[str]:
         """Run every cell; return one compact JSON fragment per cell.
 
         Fragments come back **in cell order** regardless of which worker
-        ran which chunk — the deterministic merge.  *chunk_size* ``None``
-        picks :func:`default_chunk_size`; *max_workers* caps how many of
-        the pool's workers participate (a ``jobs=2`` campaign on a pool
-        that grew to 4 still runs width-2).
+        ran which chunk — the deterministic merge.  Chunks hold
+        :func:`cells_per_chunk` cells; *max_workers* caps how many of the
+        pool's workers participate (a ``jobs=2`` campaign on a pool that
+        grew to 4 still runs width-2).
         """
         if not cells:
             return []
         workers = self._workers[: max_workers or len(self._workers)]
-        if chunk_size is None:
-            chunk_size = default_chunk_size(len(cells), len(workers))
-        elif chunk_size < 1:
-            raise ScenarioError(f"chunk_size must be >= 1, got {chunk_size}")
-        chunks = [list(cells[i : i + chunk_size]) for i in range(0, len(cells), chunk_size)]
+        size = cells_per_chunk(len(cells), len(workers))
+        chunks = [list(cells[i : i + size]) for i in range(0, len(cells), size)]
 
         fragments: dict[int, List[str]] = {}
         #: chunk index -> error text of every chunk that failed.

@@ -96,10 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fan the (scenario, seed) matrix over N warm "
                              "worker processes (0 = one per CPU; default: 1). "
                              "The report is byte-identical for any N")
-    parser.add_argument("--chunk-size", type=int, default=None, metavar="N",
-                        help="cells per worker chunk (default: auto — sized "
-                             "to amortise IPC). The report is byte-identical "
-                             "for any chunk size")
     parser.add_argument("--trace", choices=("structural", "full", "off"),
                         default="structural",
                         help="kernel trace depth per run (default: structural "
@@ -158,8 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
     result: CampaignResult = run_campaign(
-        campaign, seeds=seeds, jobs=args.jobs, trace=args.trace,
-        chunk_size=args.chunk_size
+        campaign, seeds=seeds, jobs=args.jobs, trace=args.trace
     )
 
     print(render_table(

@@ -413,18 +413,16 @@ def run_campaign(
     seeds: Sequence[int] = (0,),
     jobs: int = 1,
     trace: str = "structural",
-    chunk_size: Optional[int] = None,
 ) -> CampaignResult:
     """Run every scenario of *campaign* at every seed, in a fixed order.
 
     ``jobs`` fans the ``(spec, seed)`` matrix over the process-wide
     **warm worker pool** (:mod:`repro.parallel`; ``jobs=0`` means one
     worker per CPU).  Workers import the engine once and stay alive
-    across campaigns, cells ship in chunks of ``chunk_size`` (``None``
-    picks a size amortising IPC over ~4 rounds per worker), and workers
-    reply with compact pre-serialised JSON fragments that the parent
-    merges **by cell index** — so the report is **byte-identical** for
-    any ``jobs`` × ``chunk_size`` combination; only the wall-clock
+    across campaigns, cells ship in chunks sized to amortise IPC over
+    ~4 rounds per worker, and workers reply with compact pre-serialised
+    JSON fragments that the parent merges **by cell index** — so the
+    report is **byte-identical** for any ``jobs``; only the wall-clock
     changes.  Each cell is a pure function of its arguments (every run
     owns a private simulator and RNG registry), which is what makes the
     fan-out sound.  ``trace`` is the per-cell kernel trace depth (see
@@ -437,8 +435,6 @@ def run_campaign(
     """
     if jobs < 0:
         raise ScenarioError(f"jobs must be >= 0, got {jobs}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ScenarioError(f"chunk_size must be >= 1, got {chunk_size}")
     tasks = [(spec, seed, trace) for spec in campaign.scenarios for seed in seeds]
     result = CampaignResult(campaign=campaign.name, seeds=list(seeds))
     if jobs == 0:
@@ -451,7 +447,7 @@ def run_campaign(
     from ..parallel import get_pool  # deferred: workers import this module
 
     pool = get_pool(min(jobs, len(tasks)))
-    fragments = pool.run_cells(tasks, chunk_size=chunk_size, max_workers=jobs)
+    fragments = pool.run_cells(tasks, max_workers=jobs)
     result.results.extend(result_from_dict(json.loads(f)) for f in fragments)
     return result
 

@@ -170,9 +170,11 @@ class TestRecoveryLivenessNarrowing:
 class TestRecoveryDeterminism:
     def test_same_seed_byte_identical_reports(self):
         """One run against the committed golden pins more than two runs
-        against each other: it also catches drift both runs would share."""
+        against each other: it also catches drift both runs would share.
+        It runs on the warm pool; ``test_parallel_jobs_byte_identical``
+        pins the serial path against it."""
         golden = RECOVERY_GOLDEN.read_text()
-        result = run_campaign(get_campaign("recovery"), seeds=(0, 1))
+        result = run_campaign(get_campaign("recovery"), seeds=(0, 1), jobs=2)
         current = result.to_json() + "\n"
         if current != golden:
             drift = compare_reports(json.loads(golden), json.loads(current))

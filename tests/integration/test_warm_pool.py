@@ -3,15 +3,14 @@
 Three contracts are pinned here:
 
 * **byte-identity** — ``run_campaign`` / ``run_fuzz`` reports are
-  byte-identical for every ``jobs`` × ``chunk_size`` × trace-mode
-  combination (the merge is by cell index; each cell is a pure function
-  of its arguments);
+  byte-identical for every ``jobs`` × trace-mode combination (the merge
+  is by chunk index; each cell is a pure function of its arguments);
 * **failure naming** — a cell that raises inside a worker fails the
   campaign with a :class:`~repro.errors.ScenarioError` naming the
   scenario and seed, never hangs the pool, and leaves the pool usable;
   with several poisoned cells the error names the *first* one in cell
-  order on every run, whatever ``jobs`` × ``chunk_size`` and whichever
-  worker replied first;
+  order on every run, whatever the pool width and whichever worker
+  replied first;
 * **worker death** — a killed worker is replaced transparently when idle
   and surfaces as a named error when it dies mid-chunk.
 """
@@ -25,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ScenarioError
 from repro.experiments import PROTOCOL_SEQ
-from repro.parallel import WarmPool, default_chunk_size, get_pool
+from repro.parallel import WarmPool, cells_per_chunk, get_pool
 from repro.scenarios import Campaign, Crash, ScenarioSpec, SwitchAt, run_campaign
 from repro.scenarios.engine import result_from_dict, run_scenario
 from repro.fuzz import FuzzConfig
@@ -56,27 +55,21 @@ SPEC_TINY = ScenarioSpec(
 
 class TestByteIdentity:
     @pytest.mark.parametrize("trace", ["structural", "off"])
-    def test_identity_across_jobs_and_chunk_sizes(self, trace):
+    def test_identity_across_jobs(self, trace):
         baseline = run_campaign(CAMPAIGN, seeds=(0, 1), jobs=1, trace=trace)
-        for jobs in (2, 3):
-            for chunk_size in (None, 1, 2):
-                report = run_campaign(
-                    CAMPAIGN, seeds=(0, 1), jobs=jobs, trace=trace,
-                    chunk_size=chunk_size,
-                )
-                assert report.to_json() == baseline.to_json(), (
-                    f"report drifted at jobs={jobs} chunk_size={chunk_size} "
-                    f"trace={trace}"
-                )
+        for jobs in (2, 3, 4):
+            report = run_campaign(CAMPAIGN, seeds=(0, 1), jobs=jobs, trace=trace)
+            assert report.to_json() == baseline.to_json(), (
+                f"report drifted at jobs={jobs} trace={trace}"
+            )
 
-    def test_fuzz_identity_across_jobs_and_chunk_sizes(self):
+    def test_fuzz_identity_across_jobs(self):
         config = FuzzConfig(budget=4)
         baseline = run_fuzz(config, jobs=1, shrink=False)
-        for jobs, chunk_size in ((2, None), (2, 1), (2, 3)):
-            report = run_fuzz(config, jobs=jobs, shrink=False,
-                              chunk_size=chunk_size)
+        for jobs in (2, 3):
+            report = run_fuzz(config, jobs=jobs, shrink=False)
             assert report.to_json() == baseline.to_json(), (
-                f"fuzz report drifted at jobs={jobs} chunk_size={chunk_size}"
+                f"fuzz report drifted at jobs={jobs}"
             )
 
     def test_result_from_dict_round_trips(self):
@@ -86,20 +79,21 @@ class TestByteIdentity:
         rebuilt = result_from_dict(json.loads(fragment))
         assert rebuilt == result
 
-    def test_chunk_size_below_one_rejected(self):
-        with pytest.raises(ScenarioError, match="chunk_size"):
-            run_campaign(CAMPAIGN, seeds=(0,), jobs=2, chunk_size=0)
-
-    def test_default_chunk_size_bounds(self):
+    def test_cells_per_chunk_bounds(self):
         # Floored at 1, capped at 8, ~4 rounds per worker in between.
-        assert default_chunk_size(1, 4) == 1
-        assert default_chunk_size(1000, 2) == 8
-        assert default_chunk_size(64, 4) == 4
+        assert cells_per_chunk(1, 4) == 1
+        assert cells_per_chunk(1000, 2) == 8
+        assert cells_per_chunk(64, 4) == 4
 
 
 @pytest.fixture(scope="module", params=[1, 2, 4], ids=lambda jobs: f"jobs{jobs}")
 def sized_pool(request):
-    """A private pool of each width (not the process-wide singleton)."""
+    """A private pool of each width (not the process-wide singleton).
+
+    Six cells ship as chunks of two on one worker and of one on two or
+    four (:func:`cells_per_chunk`), so the failure contract is pinned
+    for a poisoned cell inside a chunk and for one chunk per cell.
+    """
     pool = WarmPool(request.param)
     yield pool
     pool.shutdown()
@@ -127,13 +121,12 @@ class TestFailureContract:
             for seed in range(6)
         ]
         expected = f"scenario 'pool-tiny' seed {min(poisoned)} raised in a pool worker:"
-        for chunk_size in (1, 2, None):
-            with pytest.raises(ScenarioError) as excinfo:
-                sized_pool.run_cells(cells, chunk_size=chunk_size)
-            assert str(excinfo.value).splitlines()[0] == expected
+        with pytest.raises(ScenarioError) as excinfo:
+            sized_pool.run_cells(cells)
+        assert str(excinfo.value).splitlines()[0] == expected
         # Every in-flight reply was collected, so the pipes are clean.
         healthy = [(SPEC_TINY, 0, "structural")] * 2
-        assert len(sized_pool.run_cells(healthy, chunk_size=1)) == 2
+        assert len(sized_pool.run_cells(healthy)) == 2
 
     def test_pool_usable_after_poisoned_campaign(self):
         with pytest.raises(ScenarioError):
@@ -161,10 +154,13 @@ class TestStandalonePool:
     def test_run_cells_merges_in_cell_order(self):
         pool = WarmPool(2)
         try:
-            cells = [(SPEC_SWITCH, seed, "structural") for seed in (0, 1, 2)]
-            fragments = pool.run_cells(cells, chunk_size=1)
+            # Nine cells on two workers ship as four chunks of two and a
+            # ragged chunk of one, merged back in cell order.
+            cells = [(SPEC_TINY, seed, "structural") for seed in range(9)]
+            assert cells_per_chunk(len(cells), pool.size) == 2
+            fragments = pool.run_cells(cells)
             seeds = [json.loads(f)["seed"] for f in fragments]
-            assert seeds == [0, 1, 2]
+            assert seeds == list(range(9))
         finally:
             pool.shutdown()
 

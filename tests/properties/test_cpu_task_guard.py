@@ -7,10 +7,14 @@ written here pops the same heap one entry at a time and fires every
 CPU-task entry through ``NodeBackend._run_task`` — the method the
 realtime run queue calls — so the inline copy stays pinned to it.
 Random programs of ``execute`` (zero and non-zero costs, some chaining
-more work), ``set_timer`` (cancellable or not), ``cancel``, ``crash_at``
-and ``recover_at`` on two or three machines must produce the same fire
-sequence, ``events_processed``, per-machine ``tasks_executed`` and
-``cpu_busy_total`` both ways.
+more work), ``set_timer`` (cancellable or not), ``cancel``, ``crash_at``,
+``recover_at`` and a *stale* task (queued, then its machine crashes and
+recovers before the task completes) on two or three machines must
+produce the same fire sequence, ``events_processed``, per-machine
+``tasks_executed`` and ``cpu_busy_total`` both ways.  The stale op is
+what makes the property fail at once on a loop that checks only
+``_crashed_at`` and not the incarnation epoch: without it, random
+crash/recover times rarely straddle a queued task.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ def programs(draw):
         st.tuples(st.just("cancel"), _TIMES, st.integers(min_value=0, max_value=50)),
         st.tuples(st.just("crash"), _TIMES, node),
         st.tuples(st.just("recover"), _TIMES, node),
+        st.tuples(st.just("stale"), _TIMES, node, st.sampled_from([0.001, 0.0025])),
     )
     return n, draw(st.lists(op, min_size=1, max_size=40))
 
@@ -90,6 +95,9 @@ def run_program(program, mode):
         if kind == "execute":
             _, _, m, cost, follow = ops[i]
             machines[m].execute(cost, task, (i, follow))
+        elif kind == "stale":
+            _, _, m, cost = ops[i]
+            machines[m].execute(cost, task, (i, None))
         elif kind == "timer":
             _, _, m, delay, cancellable = ops[i]
             handle = machines[m].set_timer(delay, timer, (i,), cancellable=cancellable)
@@ -106,6 +114,12 @@ def run_program(program, mode):
             machines[rest[0]].recover_at(time)
         else:
             sim.schedule_at(time, apply, (i,))
+            if kind == "stale":
+                # Down and back up before the task queued at *time* can
+                # complete, so it fires under a stale epoch.
+                m, cost = rest
+                machines[m].crash_at(time + cost / 4)
+                machines[m].recover_at(time + cost / 2)
 
     if mode == "run":
         sim.run()
