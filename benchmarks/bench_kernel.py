@@ -67,7 +67,7 @@ def test_call_dispatch_throughput(benchmark):
             self.count += 1
 
     def run():
-        sys_ = System(n=1, seed=0, trace_enabled=False)
+        sys_ = System(n=1, seed=0, trace_kinds=frozenset())
         st = sys_.stack(0)
         ping = st.add_module(Ping(st))
         for _ in range(N_CALLS):
@@ -96,7 +96,7 @@ def test_query_throughput(benchmark):
             self.export_query("o", "read", lambda: 42)
 
     def run():
-        sys_ = System(n=1, seed=0, trace_enabled=False)
+        sys_ = System(n=1, seed=0, trace_kinds=frozenset())
         st = sys_.stack(0)
         st.add_module(Oracle(st))
         count = 0
@@ -122,7 +122,7 @@ def test_rp2p_message_path(benchmark):
             )
 
     def run():
-        sys_ = System(n=2, seed=0, trace_enabled=False)
+        sys_ = System(n=2, seed=0, trace_kinds=frozenset())
         net = SimNetwork(
             sys_.sim, sys_.machines, SwitchedLan(latency=ConstantLatency(1e-4))
         )

@@ -24,8 +24,8 @@ from repro.sim import to_ms
 def main() -> None:
     # 1. Build: 3 machines, the full stack on each, 60 ABcast msgs/s for
     #    6 s — the paper's setting (PAPER_SPEC) scaled down.
-    #    (trace="structural" would skip the per-call trace records the
-    #    way campaign runs do; the default keeps the full trace.)
+    #    The default trace="structural" keeps what the property checkers
+    #    read; trace="full" would also record every call and response.
     spec = replace(PAPER_SPEC, n=3, load_msgs_per_sec=60.0, duration=6.0)
     gcs = build_group_comm_system(spec, seed=42)
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence,
+    TYPE_CHECKING, AbstractSet, Callable, Dict, FrozenSet, List, Mapping, Optional,
+    Sequence,
 )
 
 from ..abcast import CtAbcastModule, SequencerAbcastModule, TokenAbcastModule
@@ -33,10 +34,10 @@ from ..consensus import CtConsensusModule
 from ..dpu import AbcastProbeModule, DeliveryLog, ReplAbcastModule, ReplacementManager
 from ..dpu.abcast_checker import is_post_rejoin_send
 from ..dpu.probes import is_workload_key
-from ..errors import PropertyViolation
+from ..errors import PropertyViolation, ScenarioError
 from ..fd import HeartbeatFd
 from ..gm import GroupMembershipModule
-from ..kernel import STRUCTURAL_TRACE_KINDS, ProtocolRegistry, WellKnown
+from ..kernel import STRUCTURAL_TRACE_KINDS, ProtocolRegistry, TraceKind, WellKnown
 from ..net import Rp2pModule, UdpModule
 from ..rbcast import RBCAST_SERVICE, RbcastModule
 from ..runtime.api import Backend
@@ -68,12 +69,17 @@ PROTOCOL_TOKEN = "abcast-token"
 PROTOCOL_CONSENSUS_CT = "consensus-ct"
 
 #: The kernel trace depths a build accepts (``build_group_comm_system``'s
-#: *trace*): ``"full"`` records every kernel event (tests, debugging),
+#: *trace*), each mapped to the ``keep`` set of the run's recorder:
+#: ``"full"`` records every kernel event (tests, debugging),
 #: ``"structural"`` drops the per-call/per-response firehose but keeps
-#: everything the property checkers consume (campaign default; reports
-#: are byte-identical to full), ``"off"`` records nothing.  The scenario
-#: engine and CLI validate against this same tuple.
-TRACE_MODES = ("full", "structural", "off")
+#: everything the property checkers consume (the default everywhere;
+#: reports are byte-identical to full), ``"off"`` records nothing.  The
+#: scenario and fuzz CLIs offer exactly these keys.
+TRACE_MODES: Mapping[str, Optional[FrozenSet[TraceKind]]] = {
+    "full": None,
+    "structural": STRUCTURAL_TRACE_KINDS,
+    "off": frozenset(),
+}
 
 
 @dataclass
@@ -250,7 +256,7 @@ def build_group_comm_system(
     seed: int = 0,
     backend: Optional[Backend] = None,
     *,
-    trace: str = "full",
+    trace: str = "structural",
     with_repl_layer: bool = True,
     baseline: Optional[str] = None,
 ) -> GroupCommSystem:
@@ -258,7 +264,9 @@ def build_group_comm_system(
     *backend*, with the backend's :class:`~repro.runtime.api.Calibration`.
 
     With no *backend*, a fresh :class:`~repro.runtime.sim_backend.SimBackend`
-    is built at *seed* and *trace* depth with the spec's network floors.
+    is built at *seed* and *trace* depth (a :data:`TRACE_MODES` key; an
+    unknown one raises :class:`~repro.errors.ScenarioError`) with the
+    spec's network floors.
     A given backend (started, with one empty stack per node) brings its
     own clock, transport and link policy.  The client load runs until
     ``spec.duration``.  *with_repl_layer* puts the replacement layer
@@ -272,15 +280,16 @@ def build_group_comm_system(
         raise ValueError("a baseline run implies an indirection layer")
 
     if trace not in TRACE_MODES:
-        raise ValueError(f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}")
+        raise ScenarioError(
+            f"unknown trace mode {trace!r}; expected one of {tuple(TRACE_MODES)}"
+        )
     if backend is None:
         backend = SimBackend(
             n=spec.n,
             seed=seed,
             loss_rate=spec.loss_rate,
             duplicate_rate=spec.duplicate_rate,
-            trace_enabled=trace != "off",
-            trace_kinds=STRUCTURAL_TRACE_KINDS if trace == "structural" else None,
+            trace_kinds=TRACE_MODES[trace],
         )
         backend.transport.links.corrupt_rate = spec.corrupt_rate
         backend.transport.links.checksum = spec.checksum
@@ -364,13 +373,13 @@ def experiment_run(
     baseline: Optional[str] = None,
 ) -> "ScenarioRun":
     """One experiment point as an armed scenario run of *spec* at
-    *seed*, on a fresh simulated system at ``trace="structural"``."""
+    *seed*, on a fresh simulated system at the default structural trace."""
     # Deferred: the scenario engine imports this module.
     from ..scenarios import engine
 
     return engine.ScenarioRun(
         build_group_comm_system(
-            spec, seed, trace="structural", with_repl_layer=with_repl_layer, baseline=baseline
+            spec, seed, with_repl_layer=with_repl_layer, baseline=baseline
         )
     )
 

@@ -37,6 +37,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ReproError, ScenarioError
+from ..experiments.common import TRACE_MODES
 from ..scenarios.engine import run_scenario
 from ..scenarios.serde import spec_from_json, spec_to_json
 from ..viz import render_table
@@ -193,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fan the budget over N warm worker processes "
                              "(0 = one per CPU; default: 1). The report is "
                              "byte-identical for any N")
-    parser.add_argument("--trace", choices=("structural", "full", "off"),
+    parser.add_argument("--trace", choices=tuple(TRACE_MODES),
                         default="structural",
                         help="kernel trace depth per run (default: structural)")
     parser.add_argument("--unguarded", action="store_true",

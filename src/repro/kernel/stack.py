@@ -33,9 +33,8 @@ through it), so the common case — bound service, no blocked-call backlog
   while some service has queued calls (i.e. during a replacement window)
   does dispatch fall back to the per-service slow path;
 * trace recording is **opt-out**: per-kind flags cached from the
-  recorder's ``keep`` filter plus a live ``enabled`` check mean a
-  trace-off call never packs a record (``Stack(machine)`` and
-  ``Stack(machine, trace=False)`` use the shared
+  recorder's read-only ``keep`` set mean a trace-off call never packs a
+  record (``Stack(machine)`` uses the shared keep-nothing
   :data:`~repro.kernel.trace.NULL_TRACE` sink); a kept call, dispatch or
   response is one bound hot-log ``extend`` carrying the call's int seq,
   which the recorder renders as ``"<stack>:<seq>"`` only when a query
@@ -55,7 +54,7 @@ k-task drain to a single task.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import KernelError, ModuleNotInStackError, UnknownServiceError
 from ..runtime.api import NodeBackend
@@ -90,11 +89,10 @@ class Stack:
     machine:
         The simulated host this stack runs on.
     trace:
-        Where kernel events go: a shared
-        :class:`~repro.kernel.trace.TraceRecorder` (what
-        :class:`~repro.kernel.system.System` passes), ``True`` for a
-        fresh private recorder, or ``None``/``False`` for the shared
-        always-off :data:`~repro.kernel.trace.NULL_TRACE` sink
+        The :class:`~repro.kernel.trace.TraceRecorder` kernel events go
+        to: the system's shared one (what
+        :class:`~repro.kernel.system.System` passes), or by default the
+        shared keep-nothing :data:`~repro.kernel.trace.NULL_TRACE` sink
         (benchmark stacks pay no per-call record cost).
     call_cost / response_cost:
         Default CPU cost of one call / response dispatch.
@@ -142,7 +140,7 @@ class Stack:
     def __init__(
         self,
         machine: NodeBackend,
-        trace: Union[TraceRecorder, bool, None] = None,
+        trace: TraceRecorder = NULL_TRACE,
         call_cost: Duration = DEFAULT_CALL_COST,
         response_cost: Duration = DEFAULT_RESPONSE_COST,
         max_buffered_responses: Optional[int] = None,
@@ -162,10 +160,6 @@ class Stack:
         #: membership module use it to narrow recovery-liveness exemptions.
         self.restart_completed_at: Optional[float] = None
         self.restart_completed_epoch: Optional[int] = None
-        if trace is None or trace is False:
-            trace = NULL_TRACE
-        elif trace is True:
-            trace = TraceRecorder()
         self.trace = trace
         self.call_cost = call_cost
         self.response_cost = response_cost
@@ -188,10 +182,10 @@ class Stack:
         self._dispatch_cache: Dict[Tuple[str, str], Tuple[Module, Callable[..., None]]] = {}
         #: (service, event) -> subscribed handlers: the response fast path.
         self._response_cache: Dict[Tuple[str, str], List[Callable[..., Any]]] = {}
-        # Per-kind keep-filter flags, paired with a live `trace.enabled`
-        # check on use (the keep filter is fixed at recorder construction).
-        # A kept firehose flag is the kind itself, read from the slot at the
-        # hot-log site: ``TraceKind.X`` is a slow lookup (EnumType.__getattr__).
+        # Per-kind keep-filter flags (the keep set is fixed at recorder
+        # construction).  A kept firehose flag is the kind itself, read
+        # from the slot at the hot-log site: ``TraceKind.X`` is a slow
+        # lookup (EnumType.__getattr__).
         wants, kinds = trace.wants, TraceKind
         self._trace_call = wants(kinds.CALL) and kinds.CALL
         self._trace_dispatch = wants(kinds.CALL_DISPATCHED) and kinds.CALL_DISPATCHED
@@ -372,15 +366,12 @@ class Stack:
             return
         seq = self._call_seq + 1
         self._call_seq = seq
-        trace = self.trace
-        if self._trace_call and trace.enabled:
+        if self._trace_call:
             self._hot_log((
                 self._sim.now, self._trace_call, self.stack_id, service,
                 caller.name if caller is not None else "<external>", None,
                 method, seq,
             ))
-            if trace.subscribers:
-                trace._publish_hot()
         machine.execute(
             self.call_cost if cost is None else cost,
             self._dispatch_call, (seq, caller, service, method, args),
@@ -398,15 +389,12 @@ class Stack:
         if not self._blocked_total:
             entry = self._dispatch_cache.get((service, method))
             if entry is not None:
-                trace = self.trace
-                if self._trace_dispatch and trace.enabled:
+                if self._trace_dispatch:
                     provider = entry[0]
                     self._hot_log((
                         self._sim.now, self._trace_dispatch, self.stack_id,
                         service, provider.name, provider.protocol, method, seq,
                     ))
-                    if trace.subscribers:
-                        trace._publish_hot()
                 entry[1](*args)
                 return
         provider = self.bindings.bound(service)
@@ -420,9 +408,8 @@ class Stack:
             queue.append((seq, caller_name, method, args))
             self._blocked_total += 1
             self._blocked_since[seq] = self._sim.now
-            trace = self.trace
-            if self._trace_blocked and trace.enabled:
-                trace.record(
+            if self._trace_blocked:
+                self.trace.record(
                     self._sim.now, TraceKind.CALL_BLOCKED, self.stack_id,
                     service, caller_name, None, method, seq,
                 )
@@ -449,14 +436,11 @@ class Stack:
                     f"{service!r} has no handler for call {method!r}"
                 )
             self._dispatch_cache[key] = (provider, handler)
-        trace = self.trace
-        if self._trace_dispatch and trace.enabled:
+        if self._trace_dispatch:
             self._hot_log((
                 self._sim.now, self._trace_dispatch, self.stack_id,
                 service, provider.name, provider.protocol, method, seq,
             ))
-            if trace.subscribers:
-                trace._publish_hot()
         handler(*args)
 
     def _release_blocked_calls(self, service: str) -> None:
@@ -498,7 +482,7 @@ class Stack:
             blocked_at = self._blocked_since.pop(seq, None)
             if blocked_at is not None:
                 self._blocked_time_total += sim.now - blocked_at
-            if self._trace_unblocked and trace.enabled:
+            if self._trace_unblocked:
                 trace.record(
                     sim.now, TraceKind.CALL_UNBLOCKED, self.stack_id,
                     service, caller_name, None, method, seq,
@@ -596,14 +580,11 @@ class Stack:
                 f"on service {service!r} it does not provide"
             )
         self._responses_issued += 1
-        trace = self.trace
-        if self._trace_response and trace.enabled:
+        if self._trace_response:
             self._hot_log((
                 self._sim.now, self._trace_response, self.stack_id, service,
                 provider.name, provider.protocol, event, None,
             ))
-            if trace.subscribers:
-                trace._publish_hot()
         machine.execute(
             self.response_cost if cost is None else cost,
             self._deliver_response,
@@ -653,14 +634,11 @@ class Stack:
                 queue.popleft()
                 self.buffered_responses_dropped += 1
             queue.append((event, args, provider_name, provider_protocol))
-            trace = self.trace
-            if self._trace_response_buffered and trace.enabled:
+            if self._trace_response_buffered:
                 self._hot_log((
                     self._sim.now, self._trace_response_buffered, self.stack_id,
                     service, provider_name, provider_protocol, event, None,
                 ))
-                if trace.subscribers:
-                    trace._publish_hot()
 
     def _flush_buffered_responses(self, new_module: Module) -> None:
         """Deliver responses that were waiting for a subscriber like *new_module*."""

@@ -39,15 +39,12 @@ class System:
     sim:
         An existing simulator to attach to (a fresh one is created when
         ``None``).
-    trace_enabled:
-        Disable to run pure benchmarks without trace memory overhead.
     trace_kinds:
-        When given, only these :class:`~repro.kernel.events.TraceKind`
-        values are recorded (the shared recorder's ``keep`` filter).
-        Campaigns pass
-        :data:`~repro.kernel.events.STRUCTURAL_TRACE_KINDS` here so the
-        property checkers keep full teeth while the per-call record
-        firehose is never allocated.
+        The :class:`~repro.kernel.events.TraceKind` values the shared
+        recorder keeps (its ``keep`` set): ``None`` records every kind,
+        :data:`~repro.kernel.events.STRUCTURAL_TRACE_KINDS` only what the
+        property checkers consume (the campaign depth: no per-call
+        record firehose), and an empty set nothing (pure benchmarks).
     call_cost / response_cost:
         Default CPU cost of one service-call / response dispatch on every
         stack; see :class:`repro.kernel.stack.Stack`.
@@ -58,7 +55,6 @@ class System:
         n: int,
         seed: int = 0,
         sim: Optional[Simulator] = None,
-        trace_enabled: bool = True,
         trace_kinds: Optional[Iterable[TraceKind]] = None,
         call_cost: Duration = DEFAULT_CALL_COST,
         response_cost: Duration = DEFAULT_RESPONSE_COST,
@@ -67,7 +63,7 @@ class System:
             raise KernelError(f"a system needs at least one stack, got n={n}")
         self.n = int(n)
         self.sim = sim if sim is not None else Simulator(seed=seed)
-        self.trace = TraceRecorder(enabled=trace_enabled, keep=trace_kinds)
+        self.trace = TraceRecorder(keep=trace_kinds)
         self.registry = ProtocolRegistry()
         self.machines: List[Machine] = [
             Machine(self.sim, i) for i in range(self.n)

@@ -2,12 +2,12 @@
 
 One :class:`TraceRecorder` collects the :class:`~repro.kernel.events.TraceRecord`
 stream of an entire distributed execution (all stacks interleaved in
-global simulated-time order).  Property checkers and debugging tools then
-query it; recording can be disabled wholesale for pure benchmarking runs
-(:data:`NULL_TRACE` is the shared always-off sink), or filtered by kind
-to bound memory — campaigns run with
+global simulated-time order), and property checkers query it.  A
+recorder *is* its :attr:`~TraceRecorder.keep` set, fixed at
+construction: ``None`` keeps every kind, campaigns keep
 :data:`~repro.kernel.events.STRUCTURAL_TRACE_KINDS` so the checkers keep
-their teeth while the per-call firehose is never allocated.
+their teeth while the per-call firehose is never allocated, and an empty
+set keeps nothing (:data:`NULL_TRACE` is the shared keep-nothing sink).
 
 Storage keeps no record objects.  The per-call firehose (``call``,
 ``call_dispatched``, ``response``, ``response_buffered``) goes to one
@@ -29,27 +29,14 @@ retained tuple per record ~8 % slower: the gain is the dropped frame.
 
 Hot-path contract with :class:`~repro.kernel.stack.Stack`: the stack
 caches per-kind "wants" flags (see :meth:`TraceRecorder.wants`) at
-construction and re-checks only the cheap :attr:`enabled` attribute per
-call.  It binds the hot log's ``extend`` once, so :meth:`clear` empties
-the log in place, and publishes each entry to :attr:`subscribers` while
-there are any.  The :attr:`keep` filter is fixed at construction;
-toggle :attr:`enabled` freely.
+construction, which is why :attr:`~TraceRecorder.keep` is read-only, and
+binds the hot log's ``extend`` once.
 """
 
 from __future__ import annotations
 
 from heapq import merge
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Set,
-)
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional
 
 from ..sim.clock import Time
 from .events import STRUCTURAL_TRACE_KINDS, TraceKind, TraceRecord
@@ -67,17 +54,15 @@ class TraceRecorder:
 
     Parameters
     ----------
-    enabled:
-        When ``False`` the recorder drops everything (zero memory cost).
     keep:
-        When given, only these :class:`TraceKind` values are retained.
-        Fixed at construction (stacks cache per-kind flags from it).
+        The :class:`TraceKind` values retained: ``None`` (every kind),
+        :data:`~repro.kernel.events.STRUCTURAL_TRACE_KINDS` (the
+        checkers' kinds) or an empty set (nothing).  Fixed at
+        construction: stacks cache per-kind flags from it.
     """
 
     __slots__ = (
-        "enabled",
-        "keep",
-        "subscribers",
+        "_keep",
         "_hot",
         "_times",
         "_kinds",
@@ -93,17 +78,14 @@ class TraceRecorder:
         "_kind_rows",
     )
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        keep: Optional[Iterable[TraceKind]] = None,
-    ) -> None:
-        self.enabled = enabled
-        self.keep: Optional[Set[TraceKind]] = set(keep) if keep is not None else None
+    def __init__(self, keep: Optional[Iterable[TraceKind]] = None) -> None:
+        self._keep: Optional[FrozenSet[TraceKind]] = (
+            frozenset(keep) if keep is not None else None
+        )
         #: The firehose log; never rebound (stacks hold its ``extend``).
         self._hot: List[Any] = []
         # Every other record: one list per field, row i across all
-        # columns is record i.  Append-only between clears.
+        # columns is record i.  Append-only.
         self._times: List[Time] = []
         self._kinds: List[TraceKind] = []
         self._stacks: List[int] = []
@@ -118,19 +100,19 @@ class TraceRecorder:
         #: Per-kind row indices: ``of_kind`` and the checkers that call
         #: it stop scanning the full stream.
         self._kind_rows: Dict[TraceKind, List[int]] = {}
-        #: Live subscribers called on each recorded event (e.g. online checkers).
-        self.subscribers: List[Callable[[TraceRecord], None]] = []
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def wants(self, kind: TraceKind) -> bool:
-        """Whether records of *kind* pass the :attr:`keep` filter.
+    @property
+    def keep(self) -> Optional[FrozenSet[TraceKind]]:
+        """The kinds retained (``None``: every kind).  Read-only: each
+        stack caches its per-kind flags from it at construction."""
+        return self._keep
 
-        Ignores :attr:`enabled` — callers pair a cached ``wants`` flag
-        with a live ``enabled`` check, which is the stack's fast path.
-        """
-        return self.keep is None or kind in self.keep
+    def wants(self, kind: TraceKind) -> bool:
+        """Whether records of *kind* pass the :attr:`keep` filter."""
+        return self._keep is None or kind in self._keep
 
     def record(
         self,
@@ -145,7 +127,7 @@ class TraceRecorder:
         event: Optional[str] = None,
         detail: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        """Record one event (a no-op when disabled or filtered out).
+        """Record one event (a no-op when *kind* is not kept).
 
         Every field lands in its named slot; *call_id* is the call's
         stack-local int seq, rendered as ``"<stack_id>:<seq>"`` in the
@@ -156,9 +138,7 @@ class TraceRecorder:
         event on a call kind or a method on a response kind.  The
         signature has no ``**kwargs``: CPython would build a dict per call.
         """
-        if not self.enabled:
-            return
-        keep = self.keep
+        keep = self._keep
         if keep is not None and kind not in keep:
             return
         if kind not in STRUCTURAL_TRACE_KINDS and not detail:
@@ -166,8 +146,6 @@ class TraceRecorder:
             if (event if calls else method) is None:
                 name = method if calls else event
                 self._hot.extend((time, kind, stack_id, service, module, protocol, name, call_id))
-                if self.subscribers:
-                    self._publish_hot()
                 return
         row = len(self._times)
         self._times.append(time)
@@ -185,16 +163,6 @@ class TraceRecorder:
         if rows is None:
             rows = self._kind_rows[kind] = []
         rows.append(row)
-        if self.subscribers:
-            record = self._row(row)
-            for sub in self.subscribers:
-                sub(record)
-
-    def _publish_hot(self) -> None:
-        """Hand the newest hot-log record to every subscriber."""
-        record = self._hot_row(len(self._hot) - HOT_STRIDE)
-        for sub in self.subscribers:
-            sub(record)
 
     # ------------------------------------------------------------------ #
     # Materialisation
@@ -237,14 +205,6 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self._times) + len(self._hot) // HOT_STRIDE
 
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.events)
-
-    @property
-    def events(self) -> List[TraceRecord]:
-        """Every record, in recording order (a new list on each access)."""
-        return self._merge(range(len(self._times)), range(0, len(self._hot), HOT_STRIDE))
-
     def of_kind(
         self, *kinds: TraceKind, protocol: Optional[str] = None
     ) -> List[TraceRecord]:
@@ -265,14 +225,6 @@ class TraceRecorder:
             offsets = [o for o in offsets if hot[o + 5] == protocol]
         return self._merge(rows, offsets)
 
-    def for_stack(self, stack_id: int) -> List[TraceRecord]:
-        """Records of a single stack, in time order."""
-        return [r for r in self.events if r.stack_id == stack_id]
-
-    def for_service(self, service: str) -> List[TraceRecord]:
-        """Records mentioning *service*, in time order."""
-        return [r for r in self.events if r.service == service]
-
     def crashes(self) -> Dict[int, Time]:
         """Map of ``stack_id -> crash time`` for stacks that crashed.
 
@@ -286,68 +238,14 @@ class TraceRecorder:
                 out[stack_id] = times[row]
         return out
 
-    def crashed_before(self, stack_id: int, time: Time) -> bool:
-        """Whether *stack_id* had crashed at or before *time*."""
-        t = self.crashes().get(stack_id)
-        return t is not None and t <= time
-
     def counts(self) -> Mapping[str, int]:
         """Histogram of event kinds (for quick diagnostics)."""
         hot_kinds = self._hot[1::HOT_STRIDE]
         counts = ((k, len(self._kind_rows.get(k, ())) + hot_kinds.count(k)) for k in TraceKind)
         return {kind.value: n for kind, n in counts if n}
 
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self._hot.clear()
-        self._times.clear()
-        self._kinds.clear()
-        self._stacks.clear()
-        self._services.clear()
-        self._modules.clear()
-        self._protocols.clear()
-        self._methods.clear()
-        self._call_ids.clear()
-        self._event_names.clear()
-        self._details.clear()
-        self._hot_pos.clear()
-        self._kind_rows.clear()
 
-
-class _NullTraceRecorder(TraceRecorder):
-    """The always-off sink behind :data:`NULL_TRACE`.
-
-    One instance is shared by every ``Stack(trace=False)`` in the
-    process, so it must stay inert: :attr:`enabled` is pinned ``False``
-    (assigning ``True`` raises — enable tracing by passing ``trace=True``
-    or a real recorder to the stack instead), and :meth:`wants` answers
-    ``False`` so stacks cache all-off flags and never even read
-    ``enabled`` on the hot path.
-    """
-
-    __slots__ = ()
-
-    @property
-    def enabled(self) -> bool:  # shadows the base slot
-        """Always ``False``; assigning ``True`` raises."""
-        return False
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        """Reject enabling; assigning ``False`` is an idempotent no-op."""
-        if value:
-            raise ValueError(
-                "NULL_TRACE is the shared always-off sink; construct the "
-                "stack with trace=True or a TraceRecorder to record events"
-            )
-
-    def wants(self, kind: TraceKind) -> bool:
-        """Nothing is ever wanted by the null sink."""
-        return False
-
-
-#: Shared always-disabled sink: the null object behind ``Stack(trace=False)``
-#: and standalone benchmark stacks.  Inert by construction (see
-#: :class:`_NullTraceRecorder`), so sharing one instance across systems
-#: is safe.
-NULL_TRACE = _NullTraceRecorder(enabled=False)
+#: The shared keep-nothing sink: what ``Stack(machine)`` records into.  Its
+#: :attr:`~TraceRecorder.keep` is empty and read-only, so sharing one
+#: instance across systems is safe.
+NULL_TRACE = TraceRecorder(keep=frozenset())

@@ -49,8 +49,9 @@ class SimBackend(Backend):
         Root seed for all randomness of the run.
     loss_rate / duplicate_rate:
         LAN-wide impairment floors of the simulated switched LAN.
-    trace_enabled, trace_kinds:
-        Forwarded to :class:`~repro.kernel.system.System` unchanged.
+    trace_kinds:
+        The kinds the trace keeps (``None``: every kind; an empty set:
+        none); forwarded to :class:`~repro.kernel.system.System`.
     calibration:
         The kernel dispatch costs and LAN bandwidth this backend runs
         with, and what the stack set is built with; the simulated one
@@ -63,7 +64,6 @@ class SimBackend(Backend):
         seed: int = 0,
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
-        trace_enabled: bool = True,
         trace_kinds: Optional[Iterable[TraceKind]] = None,
         calibration: Calibration = SIM_CALIBRATION,
     ) -> None:
@@ -71,7 +71,6 @@ class SimBackend(Backend):
         self._system = system = System(
             n=n,
             seed=seed,
-            trace_enabled=trace_enabled,
             trace_kinds=trace_kinds,
             call_cost=calibration.call_cost,
             response_cost=calibration.response_cost,

@@ -37,6 +37,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ScenarioError
+from ..experiments.common import TRACE_MODES
 from ..viz import render_table
 from .docgen import update_doc
 from .engine import Campaign, CampaignResult, compare_reports, run_campaign
@@ -96,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fan the (scenario, seed) matrix over N warm "
                              "worker processes (0 = one per CPU; default: 1). "
                              "The report is byte-identical for any N")
-    parser.add_argument("--trace", choices=("structural", "full", "off"),
+    parser.add_argument("--trace", choices=tuple(TRACE_MODES),
                         default="structural",
                         help="kernel trace depth per run (default: structural "
                              "— everything the property checkers consume, "

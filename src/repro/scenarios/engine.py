@@ -50,7 +50,6 @@ from ..dpu.properties import (
 )
 from ..errors import ScenarioError
 from ..experiments.common import (
-    TRACE_MODES,
     GroupCommSystem,
     build_group_comm_system,
     collect_rejoined,
@@ -352,19 +351,17 @@ def run_scenario(
     (they are returned in the result, so a campaign always completes).
 
     Builds the simulated stack set and runs the :class:`ScenarioRun`
-    steps on it.  *trace* selects the kernel trace depth.  The default,
-    ``"structural"``, records exactly the kinds the property checkers
-    consume — module add/remove, bind/unbind, blocked/unblocked calls,
+    steps on it.  *trace* selects the kernel trace depth, a
+    :data:`~repro.experiments.common.TRACE_MODES` key (the builder
+    rejects any other with :class:`~repro.errors.ScenarioError`).  The
+    default, ``"structural"``, records exactly the kinds the property
+    checkers consume — module add/remove, bind/unbind, blocked/unblocked calls,
     crash/recover — and skips the per-call/per-response firehose, so the
     report is **byte-identical** to a ``"full"`` run at a fraction of the
     dispatch cost.  ``"off"`` records nothing (pure speed; the
     trace-based checkers then trivially pass, so only use it when the
     report's violation fields are not the point of the run).
     """
-    if trace not in TRACE_MODES:
-        raise ScenarioError(
-            f"unknown trace mode {trace!r}; expected one of {TRACE_MODES}"
-        )
     run = ScenarioRun(build_group_comm_system(spec, seed, trace=trace))
     run.drive()
     return run.check()

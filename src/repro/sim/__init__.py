@@ -17,12 +17,8 @@ from .events import (
 )
 from .latency import (
     ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
     LatencyModel,
     LogNormalLatency,
-    ShiftedLatency,
-    UniformLatency,
     lan_latency,
 )
 from .faults import FaultInjector, FaultRecord
@@ -51,11 +47,7 @@ __all__ = [
     "stable_hash64",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
     "LogNormalLatency",
-    "EmpiricalLatency",
-    "ShiftedLatency",
     "lan_latency",
     "Counter",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,11 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
-    "ExponentialLatency",
     "LogNormalLatency",
-    "EmpiricalLatency",
-    "ShiftedLatency",
     "lan_latency",
 ]
 
@@ -81,48 +77,6 @@ class ConstantLatency(LatencyModel):
 
 
 @dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """Uniform on ``[low, high]`` seconds."""
-
-    low: Duration
-    high: Duration
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise ValueError(f"need 0 <= low <= high, got [{self.low}, {self.high}]")
-
-    def sample(self, rng: np.random.Generator) -> Duration:
-        return float(rng.uniform(self.low, self.high))
-
-    def sample_buffered(self, draws: "BufferedDraws") -> Duration:
-        return draws.uniform(self.low, self.high)
-
-    def mean(self) -> Duration:
-        return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class ExponentialLatency(LatencyModel):
-    """``floor`` plus an exponential tail with the given *mean_tail*."""
-
-    mean_tail: Duration
-    floor: Duration = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mean_tail < 0 or self.floor < 0:
-            raise ValueError("mean_tail and floor must be non-negative")
-
-    def sample(self, rng: np.random.Generator) -> Duration:
-        return self.floor + float(rng.exponential(self.mean_tail))
-
-    def sample_buffered(self, draws: "BufferedDraws") -> Duration:
-        return self.floor + draws.exponential(self.mean_tail)
-
-    def mean(self) -> Duration:
-        return self.floor + self.mean_tail
-
-
-@dataclass(frozen=True)
 class LogNormalLatency(LatencyModel):
     """``floor`` plus a lognormal tail parameterised by its own mean/sigma.
 
@@ -162,51 +116,6 @@ class LogNormalLatency(LatencyModel):
 
     def mean(self) -> Duration:
         return self.floor + self.tail_mean
-
-
-@dataclass(frozen=True)
-class EmpiricalLatency(LatencyModel):
-    """Resample (with replacement) from a recorded set of durations."""
-
-    samples: tuple
-
-    def __init__(self, samples: Sequence[Duration]) -> None:
-        values = tuple(float(s) for s in samples)
-        if not values:
-            raise ValueError("EmpiricalLatency needs at least one sample")
-        if any(v < 0 for v in values):
-            raise ValueError("EmpiricalLatency samples must be non-negative")
-        object.__setattr__(self, "samples", values)
-
-    def sample(self, rng: np.random.Generator) -> Duration:
-        return self.samples[int(rng.integers(len(self.samples)))]
-
-    def sample_buffered(self, draws: "BufferedDraws") -> Duration:
-        return self.samples[draws.integers(len(self.samples))]
-
-    def mean(self) -> Duration:
-        return float(np.mean(self.samples))
-
-
-@dataclass(frozen=True)
-class ShiftedLatency(LatencyModel):
-    """Another model plus a constant shift (e.g. a per-hop floor)."""
-
-    base: LatencyModel
-    shift: Duration
-
-    def __post_init__(self) -> None:
-        if self.shift < 0:
-            raise ValueError("shift must be non-negative")
-
-    def sample(self, rng: np.random.Generator) -> Duration:
-        return self.shift + self.base.sample(rng)
-
-    def sample_buffered(self, draws: "BufferedDraws") -> Duration:
-        return self.shift + self.base.sample_buffered(draws)
-
-    def mean(self) -> Duration:
-        return self.shift + self.base.mean()
 
 
 def lan_latency(

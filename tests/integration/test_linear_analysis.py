@@ -2,10 +2,10 @@
 
 A full-trace cell records every call, dispatch and response, but the
 property checkers consume a handful of structural kinds.  These tests run
-a real switch scenario at ``trace="full"`` with whole-stream access and
-call/response records disabled, and bound the number of records built,
-so a change that puts a full-stream scan back into the analysis phase,
-or a checker that starts reading the firehose, fails here.
+a real switch scenario at ``trace="full"`` with call/response records
+forbidden, and bound the number of records built, so a change that puts
+a full-stream read (``of_kind`` over every kind) back into the analysis
+phase, or a checker that starts reading the firehose, fails here.
 """
 
 import pytest
@@ -37,17 +37,12 @@ SPEC = ScenarioSpec(
 
 @pytest.fixture
 def counted_rows(monkeypatch):
-    """Forbid whole-stream reads and firehose records; count built rows
-    per recorder."""
-
-    def forbidden(self):
-        raise AssertionError("the analysis phase read the whole trace stream")
+    """Forbid firehose records (every whole-stream read builds them on a
+    full trace); count built rows per recorder."""
 
     def firehose(self, offset):
         raise AssertionError("the analysis phase built a call/response record")
 
-    monkeypatch.setattr(TraceRecorder, "__iter__", forbidden)
-    monkeypatch.setattr(TraceRecorder, "events", property(forbidden))
     monkeypatch.setattr(TraceRecorder, "_hot_row", firehose)
     built = {}
     row = TraceRecorder._row

@@ -8,12 +8,21 @@ windows with convergence metrics), reports are byte-identical across
 chain recovers via ``on_restart`` resuming the pending chain.
 """
 
+import pytest
+
 from repro.scenarios import Campaign, get_scenario, run_campaign, run_scenario
 
 
+@pytest.fixture(scope="module")
+def triple_switch():
+    """``pipelined-triple-switch`` at seed 0, run once for the tests that
+    only read its result."""
+    return run_scenario(get_scenario("pipelined-triple-switch"), seed=0)
+
+
 class TestPipelinedTripleSwitch:
-    def test_runs_clean_with_overlapping_windows(self):
-        result = run_scenario(get_scenario("pipelined-triple-switch"), seed=0)
+    def test_runs_clean_with_overlapping_windows(self, triple_switch):
+        result = triple_switch
         assert result.ok, result.violations
         assert result.violations["chain agreement"] == []
         assert result.violations["uniform agreement"] == []
@@ -26,16 +35,15 @@ class TestPipelinedTripleSwitch:
         assert all(o > 0.0 for o in overlaps)
         assert result.switch_chain["pipelined"] is True
 
-    def test_chain_convergence_metrics(self):
-        result = run_scenario(get_scenario("pipelined-triple-switch"), seed=0)
-        chain = result.switch_chain
+    def test_chain_convergence_metrics(self, triple_switch):
+        chain = triple_switch.switch_chain
         assert chain["versions"] == [1, 2, 3]
         assert chain["converged_at"] is not None
         assert chain["convergence_time"] > 0.0
         assert chain["chain_started_at"] < chain["converged_at"]
 
-    def test_every_stack_traverses_the_identical_chain(self):
-        result = run_scenario(get_scenario("pipelined-triple-switch"), seed=0)
+    def test_every_stack_traverses_the_identical_chain(self, triple_switch):
+        result = triple_switch
         trajectories = result.switch_chain["trajectories"]
         assert len(trajectories) == 5
         reference = trajectories["0"]

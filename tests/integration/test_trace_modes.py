@@ -5,14 +5,18 @@ the kinds the property checkers consume — so full-stack runs stop paying
 one record allocation per dispatched call.  That is only sound if the
 JSON report is **byte-identical** to a full-trace run, at every ``jobs``
 fan-out.  These tests pin exactly that, plus the "off" depth for clean
-runs.
+runs, and that every entry point spells the depths as ``TRACE_MODES``.
 """
 
 import pytest
 
 from repro.errors import ScenarioError
+from repro.experiments import build_group_comm_system
+from repro.experiments.common import TRACE_MODES
+from repro.fuzz.__main__ import main as fuzz_cli
 from repro.kernel import STRUCTURAL_TRACE_KINDS, TraceKind
 from repro.scenarios import Campaign, get_scenario, run_campaign, run_scenario
+from repro.scenarios.__main__ import main as scenarios_cli
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +47,25 @@ class TestTraceModeIdentity:
         assert serial.to_json() == parallel.to_json()
 
     def test_unknown_trace_mode_rejected(self):
+        spec = get_scenario("latency-spike-switch")
         with pytest.raises(ScenarioError, match="trace mode"):
-            run_scenario(get_scenario("latency-spike-switch"), trace="verbose")
+            run_scenario(spec, trace="verbose")
+        with pytest.raises(ScenarioError, match="trace mode"):
+            build_group_comm_system(spec, trace="verbose")
+
+    def test_modes_are_the_recorder_keep_sets(self):
+        spec = get_scenario("latency-spike-switch")
+        for mode, keep in TRACE_MODES.items():
+            assert build_group_comm_system(spec, trace=mode).backend.trace.keep == keep
+        # Only an explicit "full" records the per-call firehose.
+        assert build_group_comm_system(spec).backend.trace.keep is STRUCTURAL_TRACE_KINDS
+
+    @pytest.mark.parametrize("cli", [scenarios_cli, fuzz_cli], ids=["scenarios", "fuzz"])
+    def test_cli_trace_choices_are_the_modes(self, cli, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli(["--help"])
+        assert exited.value.code == 0
+        assert "--trace {%s}" % ",".join(TRACE_MODES) in capsys.readouterr().out
 
 
 class TestStructuralKinds:

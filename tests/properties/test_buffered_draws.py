@@ -13,14 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import lan_latency
-from repro.sim.latency import (
-    ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
-    LogNormalLatency,
-    ShiftedLatency,
-    UniformLatency,
-)
+from repro.sim.latency import ConstantLatency, LogNormalLatency
 from repro.sim.random import BufferedDraws, RngRegistry
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -97,11 +90,7 @@ class TestScalarEquivalence:
 class TestLatencyModelEquivalence:
     MODELS = [
         ConstantLatency(0.001),
-        UniformLatency(0.001, 0.002),
-        ExponentialLatency(mean_tail=0.001, floor=0.0005),
         LogNormalLatency(tail_mean=0.001, sigma=0.5, floor=0.0002),
-        EmpiricalLatency([0.001, 0.002, 0.003]),
-        ShiftedLatency(ConstantLatency(0.001), shift=0.0005),
         lan_latency(),
     ]
 

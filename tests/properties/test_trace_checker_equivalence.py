@@ -36,7 +36,7 @@ CALL_IDS = (1, 2, 3, None)
 def ref_weak_stack_well_formedness(trace, ignore_after=None) -> List[str]:
     crashes = trace.crashes()
     blocked: Dict[Tuple[int, str], float] = {}
-    for event in trace:
+    for event in trace.of_kind(*TraceKind):
         if event.kind is TraceKind.CALL_BLOCKED:
             blocked[(event.stack_id, event.get("call_id"))] = event.time
         elif event.kind is TraceKind.CALL_UNBLOCKED:
@@ -57,7 +57,7 @@ def ref_strong_stack_well_formedness(trace) -> List[str]:
     return [
         f"call {e.get('call_id')} on stack {e.stack_id} blocked at t={e.time:.6f} "
         f"(service {e.service!r} unbound)"
-        for e in trace
+        for e in trace.of_kind(*TraceKind)
         if e.kind is TraceKind.CALL_BLOCKED
     ]
 
@@ -65,7 +65,7 @@ def ref_strong_stack_well_formedness(trace) -> List[str]:
 def ref_module_presence(trace, protocol):
     open_since: Dict[Tuple[int, str], float] = {}
     intervals: Dict[int, List[Tuple[float, float]]] = {}
-    for event in trace:
+    for event in trace.of_kind(*TraceKind):
         if event.protocol != protocol:
             continue
         if event.kind is TraceKind.MODULE_ADDED:
@@ -81,7 +81,7 @@ def ref_module_presence(trace, protocol):
 
 def _ref_binds(trace, protocol, stacks):
     return [
-        e for e in trace
+        e for e in trace.of_kind(*TraceKind)
         if e.kind is TraceKind.BIND and e.protocol == protocol
         and e.stack_id in set(stacks)
     ]
@@ -133,7 +133,7 @@ def ref_strong_protocol_operationability(trace, protocol, stacks) -> List[str]:
 def ref_protocol_chains(trace, stacks, service="abcast") -> Dict[int, List[str]]:
     wanted = set(stacks)
     chains: Dict[int, List[str]] = {s: [] for s in stacks}
-    for event in trace:
+    for event in trace.of_kind(*TraceKind):
         if (event.kind is TraceKind.BIND and event.service == service
                 and event.stack_id in wanted):
             chains[event.stack_id].append(event.protocol)

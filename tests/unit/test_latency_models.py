@@ -3,25 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.sim.latency import (
-    ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
-    LogNormalLatency,
-    ShiftedLatency,
-    UniformLatency,
-    lan_latency,
-)
+from repro.sim.latency import ConstantLatency, LogNormalLatency, lan_latency
 
 RNG = np.random.default_rng(42)
 
 ALL_MODELS = [
     ConstantLatency(0.001),
-    UniformLatency(0.001, 0.002),
-    ExponentialLatency(mean_tail=0.001, floor=0.0005),
     LogNormalLatency(tail_mean=0.001, sigma=0.5, floor=0.0002),
-    EmpiricalLatency([0.001, 0.002, 0.003]),
-    ShiftedLatency(ConstantLatency(0.001), shift=0.0005),
     lan_latency(),
 ]
 
@@ -34,7 +22,7 @@ class TestAllModels:
 
     def test_samples_at_least_floor(self, model):
         rng = np.random.default_rng(2)
-        floor = getattr(model, "floor", 0.0) or getattr(model, "shift", 0.0) or 0.0
+        floor = getattr(model, "floor", 0.0)
         assert all(model.sample(rng) >= floor for _ in range(200))
 
     def test_empirical_mean_close_to_declared(self, model):
@@ -52,26 +40,6 @@ class TestConstant:
             ConstantLatency(-1.0)
 
 
-class TestUniform:
-    def test_bounds(self):
-        m = UniformLatency(0.001, 0.003)
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            assert 0.001 <= m.sample(rng) <= 0.003
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.003, 0.001)
-        with pytest.raises(ValueError):
-            UniformLatency(-0.001, 0.001)
-
-
-class TestExponential:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialLatency(mean_tail=-1.0)
-
-
 class TestLogNormal:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,28 +48,3 @@ class TestLogNormal:
             LogNormalLatency(tail_mean=0.001, sigma=0.0)
         with pytest.raises(ValueError):
             LogNormalLatency(tail_mean=0.001, floor=-0.1)
-
-
-class TestEmpirical:
-    def test_resamples_from_given_set(self):
-        m = EmpiricalLatency([0.001, 0.002])
-        rng = np.random.default_rng(5)
-        assert {m.sample(rng) for _ in range(100)} <= {0.001, 0.002}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalLatency([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalLatency([0.001, -0.002])
-
-
-class TestShifted:
-    def test_mean_composes(self):
-        m = ShiftedLatency(ConstantLatency(0.001), shift=0.002)
-        assert m.mean() == pytest.approx(0.003)
-
-    def test_negative_shift_rejected(self):
-        with pytest.raises(ValueError):
-            ShiftedLatency(ConstantLatency(0.001), shift=-0.1)

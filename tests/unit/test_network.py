@@ -7,7 +7,7 @@ import pytest
 from repro.errors import NetworkError, ScheduleInPastError, UnknownDestinationError
 from repro.net import NetMessage, SimNetwork, SwitchedLan, estimate_payload_size
 from repro.runtime.codec import decode_value, encode_value
-from repro.sim import ConstantLatency, LatencyModel, Machine, UniformLatency
+from repro.sim import ConstantLatency, LatencyModel, LogNormalLatency, Machine
 
 
 def make_net(sim, n=3, **lan_kwargs):
@@ -173,7 +173,7 @@ class TestDeliveryInstant:
             net.send(NetMessage(0, 1, "x", 10))
 
     def test_direct_delivery_arrives_at_now(self, sim):
-        machines, net = make_net(sim, latency=UniformLatency(0.0005, 0.002))
+        machines, net = make_net(sim, latency=LogNormalLatency(tail_mean=0.001, floor=0.0005))
         seen = self._arrivals(sim, net, 1)
         for i in range(20):
             net.send(NetMessage(0, 1, i, 500))
@@ -183,7 +183,7 @@ class TestDeliveryInstant:
 
     def test_duplicate_delivery_arrives_at_now(self, sim):
         machines, net = make_net(
-            sim, latency=UniformLatency(0.0005, 0.002), duplicate_rate=0.5
+            sim, latency=LogNormalLatency(tail_mean=0.001, floor=0.0005), duplicate_rate=0.5
         )
         seen = self._arrivals(sim, net, 1)
         for i in range(40):

@@ -58,7 +58,7 @@ TICK = 0.02
 def backend(request):
     """A started two-node backend of each flavour (stopped on teardown)."""
     if request.param == "sim":
-        b = SimBackend(n=2, seed=7, trace_enabled=False)
+        b = SimBackend(n=2, seed=7, trace_kinds=frozenset())
     else:
         b = RealtimeBackend(n=2, seed=7)
     b.start()
@@ -419,7 +419,7 @@ def test_send_local_loopback(backend):
 
 
 def test_run_until_lands_the_sim_clock_exactly_on_the_instant():
-    backend = SimBackend(n=2, seed=7, trace_enabled=False)
+    backend = SimBackend(n=2, seed=7, trace_kinds=frozenset())
     backend.start()
     until = 0.1 + 0.2  # not a "round" float: the clock must land on it as is
     backend.nodes[0].set_timer(0.05, lambda: None)

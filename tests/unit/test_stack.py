@@ -573,18 +573,6 @@ class TestStandaloneTraceModes:
         sim.run()
         assert len(NULL_TRACE) == 0
 
-    def test_trace_false_is_null_trace(self):
-        sim = Simulator(seed=0)
-        assert Stack(Machine(sim, 0), trace=False).trace is NULL_TRACE
-
-    def test_trace_true_gets_private_recorder(self):
-        sim = Simulator(seed=0)
-        st = Stack(Machine(sim, 0), trace=True)
-        assert isinstance(st.trace, TraceRecorder)
-        assert st.trace is not NULL_TRACE
-        st2 = Stack(Machine(sim, 1), trace=True)
-        assert st.trace is not st2.trace
-
     def test_keep_filtered_recorder_still_records_blocks(self):
         """A structural recorder must keep blocked/unblocked records (and
         their lazily-built call ids) while dropping the call firehose."""
@@ -598,9 +586,9 @@ class TestStandaloneTraceModes:
         sim.run()
         st.bind("echo", echo)
         sim.run()
-        kinds = [e.kind for e in recorder]
-        assert kinds == [TraceKind.CALL_BLOCKED, TraceKind.CALL_UNBLOCKED]
-        assert [e.call_id for e in recorder] == ["3:1", "3:1"]
+        records = recorder.of_kind(*TraceKind)
+        assert [e.kind for e in records] == [TraceKind.CALL_BLOCKED, TraceKind.CALL_UNBLOCKED]
+        assert [e.call_id for e in records] == ["3:1", "3:1"]
 
 
 class TestQueryFastPath:

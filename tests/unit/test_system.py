@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.experiments import build_group_comm_system
-from repro.kernel import Module, Stack, System
+from repro.kernel import Module, Stack, System, TraceKind
 from repro.runtime import RealtimeBackend
 from repro.runtime.soak import SoakConfig, build_soak_system, soak_spec
 from repro.scenarios.spec import PAPER_SPEC
@@ -68,11 +68,11 @@ class TestSystem:
         sys_ = System(n=2, seed=0)
         sys_.registry.register("simple", Simple, provides=("s",))
         sys_.create_module_everywhere("simple")
-        stacks_seen = {e.stack_id for e in sys_.trace}
+        stacks_seen = {e.stack_id for e in sys_.trace.of_kind(*TraceKind)}
         assert stacks_seen == {0, 1}
 
     def test_trace_disable(self):
-        sys_ = System(n=2, seed=0, trace_enabled=False)
+        sys_ = System(n=2, seed=0, trace_kinds=frozenset())
         sys_.registry.register("simple", Simple, provides=("s",))
         sys_.create_module_everywhere("simple")
         assert len(sys_.trace) == 0
