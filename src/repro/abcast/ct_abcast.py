@@ -55,15 +55,9 @@ class CtAbcastModule(AbcastModuleBase):
         group: Sequence[int],
         consensus_on_ids: bool = False,
         instance_tag: Optional[str] = None,
-        consensus_service: str = WellKnown.CONSENSUS,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(stack, group, instance_tag=instance_tag, name=name)
-        # The consensus dependency is a *service name*, so this module can
-        # transparently consume the r-consensus indirection level when the
-        # consensus-replacement extension is installed.
-        self.consensus_service = consensus_service
-        self.requires = (RBCAST_SERVICE, consensus_service)
         self.consensus_on_ids = consensus_on_ids
         #: R-delivered but not yet Adelivered, keyed by uid.
         self._unordered: Dict[Uid, AbcastRecord] = {}
@@ -74,7 +68,7 @@ class CtAbcastModule(AbcastModuleBase):
         #: Decisions that arrived ahead of ``_next_instance``.
         self._pending_decisions: Dict[int, tuple] = {}
         self.subscribe(RBCAST_SERVICE, "deliver", self._on_rbcast)
-        self.subscribe(self.consensus_service, "decide", self._on_decide)
+        self.subscribe(WellKnown.CONSENSUS, "decide", self._on_decide)
 
     # ------------------------------------------------------------------ #
     # ABcast: disseminate via reliable broadcast
@@ -122,7 +116,7 @@ class CtAbcastModule(AbcastModuleBase):
         # Consensus instances are namespaced by the incarnation tag so a
         # replacement installing a second CT-ABcast module can share the
         # one consensus module without instance-id collisions.
-        self.call(self.consensus_service, "propose", (self.instance_tag, k), batch, proposal_size)
+        self.call(WellKnown.CONSENSUS, "propose", (self.instance_tag, k), batch, proposal_size)
 
     def _on_decide(self, instance_key: Any, batch: Any, size_bytes: int):
         if not (isinstance(instance_key, tuple) and len(instance_key) == 2):

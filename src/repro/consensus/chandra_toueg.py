@@ -49,7 +49,6 @@ class CtConsensusModule(Module):
         self,
         stack: Stack,
         group: Sequence[int],
-        channel: str = "0",
         name: Optional[str] = None,
     ) -> None:
         super().__init__(stack, name=name)
@@ -58,9 +57,6 @@ class CtConsensusModule(Module):
             raise ValueError(
                 f"stack {stack.stack_id} is not in its consensus group {self.group!r}"
             )
-        #: Wire channel: two consensus module incarnations (e.g. during a
-        #: consensus replacement) must not read each other's frames.
-        self.channel = channel
         self.counters = Counter()
         # Instance ids are opaque hashable keys; atomic broadcast uses
         # ``(incarnation_tag, k)`` tuples.
@@ -127,7 +123,7 @@ class CtConsensusModule(Module):
                 WellKnown.RP2P,
                 "send",
                 dst,
-                (_TAG, self.channel, instance_id, kind, round_, value, ts, size),
+                (_TAG, instance_id, kind, round_, value, ts, size),
                 size + _CT_HEADER,
             )
 
@@ -139,7 +135,7 @@ class CtConsensusModule(Module):
             self.call(
                 RBCAST_SERVICE,
                 "broadcast",
-                (_DECIDE_TAG, self.channel, instance_id, value, size),
+                (_DECIDE_TAG, instance_id, value, size),
                 size + _CT_HEADER,
             )
 
@@ -151,9 +147,7 @@ class CtConsensusModule(Module):
     def _on_rp2p(self, src: int, payload: Any, size_bytes: int):
         if not (isinstance(payload, tuple) and payload and payload[0] == _TAG):
             return NOT_MINE
-        _, channel, instance_id, kind, round_, value, ts, size = payload
-        if channel != self.channel:
-            return NOT_MINE  # another consensus incarnation's frame
+        _, instance_id, kind, round_, value, ts, size = payload
         if instance_id in self._decided:
             return
         instance = self._instances.get(instance_id)
@@ -168,9 +162,7 @@ class CtConsensusModule(Module):
     def _on_rbcast(self, origin: int, payload: Any, size_bytes: int):
         if not (isinstance(payload, tuple) and payload and payload[0] == _DECIDE_TAG):
             return NOT_MINE
-        _, channel, instance_id, value, size = payload
-        if channel != self.channel:
-            return NOT_MINE
+        _, instance_id, value, size = payload
         previous = self._decided.get(instance_id, _NOT_DECIDED)
         if previous is not _NOT_DECIDED:
             if previous[0] != value:

@@ -2,11 +2,8 @@
 
 * :class:`ReplAbcastModule` — Algorithm 1 (replacement of atomic
   broadcast protocols) behind the ``r-abcast`` indirection level;
-* :class:`IndirectionModule` — the generic structural pattern;
 * :class:`ReplacementManager` — orchestration + the paper's replacement
   window measurement;
-* :class:`ReplConsensusModule` — the future-work extension (replacement
-  of consensus protocols);
 * :mod:`~repro.dpu.properties` / :mod:`~repro.dpu.abcast_checker` —
   trace checkers for the Section 3 generic properties and the Section 5
   ABcast properties across replacements;
@@ -25,15 +22,10 @@ from .abcast_checker import (
     check_validity,
     is_post_rejoin_send,
 )
-from .consensus_repl import ReplConsensusModule
-from .generic import IndirectionModule
 from .manager import ReplacementManager, ReplacementWindow
 from .probes import AbcastProbeModule, DeliveryLog, payload_key
 from .properties import (
-    assert_chain_agreement,
-    assert_strong_protocol_operationability,
     assert_strong_stack_well_formedness,
-    assert_weak_protocol_operationability,
     assert_weak_stack_well_formedness,
     check_chain_agreement,
     check_strong_protocol_operationability,
@@ -49,10 +41,8 @@ __all__ = [
     "SwitchTask",
     "NIL",
     "NEW_ABCAST",
-    "IndirectionModule",
     "ReplacementManager",
     "ReplacementWindow",
-    "ReplConsensusModule",
     "AbcastProbeModule",
     "DeliveryLog",
     "payload_key",
@@ -62,8 +52,6 @@ __all__ = [
     "check_strong_protocol_operationability",
     "assert_weak_stack_well_formedness",
     "assert_strong_stack_well_formedness",
-    "assert_weak_protocol_operationability",
-    "assert_strong_protocol_operationability",
     "check_validity",
     "check_uniform_agreement",
     "check_uniform_integrity",
@@ -74,6 +62,5 @@ __all__ = [
     "is_post_rejoin_send",
     "protocol_chains",
     "check_chain_agreement",
-    "assert_chain_agreement",
     "chain_agreement_violations",
 ]

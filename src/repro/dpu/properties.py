@@ -2,8 +2,9 @@
 
 All checkers are pure functions over a recorded
 :class:`~repro.kernel.trace.TraceRecorder`; each returns a list of
-violation strings (empty = property holds on this trace) and has an
-``assert_*`` twin raising :class:`~repro.errors.PropertyViolation`.
+violation strings (empty = property holds on this trace); the two
+stack-well-formedness checkers also have an ``assert_*`` twin raising
+:class:`~repro.errors.PropertyViolation`.
 Each reads only the record kinds its docstring names, through the
 recorder's per-kind index (:meth:`~repro.kernel.trace.TraceRecorder.of_kind`)
 — never the whole stream, whose per-call rows dominate a full trace.
@@ -55,9 +56,6 @@ __all__ = [
     "check_chain_agreement",
     "assert_weak_stack_well_formedness",
     "assert_strong_stack_well_formedness",
-    "assert_weak_protocol_operationability",
-    "assert_strong_protocol_operationability",
-    "assert_chain_agreement",
 ]
 
 
@@ -262,42 +260,4 @@ def assert_strong_stack_well_formedness(trace: TraceRecorder) -> None:
     """Raise :class:`PropertyViolation` unless the property holds."""
     _raise_if(
         "strong stack-well-formedness", check_strong_stack_well_formedness(trace)
-    )
-
-
-def assert_weak_protocol_operationability(
-    trace: TraceRecorder,
-    protocol: str,
-    stacks: Sequence[int],
-    ignore_after: Optional[Time] = None,
-) -> None:
-    """Raise :class:`PropertyViolation` unless the property holds."""
-    _raise_if(
-        "weak protocol-operationability",
-        check_weak_protocol_operationability(
-            trace, protocol, stacks, ignore_after=ignore_after
-        ),
-    )
-
-
-def assert_strong_protocol_operationability(
-    trace: TraceRecorder, protocol: str, stacks: Sequence[int]
-) -> None:
-    """Raise :class:`PropertyViolation` unless the property holds."""
-    _raise_if(
-        "strong protocol-operationability",
-        check_strong_protocol_operationability(trace, protocol, stacks),
-    )
-
-
-def assert_chain_agreement(
-    trace: TraceRecorder,
-    stacks: Sequence[int],
-    crashed: Optional[Dict[int, Time]] = None,
-    service: str = WellKnown.ABCAST,
-) -> None:
-    """Raise :class:`PropertyViolation` unless the property holds."""
-    _raise_if(
-        "chain agreement",
-        check_chain_agreement(trace, stacks, crashed=crashed, service=service),
     )

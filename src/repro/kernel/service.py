@@ -102,8 +102,6 @@ class WellKnown:
     R_ABCAST = replacement_service_name(ABCAST)
     #: Group membership.
     GM = "gm"
-    #: The indirection service for consensus (future-work extension).
-    R_CONSENSUS = replacement_service_name(CONSENSUS)
 
 
 #: Specs with the full vocabulary, used by tests and documentation.

@@ -166,23 +166,6 @@ class BufferedDraws:
         """*count* uniform draws on [0, 1), served from the same buffer."""
         return np.asarray(self._take_block(_KIND_RANDOM, lambda rng, n: rng.random(n), count))
 
-    def uniform(self, low: float, high: float) -> float:
-        """Block-buffered ``rng.uniform(low, high)``."""
-        kind = self._kind
-        if (
-            self._idx < len(self._buf)
-            and kind is not None
-            and kind[0] == "uniform"
-            and kind[1] == low
-            and kind[2] == high
-        ):
-            value = self._buf[self._idx]
-            self._idx += 1
-            return value
-        return self._serve(
-            ("uniform", low, high), lambda rng, n: rng.uniform(low, high, n)
-        )
-
     def exponential(self, scale: float) -> float:
         """Block-buffered ``rng.exponential(scale)``."""
         kind = self._kind
@@ -214,22 +197,6 @@ class BufferedDraws:
             return value
         return self._serve(
             ("lognormal", mu, sigma), lambda rng, n: rng.lognormal(mu, sigma, n)
-        )
-
-    def integers(self, high: int) -> int:
-        """Block-buffered ``rng.integers(high)`` (one draw on [0, high))."""
-        kind = self._kind
-        if (
-            self._idx < len(self._buf)
-            and kind is not None
-            and kind[0] == "integers"
-            and kind[1] == high
-        ):
-            value = self._buf[self._idx]
-            self._idx += 1
-            return value
-        return self._serve(
-            ("integers", high), lambda rng, n: rng.integers(high, size=n)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

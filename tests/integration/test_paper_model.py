@@ -11,8 +11,8 @@
   provider is bound to ``p`` and swapped without the consumers noticing.
 """
 
+import pytest
 
-from repro.dpu import IndirectionModule
 from repro.kernel import Module, System, WellKnown
 from repro.net import Rp2pModule, SimNetwork, SwitchedLan, UdpModule
 from repro.sim import ConstantLatency
@@ -129,42 +129,85 @@ class TestFigure2CallsAndResponses:
         assert (9, "after-unbind") in ps[0].responses
 
 
+class Impl(Module):
+    """An updateable provider of ``p`` (Fig. 3's P1 or newP1)."""
+
+    PROVIDES = ("p",)
+
+    def __init__(self, stack, tag):
+        super().__init__(stack, protocol=f"P-{tag}")
+        self.tag = tag
+        self.export_call("p", "ping", lambda: self.respond("p", "pong", self.tag))
+
+
+class ReplP(Module):
+    """Fig. 3's Repl-P reduced to its structure: provides ``r-p``,
+    requires ``p``, and relays ``ping`` down and ``pong`` up verbatim."""
+
+    PROVIDES = ("r-p",)
+    REQUIRES = ("p",)
+    PROTOCOL = "repl-p"
+
+    def __init__(self, stack):
+        super().__init__(stack)
+        self.export_call("r-p", "ping", lambda *args: self.call("p", "ping", *args))
+        self.subscribe("p", "pong", lambda *args: self.respond("r-p", "pong", *args))
+
+
+class Consumer(Module):
+    """Calls ``ping`` on *service* and collects the ``pong`` answers."""
+
+    PROTOCOL = "consumer"
+
+    def __init__(self, stack, service="r-p"):
+        super().__init__(stack, requires=(service,))
+        self.service = service
+        self.pongs = []
+        self.subscribe(service, "pong", self.pongs.append)
+
+    def ping(self):
+        self.call(self.service, "ping")
+
+
 class TestFigure3Composition:
     def test_indirection_hides_the_swap_from_consumers(self):
         """Fig. 3 (right): consumers call r-p; Repl-P requires p; P1 is
         replaced by newP1 behind the indirection."""
         sys_ = System(n=1, seed=92)
         st = sys_.stack(0)
-
-        class Impl(Module):
-            PROVIDES = ("p",)
-
-            def __init__(self, stack, tag):
-                super().__init__(stack, protocol=f"P-{tag}")
-                self.tag = tag
-                self.export_call("p", "ping", lambda: self.respond("p", "pong", self.tag))
-
         st.add_module(Impl(st, "old"))
-        st.add_module(IndirectionModule(st, "p", calls=["ping"], responses=["pong"]))
-
-        class Consumer(Module):
-            REQUIRES = ("r-p",)
-            PROTOCOL = "consumer"
-
-            def __init__(self, stack):
-                super().__init__(stack)
-                self.pongs = []
-                self.subscribe("r-p", "pong", self.pongs.append)
-
+        st.add_module(ReplP(st))
         consumer = st.add_module(Consumer(st))
-        consumer.call("r-p", "ping")
+        consumer.ping()
         sys_.run()
         # Swap the provider behind the indirection:
         st.unbind("p")
         st.add_module(Impl(st, "new"))
-        consumer.call("r-p", "ping")
+        consumer.ping()
         sys_.run()
         assert consumer.pongs == ["old", "new"]
         # The consumer never referenced either implementation: its only
         # dependency is the indirection service.
         assert consumer.requires == ("r-p",)
+
+    def test_extra_dispatch_cost_is_paid(self):
+        """The indirection level costs exactly one extra call dispatch and
+        one extra response dispatch — the structural price the paper
+        measures as ≈5%."""
+
+        def round_trip(service):
+            sys_ = System(n=1, seed=92)
+            st = sys_.stack(0)
+            st.add_module(Impl(st, "old"))
+            if service == "r-p":
+                st.add_module(ReplP(st))
+            consumer = st.add_module(Consumer(st, service))
+            consumer.ping()
+            sys_.run()
+            assert consumer.pongs == ["old"]
+            return st, sys_.sim.now
+
+        st, direct = round_trip("p")
+        _, relayed = round_trip("r-p")
+        assert direct == pytest.approx(st.call_cost + st.response_cost)
+        assert relayed - direct == pytest.approx(st.call_cost + st.response_cost)

@@ -57,24 +57,6 @@ class TestScalarEquivalence:
             scalar_rng.lognormal(mu, sigma) for _ in range(count)
         ]
 
-    @given(SEEDS, COUNTS)
-    @settings(max_examples=20, deadline=None)
-    def test_uniform(self, seed, count):
-        scalar_rng, buf_rng = _pair(seed)
-        draws = BufferedDraws(buf_rng)
-        assert [draws.uniform(0.25, 4.0) for _ in range(count)] == [
-            scalar_rng.uniform(0.25, 4.0) for _ in range(count)
-        ]
-
-    @given(SEEDS, COUNTS, st.integers(min_value=1, max_value=50))
-    @settings(max_examples=20, deadline=None)
-    def test_integers(self, seed, count, high):
-        scalar_rng, buf_rng = _pair(seed)
-        draws = BufferedDraws(buf_rng)
-        assert [draws.integers(high) for _ in range(count)] == [
-            int(scalar_rng.integers(high)) for _ in range(count)
-        ]
-
     @given(SEEDS, st.lists(st.integers(min_value=1, max_value=40),
                            min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,4 @@
-"""Unit tests: the consensus kernel module (channeling, dedup, re-respond)."""
+"""Unit tests: the consensus kernel module (membership, dedup, re-respond)."""
 
 import pytest
 
@@ -23,7 +23,7 @@ class App(Module):
         )
 
 
-def build(n=3, seed=0, channel="0"):
+def build(n=3, seed=0):
     sys_ = System(n=n, seed=seed)
     net = SimNetwork(
         sys_.sim, sys_.machines, SwitchedLan(latency=ConstantLatency(0.0002))
@@ -35,7 +35,7 @@ def build(n=3, seed=0, channel="0"):
         st.add_module(Rp2pModule(st))
         st.add_module(OracleFd(st, group))
         st.add_module(RbcastModule(st, group))
-        ct = CtConsensusModule(st, group, channel=channel)
+        ct = CtConsensusModule(st, group)
         st.add_module(ct)
         cts.append(ct)
         a = App(st)
@@ -45,28 +45,6 @@ def build(n=3, seed=0, channel="0"):
 
 
 class TestChanneling:
-    def test_different_channels_do_not_interfere(self):
-        """Two consensus incarnations on distinct channels run the same
-        instance ids independently (the consensus-replacement setting)."""
-        sys_, apps, cts = build(channel="a")
-        # Add a second consensus incarnation on channel "b", unbound.
-        group = [0, 1, 2]
-        cts_b = []
-        for st in sys_.stacks:
-            ct_b = CtConsensusModule(st, group, channel="b")
-            st.add_module(ct_b, bind=False)
-            cts_b.append(ct_b)
-        # Propose instance 0 on channel a (via the bound module).
-        for i, a in enumerate(apps):
-            a.call(WellKnown.CONSENSUS, "propose", 0, f"a{i}", 32)
-        # Drive channel b's module directly with a different value set.
-        for i, ct_b in enumerate(cts_b):
-            ct_b.call_handler(WellKnown.CONSENSUS, "propose")(0, f"b{i}", 32)
-        sys_.run(until=3.0)
-        for ct, ct_b in zip(cts, cts_b):
-            assert ct.decided_value(0).startswith("a")
-            assert ct_b.decided_value(0).startswith("b")
-
     def test_member_validation(self):
         sys_ = System(n=2, seed=0)
         with pytest.raises(ValueError):
@@ -92,15 +70,15 @@ class TestDecisionHandling:
         a different value is a safety bug and must not be masked."""
         sys_, apps, cts = build()
         ct0 = cts[0]
-        ct0._on_rbcast(0, ("ct.dec", "0", 7, "value-A", 8), 8)
+        ct0._on_rbcast(0, ("ct.dec", 7, "value-A", 8), 8)
         with pytest.raises(PropertyViolation, match="agreement"):
-            ct0._on_rbcast(1, ("ct.dec", "0", 7, "value-B", 8), 8)
+            ct0._on_rbcast(1, ("ct.dec", 7, "value-B", 8), 8)
 
     def test_duplicate_decides_ignored(self):
         sys_, apps, cts = build()
         ct0 = cts[0]
-        ct0._on_rbcast(0, ("ct.dec", "0", 7, "same", 8), 8)
-        ct0._on_rbcast(1, ("ct.dec", "0", 7, "same", 8), 8)
+        ct0._on_rbcast(0, ("ct.dec", 7, "same", 8), 8)
+        ct0._on_rbcast(1, ("ct.dec", 7, "same", 8), 8)
         assert ct0.counters.get("decisions") == 1
 
     def test_open_instances_gauge(self):

@@ -49,7 +49,6 @@ class TestReplacementNaming:
 
     def test_wellknown_consistency(self):
         assert WellKnown.R_ABCAST == replacement_service_name(WellKnown.ABCAST)
-        assert WellKnown.R_CONSENSUS == replacement_service_name(WellKnown.CONSENSUS)
 
 
 class TestWellKnownSpecs:
