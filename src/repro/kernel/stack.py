@@ -42,13 +42,11 @@ through it), so the common case — bound service, no blocked-call backlog
 * response fan-out is served from a cached per ``(service, event)``
   subscriber list, invalidated when the module set changes.
 
-Blocked-call backlogs drain in **batches**: one 0-cost CPU task drains
-every queued call while no other simulation event is pending at the same
-instant and the CPU is idle, falling back to the one-task-per-call chain
-exactly when an equal-time event exists or a released handler occupied
-the CPU — which keeps the observable schedule (and hence same-seed
-traces) identical to the unbatched kernel while collapsing the common
-k-task drain to a single task.
+Blocked-call backlogs drain as a chain of 0-cost CPU tasks, one per
+released call in issue order: each task pops one call, re-arms the next
+task if calls remain, then invokes — so equal-time events and a released
+handler's own CPU work keep their place in the machine's FIFO, and a
+crash kills the re-armed task through the incarnation epoch.
 """
 
 from __future__ import annotations
@@ -358,10 +356,10 @@ class Stack:
         if cost is not None and not cost >= 0:  # NaN fails too
             raise KernelError(f"negative call cost {cost!r}")
         machine = self.machine
-        # Hot path reads Machine internals (_crashed_at here, _busy_until
-        # in the drain) instead of the crashed/busy_until properties: one
-        # attribute load per call.  Kernel and machine are co-designed;
-        # keep these reads in sync with the property definitions.
+        # Hot path reads the node internal _crashed_at instead of the
+        # crashed property: one attribute load per call.  Kernel and
+        # NodeBackend are co-designed; keep this read in sync with the
+        # property definition.
         if machine._crashed_at is not None:
             return
         seq = self._call_seq + 1
@@ -456,54 +454,34 @@ class Stack:
             self.machine.execute(0.0, self._drain_blocked, (service,))
 
     def _drain_blocked(self, service: str) -> None:
-        """One drain task: release queued calls of *service* in FIFO order.
+        """One drain task: release the oldest queued call of *service*.
 
-        Batches the whole backlog into this task while the event heap has
-        nothing else pending at the current instant and the CPU is idle;
-        the moment an equal-time event exists (a racing dispatch
-        completion, work a released handler scheduled at zero delay) or a
-        released handler occupies the CPU (the chained drain task would
-        only start at ``busy_until``), it re-arms the one-call-per-task
-        chain *before* invoking — the exact schedule of the unbatched
-        kernel, so same-seed traces are unchanged.
+        Pops one call, re-arms the drain task if calls remain, *then*
+        invokes it — one task per released call, so the rest of the
+        backlog keeps its place ahead of anything the handler schedules.
         """
         self._draining[service] = False
         queue = self._blocked_calls.get(service)
-        machine = self.machine
-        sim = self._sim
-        epoch = machine.epoch
-        trace = self.trace
-        while queue:
-            provider = self.bindings.bound(service)
-            if provider is None:
-                return  # unbound again; the next bind restarts the drain
-            seq, caller_name, method, args = queue.popleft()
-            self._blocked_total -= 1
-            blocked_at = self._blocked_since.pop(seq, None)
-            if blocked_at is not None:
-                self._blocked_time_total += sim.now - blocked_at
-            if self._trace_unblocked:
-                trace.record(
-                    sim.now, TraceKind.CALL_UNBLOCKED, self.stack_id,
-                    service, caller_name, None, method, seq,
-                )
-            if queue:
-                peek = sim.peek_time()
-                if (peek is not None and peek <= sim.now) or machine._busy_until > sim.now:
-                    # An equal-time event is pending, or a released
-                    # handler occupied the CPU (the chained drain would
-                    # start only at busy_until): re-arm the chain before
-                    # invoking — the exact unbatched schedule — so the
-                    # rest of the backlog keeps its place and its timing.
-                    self._draining[service] = True
-                    machine.execute(0.0, self._drain_blocked, (service,))
-                    self._invoke_provider(provider, seq, service, method, args)
-                    return
-            self._invoke_provider(provider, seq, service, method, args)
-            if machine.crashed or machine.epoch != epoch:
-                # The handler crashed (or re-incarnated) the machine: the
-                # rest of the backlog waits for the restart protocol.
-                return
+        if not queue:
+            return
+        provider = self.bindings.bound(service)
+        if provider is None:
+            return  # unbound again; the next bind restarts the drain
+        seq, caller_name, method, args = queue.popleft()
+        self._blocked_total -= 1
+        now = self._sim.now
+        blocked_at = self._blocked_since.pop(seq, None)
+        if blocked_at is not None:
+            self._blocked_time_total += now - blocked_at
+        if self._trace_unblocked:
+            self.trace.record(
+                now, TraceKind.CALL_UNBLOCKED, self.stack_id,
+                service, caller_name, None, method, seq,
+            )
+        if queue:
+            self._draining[service] = True
+            self.machine.execute(0.0, self._drain_blocked, (service,))
+        self._invoke_provider(provider, seq, service, method, args)
 
     @property
     def calls_issued(self) -> int:

@@ -2,13 +2,13 @@
 
 The old executor paid worker cold-start per campaign: every
 ``ProcessPoolExecutor`` context spawned fresh interpreters that re-imported
-``repro`` (and numpy) before running a single cell, and every
-``(spec, seed)`` cell was one pickle round-trip.  On the smoke matrix that
-overhead exceeded the simulation time itself, so ``--jobs`` *lost* to
-serial.  bench-e2e's ``campaign-pool`` workload measures this pool end to
-end (``parallel.speedup``, ``parallel.overhead_ms_per_cell``).
+``repro`` (and numpy) before running a single cell, and shipped pickled
+result objects back.  On the smoke matrix that overhead exceeded the
+simulation time itself, so ``--jobs`` *lost* to serial.  bench-e2e's
+``campaign-pool`` workload measures this pool end to end
+(``parallel.speedup``, ``parallel.overhead_ms_per_cell``).
 
-:class:`WarmPool` fixes all three costs:
+:class:`WarmPool` fixes both costs:
 
 * **warm workers** — processes are spawned once per parent process (see
   :func:`get_pool`), import :mod:`repro.scenarios.engine` once, and are
@@ -16,31 +16,28 @@ end (``parallel.speedup``, ``parallel.overhead_ms_per_cell``).
   invocations; the fork start method (the Linux default) makes even the
   first generation warm from birth, since children inherit the parent's
   already-imported modules;
-* **chunked scheduling** — cells ship in chunks sized by
-  :func:`cells_per_chunk` (enough chunks for ~4 rounds of work stealing
-  per worker), so the per-message IPC cost amortises over many cells
-  while the tail stays balanced; the chunk size is internal, not an
-  option;
-* **compact fragments, deterministic merge** — workers reply with
-  pre-serialised sorted-key JSON fragments (one per cell) instead of
-  pickled result objects, and the parent merges fragments **by chunk
-  index**, so the reassembled report is byte-identical for any
-  ``jobs`` (pinned by ``tests/integration/test_warm_pool.py``).
+* **compact fragments, deterministic merge** — one cell ships per
+  message, and the worker replies with its pre-serialised sorted-key
+  JSON fragment instead of a pickled result object; the parent merges
+  fragments **by cell index**, so the reassembled report is
+  byte-identical for any ``jobs`` (pinned by
+  ``tests/integration/test_warm_pool.py``).  Idle workers take the next
+  cell, which keeps the tail balanced.
 
 Failure contract: a cell that raises in a worker fails the campaign with
 a :class:`~repro.errors.ScenarioError` whose first line names the
-poisoned ``(spec, seed)`` — after the other in-flight chunks were
+poisoned ``(spec, seed)`` — after the other in-flight cells were
 collected, so the pool stays reusable.  When several cells are poisoned
-the error is always the one of the **lowest chunk index** (i.e. the
-first poisoned cell in cell order), whatever the worker scheduling;
+the error is always the one of the **lowest cell index** (the first
+poisoned cell in cell order), whatever the worker scheduling;
 worker name and exit code follow on later lines.  A worker that *dies*
 (killed, OOM) surfaces the same way — its pipe EOF wakes the dispatcher,
 so the pool never hangs — and is replaced before the error propagates.
 
 Workers run with the cyclic garbage collector frozen/disabled during a
-chunk (each cell's simulator is an isolated object graph dropped whole
+cell (each cell's simulator is an isolated object graph dropped whole
 at cell end, so the collector only adds pauses) and collect once per
-chunk — the Instagram ``gc.freeze`` recipe.
+cell — the Instagram ``gc.freeze`` recipe.
 
 Everything here is wall-clock-free (R2 determinism: timing the pool is
 the benchmarks' job, not the pool's).
@@ -58,7 +55,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
 
-__all__ = ["WarmPool", "cells_per_chunk", "get_pool", "shutdown_pool"]
+__all__ = ["WarmPool", "get_pool", "shutdown_pool"]
 
 #: One campaign cell: ``(spec, seed, trace)`` exactly as the engine builds it.
 Cell = Tuple[Any, int, str]
@@ -68,11 +65,11 @@ Cell = Tuple[Any, int, str]
 # Worker side
 # --------------------------------------------------------------------------- #
 def _worker_main(conn: Connection) -> None:
-    """The worker loop: receive chunks of cells, reply with JSON fragments.
+    """The worker loop: receive cells, reply with JSON fragments.
 
-    Messages in: ``("run", chunk_id, cells)``, ``("ping", token)``, or
-    ``None`` (shutdown).  Messages out: ``("ok", chunk_id, fragments)``,
-    ``("err", chunk_id, name, seed, traceback)``, ``("pong", token)``.
+    Messages in: ``("run", cell_id, cell)``, ``("ping", token)``, or
+    ``None`` (shutdown).  Messages out: ``("ok", cell_id, fragment)``,
+    ``("err", cell_id, name, seed, traceback)``, ``("pong", token)``.
     The engine import happens once, here — the warm in ``WarmPool``.
     """
     from .scenarios.engine import run_scenario
@@ -95,49 +92,27 @@ def _worker_main(conn: Connection) -> None:
         if tag == "ping":
             conn.send(("pong", task[1]))
             continue
-        chunk_id, cells = task[1], task[2]
-        fragments: List[str] = []
-        failed: Optional[Tuple[str, int, str]] = None
+        cell_id, (spec, seed, trace) = task[1], task[2]
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            for spec, seed, trace in cells:
-                try:
-                    result = run_scenario(spec, seed=seed, trace=trace)
-                except Exception:
-                    failed = (spec.name, seed, traceback.format_exc())
-                    break
-                fragments.append(
-                    dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
-                )
+            result = run_scenario(spec, seed=seed, trace=trace)
+        except Exception:
+            reply: Tuple[Any, ...] = ("err", cell_id, spec.name, seed, traceback.format_exc())
+        else:
+            reply = ("ok", cell_id, dumps(result.to_dict(), sort_keys=True, separators=(",", ":")))
         finally:
             if gc_was_enabled:
                 gc.enable()
             gc.collect()
-        if failed is not None:
-            conn.send(("err", chunk_id, failed[0], failed[1], failed[2]))
-        else:
-            conn.send(("ok", chunk_id, fragments))
+        conn.send(reply)
     conn.close()
 
 
 # --------------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------------- #
-def cells_per_chunk(n_cells: int, workers: int) -> int:
-    """Cells per chunk: amortises IPC while keeping the tail balanced.
-
-    Aims for ~4 dispatch rounds per worker (so a slow cell cannot strand
-    the pool behind one giant chunk), capped at 8 cells per chunk (so the
-    per-chunk reply stays small) and floored at 1.
-    """
-    if workers < 1:
-        workers = 1
-    target = -(-n_cells // (workers * 4))  # ceil division
-    return max(1, min(8, target))
-
-
 class _Worker:
     """One pooled process and the parent's end of its pipe."""
 
@@ -265,85 +240,82 @@ class WarmPool:
         """Run every cell; return one compact JSON fragment per cell.
 
         Fragments come back **in cell order** regardless of which worker
-        ran which chunk — the deterministic merge.  Chunks hold
-        :func:`cells_per_chunk` cells; *max_workers* caps how many of the
-        pool's workers participate (a ``jobs=2`` campaign on a pool that
-        grew to 4 still runs width-2).
+        ran which cell — the deterministic merge.  *max_workers* caps how
+        many of the pool's workers participate (a ``jobs=2`` campaign on
+        a pool that grew to 4 still runs width-2).
         """
         if not cells:
             return []
         workers = self._workers[: max_workers or len(self._workers)]
-        size = cells_per_chunk(len(cells), len(workers))
-        chunks = [list(cells[i : i + size]) for i in range(0, len(cells), size)]
 
-        fragments: dict[int, List[str]] = {}
-        #: chunk index -> error text of every chunk that failed.
+        fragments: dict[int, str] = {}
+        #: cell index -> error text of every cell that failed.
         failures: dict[int, str] = {}
         busy: dict[Connection, Tuple[_Worker, int]] = {}
         idle: List[_Worker] = list(workers)
-        next_chunk = 0
+        next_cell = 0
 
-        def dispatch(worker: _Worker, chunk_id: int) -> None:
+        def dispatch(worker: _Worker, cell_id: int) -> None:
             for _ in range(2):
                 if not worker.process.is_alive():
                     worker = self._replace(worker)
                 try:
-                    worker.conn.send(("run", chunk_id, chunks[chunk_id]))
+                    worker.conn.send(("run", cell_id, cells[cell_id]))
                 except OSError:
                     worker = self._replace(worker)
                     continue
-                busy[worker.conn] = (worker, chunk_id)
+                busy[worker.conn] = (worker, cell_id)
                 return
             raise ScenarioError(
-                "warm pool: could not hand a chunk to a worker (workers "
+                "warm pool: could not hand a cell to a worker (workers "
                 "keep dying at dispatch)"
             )
 
         # One loop dispatches and collects, and never discards a reply:
-        # after the first failure no new chunk goes out, but every chunk
-        # in flight is still collected — which leaves the pipes clean for
+        # after the first failure no new cell goes out, but every cell in
+        # flight is still collected — which leaves the pipes clean for
         # the next campaign and makes the verdict scheduling-independent.
         while True:
-            while idle and next_chunk < len(chunks) and not failures:
-                dispatch(idle.pop(), next_chunk)
-                next_chunk += 1
+            while idle and next_cell < len(cells) and not failures:
+                dispatch(idle.pop(), next_cell)
+                next_cell += 1
             if not busy:
                 break
             for conn in _connection_wait(list(busy)):
-                worker, chunk_id = busy.pop(conn)  # type: ignore[index]
+                worker, cell_id = busy.pop(conn)  # type: ignore[index]
                 try:
                     reply = conn.recv()  # type: ignore[attr-defined]
                 except (EOFError, OSError):
-                    spec, seed, _trace = chunks[chunk_id][0]
+                    spec, seed, _trace = cells[cell_id]
                     exitcode = worker.process.exitcode
                     idle.append(self._replace(worker))
-                    failures[chunk_id] = (
-                        f"a pool worker died while running chunk {chunk_id} "
-                        f"(first cell: scenario {spec.name!r} seed {seed})\n"
+                    failures[cell_id] = (
+                        f"a pool worker died while running scenario {spec.name!r} "
+                        f"seed {seed} (cell {cell_id})\n"
                         f"[worker {worker.process.name}, exit code {exitcode}]"
                     )
                     continue
                 idle.append(worker)
                 if reply[0] == "ok":
-                    fragments[chunk_id] = reply[2]
+                    fragments[cell_id] = reply[2]
                 elif reply[0] == "err":
                     _tag, _cid, name, seed, tb = reply
-                    failures[chunk_id] = (
+                    failures[cell_id] = (
                         f"scenario {name!r} seed {seed} raised in a pool worker:\n"
                         f"{tb}[worker {worker.process.name}]"
                     )
                 else:  # pragma: no cover - protocol guard
-                    failures[chunk_id] = f"warm pool: unexpected worker reply {reply[0]!r}"
+                    failures[cell_id] = f"warm pool: unexpected worker reply {reply[0]!r}"
 
         if failures:
-            # Chunks go out in index order, so when a chunk failed every
+            # Cells go out in index order, so when a cell failed every
             # lower-indexed one was already in flight or done and has been
             # collected above: the lowest failed index is the same on every
             # run, whichever worker happened to reply first.
             raise ScenarioError(failures[min(failures)])
-        if len(fragments) < len(chunks):
+        if len(fragments) < len(cells):
             raise ScenarioError("warm pool: no workers available")
-        return [fragment for i in range(len(chunks)) for fragment in fragments[i]]
+        return [fragments[i] for i in range(len(cells))]
 
 
 # --------------------------------------------------------------------------- #

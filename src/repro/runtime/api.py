@@ -14,7 +14,7 @@ behalf) actually uses:
 
 * :class:`Scheduler` — ``now``, one scheduling primitive
   (``schedule_at``) with the ``schedule`` / ``call_soon`` conveniences
-  on top, ``cancel``, ``peek_time``, seeded rng streams.  Implemented
+  on top, ``cancel``, ``events_processed``, seeded rng streams.  Implemented
   by :class:`~repro.sim.engine.Simulator` and by
   :class:`~repro.runtime.realtime.RealtimeScheduler` (asyncio
   wall-clock timers).
@@ -46,9 +46,9 @@ Design constraints
   ``net`` or ``kernel`` outside ``TYPE_CHECKING``), so the hot
   simulation classes inherit them without growing a ``__dict__`` or
   paying any per-call cost.
-* The kernel's dispatch fast path reads two node internals directly
-  (``_crashed_at`` and ``_busy_until``); they are part of this contract
-  (see :class:`NodeBackend`), not private details of ``Machine``.
+* The kernel's dispatch fast path reads one node internal directly,
+  ``_crashed_at``; it is part of this contract (see
+  :class:`NodeBackend`), not a private detail of ``Machine``.
 """
 
 from __future__ import annotations
@@ -176,15 +176,6 @@ class Scheduler(ABC):
         (no-op once it fired).  Anything that is not such a handle —
         ``None`` included — raises :class:`~repro.errors.SimulationError`."""
 
-    @abstractmethod
-    def peek_time(self) -> Optional[float]:
-        """Deadline of the earliest pending event, or ``None`` when that
-        is unknowable (real time) or nothing is pending.
-
-        The kernel uses this as a conservative "is anything pending at
-        the current instant" probe; returning ``None`` is always safe.
-        """
-
 
 class NodeBackend(ABC):
     """One node's runtime surface: timers, execution, crash state.
@@ -192,6 +183,8 @@ class NodeBackend(ABC):
     The incarnation state machine — crash/recover, the epoch that guards
     timers and executed work across them, the hook lists — lives here,
     once; a backend adds only how work reaches its CPU (:meth:`execute`).
+    A CPU model is the backend's own: :class:`~repro.sim.process.Machine`
+    keeps its serial queue's drain instant, the realtime node none.
 
     Attributes
     ----------
@@ -203,12 +196,10 @@ class NodeBackend(ABC):
     on_crash / on_recover:
         Hook lists invoked with the crash/recovery instant (the kernel's
         restart protocol hangs off ``on_recover``).
-    _crashed_at / _busy_until:
-        The two internals the kernel dispatch fast path (and, for the
-        crash instant, both transports' per-datagram path) reads directly:
-        crash instant (``None`` while up) and the CPU-drain instant (any
-        value ``<= sim.now`` means idle; backends without a modelled CPU
-        never move it past ``sim.now``).
+    _crashed_at:
+        The crash instant (``None`` while up): the one internal the
+        kernel's call path and both transports' per-datagram path read
+        directly.
 
     Timers and executed work are **epoch-guarded**: work scheduled
     before a crash never fires in a later incarnation.
@@ -219,7 +210,6 @@ class NodeBackend(ABC):
         "machine_id",
         "name",
         "_crashed_at",
-        "_busy_until",
         "_tasks_executed",
         "_epoch",
         "_crash_count",
@@ -233,7 +223,6 @@ class NodeBackend(ABC):
         self.machine_id = int(machine_id)
         self.name = name if name is not None else f"m{machine_id}"
         self._crashed_at: Optional[float] = None
-        self._busy_until: float = 0.0
         self._tasks_executed = 0
         self._epoch = 0
         self._crash_count = 0
@@ -300,17 +289,15 @@ class NodeBackend(ABC):
         """Bring a crashed node back up as a new incarnation (no-op
         while up).
 
-        The new incarnation starts with an idle CPU; every task and
-        timer scheduled before the crash stays dead (previous epoch),
-        but module state survives.  The ``on_recover`` hooks then run
-        the restart protocol (the kernel re-arms each module's timers
-        in the new epoch).
+        Every task and timer scheduled before the crash stays dead
+        (previous epoch), but module state survives.  The ``on_recover``
+        hooks then run the restart protocol (the kernel re-arms each
+        module's timers in the new epoch).
         """
         if self._crashed_at is None:
             return
         now = self.sim.now
         self._crashed_at = None
-        self._busy_until = now
         self._recovered_at = now
         for hook in list(self.on_recover):
             hook(now)
@@ -318,12 +305,6 @@ class NodeBackend(ABC):
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    @property
-    def busy_until(self) -> float:
-        """Instant at which the CPU drains everything currently queued
-        (``sim.now`` when idle — always, without a modelled CPU)."""
-        return max(self._busy_until, self.sim.now)
-
     @property
     def tasks_executed(self) -> int:
         """Number of executed work items completed so far."""

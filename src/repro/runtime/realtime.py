@@ -129,15 +129,6 @@ class RealtimeScheduler(Scheduler):
             )
         handle.cancel()
 
-    def peek_time(self) -> Optional[float]:
-        """Always ``None``: real time has no inspectable event heap.
-
-        The kernel treats ``None`` as "nothing pending at this instant",
-        which selects its batched blocked-call drain — safe, because
-        wall-clock timing carries no determinism contract to preserve.
-        """
-        return None
-
 
 class RealtimeNode(NodeBackend):
     """A :class:`~repro.runtime.api.NodeBackend` on wall-clock time.
@@ -145,8 +136,7 @@ class RealtimeNode(NodeBackend):
     The base class's incarnation state machine and epoch-guarded timers,
     without :class:`~repro.sim.process.Machine`'s serial-CPU queue:
     declared costs are ignored, work runs from the node's run queue
-    (never inside ``execute``), and ``_busy_until`` never moves past
-    ``sim.now`` (always idle).  Crash/recover are *software* crash-stop.
+    (never inside ``execute``).  Crash/recover are *software* crash-stop.
     """
 
     __slots__ = ("_scheduler", "_queue", "_drain_armed")

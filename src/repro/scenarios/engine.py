@@ -416,9 +416,9 @@ def run_campaign(
     ``jobs`` fans the ``(spec, seed)`` matrix over the process-wide
     **warm worker pool** (:mod:`repro.parallel`; ``jobs=0`` means one
     worker per CPU).  Workers import the engine once and stay alive
-    across campaigns, cells ship in chunks sized to amortise IPC over
-    ~4 rounds per worker, and workers reply with compact pre-serialised
-    JSON fragments that the parent merges **by cell index** — so the
+    across campaigns, take one cell at a time, and reply with compact
+    pre-serialised JSON fragments that the parent merges **by cell
+    index** — so the
     report is **byte-identical** for any ``jobs``; only the wall-clock
     changes.  Each cell is a pure function of its arguments (every run
     owns a private simulator and RNG registry), which is what makes the

@@ -51,7 +51,8 @@ class Simulator(Scheduler):
     """A deterministic discrete-event simulator.
 
     ``Simulator`` is the native implementation of the
-    :class:`~repro.runtime.api.Scheduler` contract (the runtime seam);
+    :class:`~repro.runtime.api.Scheduler` contract (the runtime seam:
+    ``now``, ``schedule_at``, ``cancel``, ``events_processed``, ``rng``);
     :class:`~repro.runtime.realtime.RealtimeScheduler` is its
     wall-clock twin.  The base class holds no state (``__slots__ =
     ()``) and contributes only the ``schedule`` / ``call_soon``
@@ -104,18 +105,6 @@ class Simulator(Scheduler):
     def pending_events(self) -> int:
         """Number of events currently scheduled."""
         return len(self._heap) - self._cancelled
-
-    def peek_time(self) -> Optional[Time]:
-        """Instant of the earliest scheduled event, or ``None`` when empty.
-
-        One heap-top read; cancelled-but-unpopped entries still count
-        (callers use this as a conservative "is anything pending at the
-        current instant" probe — e.g. the kernel's batched blocked-call
-        drain, which falls back to one-task-per-call whenever an
-        equal-time event exists).
-        """
-        heap = self._heap
-        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------ #
     # Scheduling

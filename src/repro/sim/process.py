@@ -50,7 +50,8 @@ class Machine(NodeBackend):
     ``Machine`` is the simulation's implementation of the
     :class:`~repro.runtime.api.NodeBackend` contract (the runtime seam):
     the crash/recover state machine and the epoch-guarded timers are the
-    base class's, the serial CPU below is what the simulation adds.
+    base class's, the serial CPU below (its drain instant
+    ``_busy_until``) is what the simulation adds.
     :class:`~repro.runtime.realtime.RealtimeNode` is its wall-clock
     twin.
 
@@ -64,13 +65,21 @@ class Machine(NodeBackend):
         Human-readable name (defaults to ``"m<id>"``).
     """
 
-    __slots__ = ("_cpu_busy_total",)
+    __slots__ = ("_busy_until", "_cpu_busy_total")
 
     sim: Simulator
 
     def __init__(self, sim: Simulator, machine_id: int, name: Optional[str] = None) -> None:
         super().__init__(sim, machine_id, name)
+        self._busy_until: Time = 0.0
         self._cpu_busy_total: Duration = 0.0
+        # First recovery hook, so the CPU is idle before the restart
+        # hooks (registered later, by the kernel) submit work.
+        self.on_recover.append(self._idle_cpu)
+
+    def _idle_cpu(self, now: Time) -> None:
+        """Recovery hook: the dead incarnation's CPU queue is gone."""
+        self._busy_until = now
 
     def crash_at(self, time: Time) -> None:
         """Schedule a crash at absolute instant *time* (for fault injection)."""

@@ -104,19 +104,21 @@ class TestCompareReports:
 class TestCli:
     """--jobs and --compare through the real CLI entry point."""
 
-    def test_jobs_flag_report_matches_serial(self, tmp_path):
+    def test_jobs_flag_report_matches_serial(self, tmp_path, cells):
         # The CLI only exposes registered scenarios; use a library one.
-        out1 = tmp_path / "serial.json"
-        out2 = tmp_path / "parallel.json"
+        # The serial side is the session's memoised run of the cells.
+        serial = cells.report("adhoc:latency-spike-switch", "latency-spike-switch", (0, 1))
+        out = tmp_path / "parallel.json"
         args = ["--scenario", "latency-spike-switch", "--seeds", "2"]
-        assert cli_main(args + ["--jobs", "1", "--out", str(out1)]) == 0
-        assert cli_main(args + ["--jobs", "2", "--out", str(out2)]) == 0
-        assert out1.read_text() == out2.read_text()
+        assert cli_main(args + ["--jobs", "2", "--out", str(out)]) == 0
+        assert out.read_text() == serial.to_json() + "\n"
 
-    def test_compare_clean_and_drifted(self, tmp_path, capsys):
+    def test_compare_clean_and_drifted(self, tmp_path, capsys, cells):
+        # The baseline is the file --out writes for the memoised cell.
         baseline = tmp_path / "baseline.json"
+        report = cells.report("adhoc:latency-spike-switch", "latency-spike-switch", (0,))
+        baseline.write_text(report.to_json() + "\n")
         args = ["--scenario", "latency-spike-switch", "--seed", "0"]
-        assert cli_main(args + ["--out", str(baseline)]) == 0
         # Same code, same seed: no drift.
         assert cli_main(args + ["--compare", str(baseline)]) == 0
         # Tamper with the stored report: drift, exit 3.

@@ -138,7 +138,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "churn-storm" in out and "smoke" in out
 
-    def test_scenario_run_writes_report(self, tmp_path, capsys):
+    def test_scenario_run_writes_report(self, tmp_path, capsys, cells):
         out_file = tmp_path / "report.json"
         code = cli_main(
             ["--scenario", "latency-spike-switch", "--seed", "0", "--out", str(out_file)]
@@ -148,6 +148,9 @@ class TestCli:
         assert blob["ok"] is True
         assert blob["campaign"] == "adhoc:latency-spike-switch"
         assert len(blob["runs"]) == 1
+        # The file holds run_campaign's report of the cell, byte for byte.
+        report = cells.report("adhoc:latency-spike-switch", "latency-spike-switch", (0,))
+        assert out_file.read_text() == report.to_json() + "\n"
 
     def test_compare_against_own_report_has_no_drift(self, tmp_path, monkeypatch):
         """A rerun compared with its own ``--out`` report exits 0.

@@ -4,7 +4,7 @@ Three contracts are pinned here:
 
 * **byte-identity** — ``run_campaign`` / ``run_fuzz`` reports are
   byte-identical for every ``jobs`` × trace-mode combination (the merge
-  is by chunk index; each cell is a pure function of its arguments);
+  is by cell index; each cell is a pure function of its arguments);
 * **failure naming** — a cell that raises inside a worker fails the
   campaign with a :class:`~repro.errors.ScenarioError` naming the
   scenario and seed, never hangs the pool, and leaves the pool usable;
@@ -12,7 +12,7 @@ Three contracts are pinned here:
   order on every run, whatever the pool width and whichever worker
   replied first;
 * **worker death** — a killed worker is replaced transparently when idle
-  and surfaces as a named error when it dies mid-chunk.
+  and surfaces as a named error when it dies mid-cell.
 """
 
 import json
@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ScenarioError
 from repro.experiments import PROTOCOL_SEQ
-from repro.parallel import WarmPool, cells_per_chunk, get_pool
+from repro.parallel import WarmPool, get_pool
 from repro.scenarios import Campaign, Crash, ScenarioSpec, SwitchAt, run_campaign
 from repro.scenarios.engine import result_from_dict, run_scenario
 from repro.fuzz import FuzzConfig
@@ -79,20 +79,12 @@ class TestByteIdentity:
         rebuilt = result_from_dict(json.loads(fragment))
         assert rebuilt == result
 
-    def test_cells_per_chunk_bounds(self):
-        # Floored at 1, capped at 8, ~4 rounds per worker in between.
-        assert cells_per_chunk(1, 4) == 1
-        assert cells_per_chunk(1000, 2) == 8
-        assert cells_per_chunk(64, 4) == 4
-
 
 @pytest.fixture(scope="module", params=[1, 2, 4], ids=lambda jobs: f"jobs{jobs}")
 def sized_pool(request):
-    """A private pool of each width (not the process-wide singleton).
-
-    Six cells ship as chunks of two on one worker and of one on two or
-    four (:func:`cells_per_chunk`), so the failure contract is pinned
-    for a poisoned cell inside a chunk and for one chunk per cell.
+    """A private pool of each width (not the process-wide singleton),
+    so the failure contract is pinned for one worker running every cell
+    in turn and for cells in flight on several workers at once.
     """
     pool = WarmPool(request.param)
     yield pool
@@ -154,10 +146,8 @@ class TestStandalonePool:
     def test_run_cells_merges_in_cell_order(self):
         pool = WarmPool(2)
         try:
-            # Nine cells on two workers ship as four chunks of two and a
-            # ragged chunk of one, merged back in cell order.
+            # Nine cells on two workers, merged back in cell order.
             cells = [(SPEC_TINY, seed, "structural") for seed in range(9)]
-            assert cells_per_chunk(len(cells), pool.size) == 2
             fragments = pool.run_cells(cells)
             seeds = [json.loads(f)["seed"] for f in fragments]
             assert seeds == list(range(9))

@@ -32,12 +32,6 @@ class TestOrdering:
         sim.run()
         assert fired == list(range(10))
 
-    def test_peek_time(self, sim):
-        assert sim.peek_time() is None
-        handle_at(sim, 5.0, [], "a")
-        handle_at(sim, 2.0, [], "b")
-        assert sim.peek_time() == 2.0
-
 
 class TestCancellation:
     def test_cancel_removes_from_len(self, sim):
@@ -106,11 +100,6 @@ class TestFastPath:
         assert sim.pending_events == 2
         sim.run(until=1.0)
         assert sim.pending_events == 1
-
-    def test_peek_time_sees_fast_entries(self, sim):
-        handle_at(sim, 5.0, [], "x")
-        sim.schedule_at(2.0, lambda: None)
-        assert sim.peek_time() == 2.0
 
 
 class TestCancelAfterFire:

@@ -146,6 +146,18 @@ class TestRecovery:
         sim.run(until=2.0)
         assert machine.cpu_backlog == 0.0
 
+    def test_restart_hook_work_starts_on_idle_cpu(self, sim, machine):
+        """The CPU is reset before the restart hooks run: work a hook
+        submits is not queued behind the dead incarnation's backlog."""
+        done = []
+        machine.execute(5.0, lambda: None)            # long task queued
+        machine.on_recover.append(
+            lambda now: machine.execute(0.01, lambda: done.append(sim.now)))
+        machine.crash_at(1.0)
+        machine.recover_at(2.0)
+        sim.run()
+        assert done == [pytest.approx(2.01)]
+
     def test_recover_is_noop_when_up(self, sim, machine):
         machine.recover()
         assert not machine.crashed and machine.crash_count == 0

@@ -118,9 +118,10 @@ def test_a_built_run_holds_only_its_backend():
 # --------------------------------------------------------------------- #
 def test_abstract_surface_is_one_spelling_per_operation():
     assert Scheduler.__abstractmethods__ == {
-        "now", "events_processed", "schedule_at", "cancel", "peek_time",
+        "now", "events_processed", "schedule_at", "cancel",
     }
     assert NodeBackend.__abstractmethods__ == {"execute"}
+    assert "_busy_until" not in NodeBackend.__slots__  # a CPU model is the backend's own
     assert Transport.__abstractmethods__ == {"send", "send_local", "stats"}
 
 
@@ -447,7 +448,6 @@ def test_scheduler_clock_and_counters(backend):
     run_ticks(backend, 1)
     assert sim.now >= t0 + TICK
     assert sim.events_processed > e0
-    assert sim.peek_time() is None or sim.peek_time() >= sim.now
 
 
 # --------------------------------------------------------------------- #

@@ -386,10 +386,10 @@ class OtherService(Module):
 
 
 class TestBatchedDrain:
-    """Blocked-call backlogs drain in one 0-cost CPU task when nothing
-    else is scheduled at the release instant — and fall back to the
-    one-task-per-call chain (the exact pre-batching schedule) when an
-    equal-time event exists."""
+    """Blocked-call backlogs drain as a chain of 0-cost CPU tasks, one
+    per released call: each task pops one call, re-arms the next, then
+    invokes.  (The ids predate the chain-only drain, when a quiet release
+    ran the whole backlog in one task; they are kept for continuity.)"""
 
     def test_quiet_release_uses_one_task(self):
         sys_ = System(n=1, seed=0)
@@ -402,12 +402,12 @@ class TestBatchedDrain:
         st.bind("echo", echo)
         sys_.run()
         assert echo.calls == [0, 1, 2, 3, 4]
-        assert st.machine.tasks_executed - before == 1  # one batched drain
+        assert st.machine.tasks_executed - before == 5  # one drain task per call
         assert st.blocked_call_count("echo") == 0
 
     def test_already_fired_same_instant_event_still_batches(self):
-        """A same-instant event that fires *before* the drain task does not
-        prevent batching: by the time the drain runs, the heap is quiet."""
+        """A same-instant event that fires *before* the drain task leaves
+        the chain as it is: one drain task per released call."""
         sys_ = System(n=1, seed=0)
         st = sys_.stack(0)
         echo = st.add_module(Echo(st, reply=False), bind=False)
@@ -421,13 +421,12 @@ class TestBatchedDrain:
         sys_.run()
         assert echo.calls == [0, 1, 2]
         assert interleaved == ["bystander"]
-        assert st.machine.tasks_executed - before == 1  # one batched drain
+        assert st.machine.tasks_executed - before == 3  # one drain task per call
 
     def test_handler_scheduling_same_instant_work_falls_back_to_chain(self):
-        """A drained handler that schedules zero-delay work forces the
-        chain fallback for the rest of the backlog, reproducing the exact
-        pre-batching interleaving: the next backlog call is served before
-        the handler's same-instant work, the rest after it."""
+        """A drained handler's zero-delay work interleaves with the chain:
+        the next backlog call is served before the handler's same-instant
+        work, the rest after it."""
         sys_ = System(n=1, seed=0)
         st = sys_.stack(0)
         order = []
@@ -452,15 +451,14 @@ class TestBatchedDrain:
         before = st.machine.tasks_executed
         st.bind("svc", mod)
         sys_.run()
-        # Pre-batching chain order: c0 invoked, c1's drain was armed
-        # before c0's handler ran (so c1 beats the timer), then the
-        # timer, then c2 — the batch fallback must reproduce it exactly.
+        # Chain order: c0 invoked, c1's drain was armed before c0's
+        # handler ran (so c1 beats the timer), then the timer, then c2.
         assert order == [("call", 0), ("call", 1), ("timer", 0), ("call", 2)]
-        assert st.machine.tasks_executed - before == 2  # batch + chain re-arm
+        assert st.machine.tasks_executed - before == 3  # one drain task per call
 
     def test_unbind_mid_drain_pauses_until_next_bind(self):
         """A released handler that unbinds its own service must stop the
-        batch: the rest of the backlog waits for the next bind."""
+        drain: the rest of the backlog waits for the next bind."""
         sys_ = System(n=1, seed=0)
         st = sys_.stack(0)
 
@@ -491,10 +489,9 @@ class TestBatchedDrain:
         assert mod.calls == [0, 1, 2]
 
     def test_cpu_occupying_handler_falls_back_to_chain(self):
-        """A drained handler that issues CPU-costing work must push the
-        rest of the backlog onto the chained schedule: the next drain
-        task starts only when the CPU frees (``busy_until``), exactly as
-        the unbatched kernel staggered it (regression: the batch kept
+        """A drained handler that issues CPU-costing work queues behind
+        the already re-armed drain task: the drain task after it starts
+        only when the CPU frees (regression: a batched drain once kept
         draining at the release instant, shifting every later dispatch
         ~one call cost earlier)."""
         sys_ = System(n=1, seed=0)
@@ -523,7 +520,7 @@ class TestBatchedDrain:
         sys_.run()
         st.bind("svc", mod)
         sys_.run()
-        # Timing fixed by the pre-batching kernel (call_cost = 10 us):
+        # Timing of the one-task-per-call chain (call_cost = 10 us):
         # go2 waits for go0's follow-up to occupy the CPU; the follow-ups
         # then drain in FIFO completion order.
         assert events == [
@@ -532,8 +529,9 @@ class TestBatchedDrain:
         ]
 
     def test_crash_mid_drain_stops_batch(self):
-        """A handler that crashes the machine mid-batch must not drain the
-        rest; recovery restarts the drain in the new incarnation."""
+        """A handler that crashes the machine mid-drain must not drain the
+        rest (the re-armed task dies with the epoch); recovery restarts
+        the drain in the new incarnation."""
         sys_ = System(n=1, seed=0)
         st = sys_.stack(0)
 
