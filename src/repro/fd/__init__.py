@@ -1,13 +1,12 @@
 """Failure detectors.
 
 ``HeartbeatFd`` is the realistic adaptive ◊S detector of the paper's FD
-module; ``PerfectFd`` and ``OracleFd`` are simulation-only instruments for
-tests and ablations.  All three provide the kernel service ``fd``.
+module; ``OracleFd`` is a simulation-only instrument for tests.  Both
+provide the kernel service ``fd``.
 """
 
 from .base import FdModuleBase
 from .heartbeat import HeartbeatFd
 from .oracle import OracleFd
-from .perfect import PerfectFd
 
-__all__ = ["FdModuleBase", "HeartbeatFd", "PerfectFd", "OracleFd"]
+__all__ = ["FdModuleBase", "HeartbeatFd", "OracleFd"]

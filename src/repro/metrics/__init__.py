@@ -1,4 +1,4 @@
-"""Measurement: the paper's latency definition, series tools, summaries."""
+"""Measurement: the paper's latency definition, series tools, overhead."""
 
 from .latency import (
     LatencyPoint,
@@ -7,9 +7,8 @@ from .latency import (
     message_latency,
     windowed_mean_latency,
 )
-from .series import PerturbationWindow, bin_series, find_perturbation, moving_average
-from .stats import Summary, relative_overhead, summarize
-from .throughput import delivery_throughput, throughput_series
+from .series import PerturbationWindow, bin_series, find_perturbation
+from .stats import relative_overhead
 
 __all__ = [
     "message_latency",
@@ -18,12 +17,7 @@ __all__ = [
     "mean_latency",
     "windowed_mean_latency",
     "bin_series",
-    "moving_average",
     "PerturbationWindow",
     "find_perturbation",
-    "Summary",
-    "summarize",
     "relative_overhead",
-    "delivery_throughput",
-    "throughput_series",
 ]

@@ -1,4 +1,4 @@
-"""Time-series helpers: binning, moving averages, spike analysis.
+"""Time-series helpers: binning and spike analysis.
 
 Used by the Figure 5 harness to turn the per-message latency cloud into
 a readable curve and to measure the perturbation window (the paper's
@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["bin_series", "moving_average", "PerturbationWindow", "find_perturbation"]
+__all__ = ["bin_series", "PerturbationWindow", "find_perturbation"]
 
 #: A raw series: list of (x, y) points, x ascending.
 XY = Sequence[Tuple[float, float]]
@@ -39,22 +39,6 @@ def bin_series(
         (x0 + (idx + 0.5) * bin_width, float(np.mean(ys)))
         for idx, ys in sorted(bins.items())
     ]
-
-
-def moving_average(points: XY, window: int) -> List[Tuple[float, float]]:
-    """Centred moving average over *window* consecutive points."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    pts = list(points)
-    if len(pts) < window:
-        return pts
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    kernel = np.ones(window) / window
-    smooth = np.convolve(ys, kernel, mode="valid")
-    offset = (window - 1) // 2
-    out_x = xs[offset: offset + len(smooth)]
-    return list(zip(out_x.tolist(), smooth.tolist()))
 
 
 @dataclass(frozen=True)

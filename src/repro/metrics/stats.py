@@ -1,57 +1,8 @@
-"""Summary statistics for benchmark reporting."""
+"""Relative overhead for benchmark reporting."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
-
-__all__ = ["Summary", "summarize", "relative_overhead"]
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-plus summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    p95: float
-    maximum: float
-
-    def ci95_halfwidth(self) -> float:
-        """Half-width of the normal-approximation 95% CI of the mean."""
-        if self.count < 2:
-            return float("nan")
-        return 1.96 * self.std / math.sqrt(self.count)
-
-    def format(self, unit: str = "", scale: float = 1.0) -> str:
-        """One-line human-readable rendering (values multiplied by *scale*)."""
-        return (
-            f"n={self.count} mean={self.mean * scale:.3f}{unit} "
-            f"±{self.ci95_halfwidth() * scale:.3f} median={self.median * scale:.3f}{unit} "
-            f"p95={self.p95 * scale:.3f}{unit} max={self.maximum * scale:.3f}{unit}"
-        )
-
-
-def summarize(values: Sequence[float]) -> Optional[Summary]:
-    """Summarise a sample; ``None`` for an empty one."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return None
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        p95=float(np.percentile(arr, 95)),
-        maximum=float(arr.max()),
-    )
+__all__ = ["relative_overhead"]
 
 
 def relative_overhead(baseline: float, measured: float) -> float:

@@ -154,6 +154,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             "checkers (their violation lists will be trivially empty)",
             file=sys.stderr,
         )
+    if args.compare:
+        # Read the baseline before the campaign: a bad path fails at once,
+        # not after every cell has run.
+        try:
+            with open(args.compare, "r", encoding="utf-8") as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read baseline {args.compare!r}: {exc}",
+                  file=sys.stderr)
+            return 2
     result: CampaignResult = run_campaign(
         campaign, seeds=seeds, jobs=args.jobs, trace=args.trace
     )
@@ -172,13 +182,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report)
 
     if args.compare:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 2
         # Compare the report --out writes, not to_dict(): JSON turns the
         # tuples a fault detail carries into lists.
         drift = compare_reports(baseline, json.loads(report))

@@ -414,21 +414,21 @@ def run_campaign(
     """Run every scenario of *campaign* at every seed, in a fixed order.
 
     ``jobs`` fans the ``(spec, seed)`` matrix over the process-wide
-    **warm worker pool** (:mod:`repro.parallel`; ``jobs=0`` means one
-    worker per CPU).  Workers import the engine once and stay alive
-    across campaigns, take one cell at a time, and reply with compact
-    pre-serialised JSON fragments that the parent merges **by cell
-    index** — so the
-    report is **byte-identical** for any ``jobs``; only the wall-clock
-    changes.  Each cell is a pure function of its arguments (every run
-    owns a private simulator and RNG registry), which is what makes the
-    fan-out sound.  ``trace`` is the per-cell kernel trace depth (see
+    **warm worker pool** of exactly ``jobs`` workers
+    (:func:`repro.parallel.get_pool`; ``jobs=0`` means one worker per
+    CPU).  Workers stay alive across campaigns of the same width, take
+    one cell at a time, and return compact pre-serialised JSON fragments
+    that the parent merges **by cell index** — so the report is
+    **byte-identical** for any ``jobs``; only the wall-clock changes.
+    Each cell is a pure function of its arguments (every run owns a
+    private simulator and RNG registry), which is what makes the fan-out
+    sound.  ``trace`` is the per-cell kernel trace depth (see
     :func:`run_scenario`); reports are byte-identical between
     ``"structural"`` and ``"full"``.
 
-    A cell that raises in a worker fails the campaign with a
-    :class:`~repro.errors.ScenarioError` naming the scenario and seed;
-    the pool survives and the next campaign reuses it.
+    A cell that raises in a worker, or whose worker dies, fails the
+    campaign with a :class:`~repro.errors.ScenarioError` naming the
+    scenario and seed; the pool survives and the next campaign reuses it.
     """
     if jobs < 0:
         raise ScenarioError(f"jobs must be >= 0, got {jobs}")
@@ -441,10 +441,9 @@ def run_campaign(
             run_scenario(spec, seed=seed, trace=trace) for spec, seed, trace in tasks
         )
         return result
-    from ..parallel import get_pool  # deferred: workers import this module
+    from ..parallel import get_pool  # deferred: parallel imports this module
 
-    pool = get_pool(min(jobs, len(tasks)))
-    fragments = pool.run_cells(tasks, max_workers=jobs)
+    fragments = get_pool(jobs).run_cells(tasks)
     result.results.extend(result_from_dict(json.loads(f)) for f in fragments)
     return result
 

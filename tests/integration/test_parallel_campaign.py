@@ -128,7 +128,12 @@ class TestCli:
         assert cli_main(args + ["--compare", str(baseline)]) == 3
         assert "DRIFT" in capsys.readouterr().err
 
-    def test_compare_unreadable_baseline_exit_2(self, tmp_path):
+    def test_compare_unreadable_baseline_exit_2(self, tmp_path, monkeypatch):
+        # The baseline is read before any cell runs.
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("run_campaign ran before the baseline was read")
+
+        monkeypatch.setattr("repro.scenarios.__main__.run_campaign", no_campaign)
         missing = tmp_path / "nope.json"
         assert cli_main(["--scenario", "latency-spike-switch", "--seed", "0",
                          "--compare", str(missing)]) == 2

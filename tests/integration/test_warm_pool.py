@@ -12,7 +12,7 @@ Three contracts are pinned here:
   order on every run, whatever the pool width and whichever worker
   replied first;
 * **worker death** — a killed worker is replaced transparently when idle
-  and surfaces as a named error when it dies mid-cell.
+  and surfaces as an error naming the cell when it dies mid-cell.
 """
 
 import json
@@ -51,6 +51,15 @@ CAMPAIGN = Campaign(name="pool", scenarios=(SPEC_SWITCH, SPEC_CRASH))
 SPEC_TINY = ScenarioSpec(
     name="pool-tiny", n=3, duration=0.2, load_msgs_per_sec=20.0, quiescence_extra=2.0
 )
+
+
+class _WorkerKiller:
+    """A stand-in cell spec whose unpickling kills the process doing it."""
+
+    name = "killer"
+
+    def __reduce__(self):
+        return (os._exit, (3,))
 
 
 class TestByteIdentity:
@@ -116,7 +125,7 @@ class TestFailureContract:
         with pytest.raises(ScenarioError) as excinfo:
             sized_pool.run_cells(cells)
         assert str(excinfo.value).splitlines()[0] == expected
-        # Every in-flight reply was collected, so the pipes are clean.
+        # Every reply was collected, so the pool is clean.
         healthy = [(SPEC_TINY, 0, "structural")] * 2
         assert len(sized_pool.run_cells(healthy)) == 2
 
@@ -129,15 +138,38 @@ class TestFailureContract:
     def test_idle_worker_killed_is_replaced_transparently(self):
         pool = get_pool(2)
         pool.warm()
-        victim = pool._workers[0].process
+        victim = next(iter(pool._executor._processes.values()))
         os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=10)
+        # The executor's manager thread reaps the corpse, marks the pool
+        # broken and exits; joining the victim here as well would race its
+        # waitpid and could read a reaped process as alive.
+        pool._executor._executor_manager_thread.join(timeout=10)
         assert not victim.is_alive()
-        # The next campaign must notice the corpse at dispatch, replace
-        # it, and still produce the byte-identical report.
+        # The next campaign must notice the broken pool, restart it, and
+        # still produce the byte-identical report.
         report = run_campaign(CAMPAIGN, seeds=(0,), jobs=2)
         assert report.to_json() == run_campaign(CAMPAIGN, seeds=(0,)).to_json()
-        assert all(w.process.is_alive() for w in pool._workers)
+        assert all(p.is_alive() for p in pool._executor._processes.values())
+
+    def test_cell_that_kills_its_worker_is_named(self, sized_pool):
+        # Unpickling the killer's spec exits the worker mid-cell.
+        cells = [(SPEC_TINY, 0, "structural"), (_WorkerKiller(), 1, "structural"),
+                 (SPEC_TINY, 2, "structural")]
+        with pytest.raises(ScenarioError) as excinfo:
+            sized_pool.run_cells(cells)
+        first_line = str(excinfo.value).splitlines()[0]
+        assert "'killer'" in first_line and "seed 1" in first_line
+        healthy = [(SPEC_TINY, 0, "structural")] * 2
+        assert len(sized_pool.run_cells(healthy)) == 2
+        # A failing cell below the killer still wins, and nothing hangs
+        # (the worker dies while the failure is already collected).
+        cells = [(SPEC_TINY, 0, "bogus"), (_WorkerKiller(), 1, "structural")]
+        cells += [(SPEC_TINY, seed, "structural") for seed in range(2, 6)]
+        with pytest.raises(ScenarioError) as excinfo:
+            sized_pool.run_cells(cells)
+        expected = "scenario 'pool-tiny' seed 0 raised in a pool worker:"
+        assert str(excinfo.value).splitlines()[0] == expected
+        assert len(sized_pool.run_cells(healthy)) == 2
 
 
 class TestStandalonePool:

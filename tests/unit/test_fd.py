@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel import Module, System, WellKnown
 from repro.net import SimNetwork, SwitchedLan, UdpModule
-from repro.fd import HeartbeatFd, OracleFd, PerfectFd
+from repro.fd import HeartbeatFd, OracleFd
 from repro.sim import ConstantLatency, ms
 
 
@@ -159,30 +159,6 @@ class TestHeartbeatRestart:
         sys_.run(until=1.0)
         # Stack 3's heartbeats auto-register it at stacks 1 and 2 too.
         assert 3 in fds[1].peers and 3 in fds[2].peers
-        sys_.run(until=2.0)
-        assert all(not fd.suspects() for fd in fds)
-
-
-class TestPerfectFd:
-    def test_suspects_exactly_crashed(self):
-        sys_ = System(n=3, seed=0)
-        fds = []
-        for st in sys_.stacks:
-            fd = PerfectFd(st, sys_.machines, detection_delay=ms(10))
-            st.add_module(fd)
-            fds.append(fd)
-        sys_.machines[1].crash_at(0.5)
-        sys_.run(until=1.0)
-        assert fds[0].suspects() == {1}
-        assert fds[2].suspects() == {1}
-
-    def test_never_suspects_live(self):
-        sys_ = System(n=3, seed=0)
-        fds = []
-        for st in sys_.stacks:
-            fd = PerfectFd(st, sys_.machines)
-            st.add_module(fd)
-            fds.append(fd)
         sys_.run(until=2.0)
         assert all(not fd.suspects() for fd in fds)
 

@@ -1,19 +1,15 @@
-"""Unit tests: latency (paper definition), series tools, stats, throughput."""
+"""Unit tests: latency (paper definition), series tools, overhead."""
 
 import pytest
 
 from repro.dpu.probes import DeliveryLog
 from repro.metrics import (
     bin_series,
-    delivery_throughput,
     find_perturbation,
     latency_series,
     mean_latency,
     message_latency,
-    moving_average,
     relative_overhead,
-    summarize,
-    throughput_series,
     windowed_mean_latency,
 )
 
@@ -82,15 +78,6 @@ class TestSeriesTools:
         with pytest.raises(ValueError):
             bin_series([(0, 1)], 0.0)
 
-    def test_moving_average(self):
-        pts = [(float(i), float(i)) for i in range(5)]
-        smooth = moving_average(pts, window=3)
-        assert smooth[0][1] == pytest.approx(1.0)  # mean of 0,1,2
-
-    def test_moving_average_short_input(self):
-        pts = [(0.0, 1.0)]
-        assert moving_average(pts, window=5) == pts
-
     def test_perturbation_found(self):
         base = [(t * 0.1, 1.0) for t in range(50)]
         spike = [(5.0 + t * 0.1, 5.0) for t in range(5)]
@@ -110,40 +97,8 @@ class TestSeriesTools:
 
 
 class TestStats:
-    def test_summary_values(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.median == pytest.approx(2.5)
-        assert s.minimum == 1.0 and s.maximum == 4.0
-
-    def test_empty_summary(self):
-        assert summarize([]) is None
-
-    def test_single_value_std_zero(self):
-        assert summarize([5.0]).std == 0.0
-
-    def test_format_scaling(self):
-        s = summarize([0.001, 0.002])
-        text = s.format(unit="ms", scale=1e3)
-        assert "mean=1.500ms" in text
-
     def test_relative_overhead(self):
         assert relative_overhead(100.0, 105.0) == pytest.approx(0.05)
         with pytest.raises(ValueError):
             relative_overhead(0.0, 1.0)
 
-
-class TestThroughput:
-    def test_delivery_throughput(self):
-        log = make_log()
-        assert delivery_throughput(log, 0, 0.0, 4.0) == pytest.approx(0.5)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            delivery_throughput(make_log(), 0, 2.0, 2.0)
-
-    def test_throughput_series(self):
-        log = make_log()
-        series = throughput_series(log, 0, bin_width=1.0)
-        assert len(series) == 2
